@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import diagnostics, kernels
+from .exceptions import BreakdownError, DomainError
 from .problems import PROBLEM_NAMES, get_problem
 from .solvers import Method, SolverConfig, Status, run
 from .system import IterateState
@@ -126,9 +127,8 @@ def cmd_solve(args) -> int:
 # -- bench ---------------------------------------------------------------
 
 
-def _bench_cell(suite: str, n: int, method: Method, rho: float, repeats: int,
+def _bench_cell(problem, method: Method, rho: float, repeats: int,
                 seed_base: int, max_iters: int, tol_sq: float) -> Dict:
-    problem = get_problem(suite, n)
     stochastic = method in STOCHASTIC
     runs = []
     for r in range(repeats):
@@ -145,7 +145,7 @@ def _bench_cell(suite: str, n: int, method: Method, rho: float, repeats: int,
                   Status.CONVERGED.value)
     return {
         "method": method.value,
-        "problem": suite,
+        "problem": problem.name,
         "n": problem.system.n,
         "m": problem.system.m,
         "rho": rho if method is Method.MRNABK else None,
@@ -183,19 +183,22 @@ def _write_table(rows: List[Dict], out: Optional[Path], json_out: Optional[Path]
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be positive, got {args.repeats}")
     suites = list(SUITE_SIZES) if args.suite == "all" else [args.suite]
     sizes_override = [int(s) for s in args.sizes.split(",")] if args.sizes else None
     rows = []
     for suite in suites:
         for n in sizes_override or SUITE_SIZES[suite]:
+            problem = get_problem(suite, n)
             for method in BENCH_METHODS:
                 try:
-                    rows.append(_bench_cell(suite, n, method, args.rho, args.repeats,
+                    rows.append(_bench_cell(problem, method, args.rho, args.repeats,
                                             args.seed_base, args.max_iters, args.tol_sq))
-                except Exception as exc:  # record partial failures, keep going
+                except (BreakdownError, DomainError) as exc:  # record, keep going
                     rows.append({c: None for c in CSV_HEADER}
                                 | {"method": method.value, "problem": suite, "n": n,
-                                   "m": n, "repeats": args.repeats,
+                                   "m": problem.system.m, "repeats": args.repeats,
                                    "status": f"error:{exc}"})
     rows.sort(key=lambda r: (r["problem"], r["n"], r["method"]))
     _write_table(rows, _out_path(args.out), _out_path(args.json))

@@ -1,9 +1,13 @@
 """The four benchmark problem families, with analytic Jacobian rows.
 
 Each maker returns a :class:`NonlinearSystem` with vectorized row-block
-gradient access.  ``get_problem`` adds the conventional initial point and
-a per-coordinate sampling box used for finite-difference validation and
-cone-constant estimation.
+gradient access.  The problems with sparse rows (Brown, Broyden,
+overdetermined) also supply the block vector-Jacobian product and the row
+norms, computed from the nonzeros alone with index arithmetic and
+``np.bincount``; the dense H-equation keeps the dense defaults.
+``get_problem`` adds the conventional initial point and a per-coordinate
+sampling box used for finite-difference validation and cone-constant
+estimation.
 """
 from __future__ import annotations
 
@@ -102,8 +106,23 @@ def make_brown(n: int) -> NonlinearSystem:
         J[n - 1] = _product_row(x)
         return J
 
+    def block_vjp(idx, w, x):
+        # affine row k is ones + e_k; the product row is dense
+        affine = idx < n - 1
+        v = np.bincount(idx[affine], w[affine], minlength=n) + w[affine].sum()
+        if not affine.all():
+            v += w[~affine].sum() * _product_row(x)
+        return v
+
+    def row_norms_sq(x):
+        out = np.full(n, n + 3.0)
+        p = _product_row(x)
+        out[n - 1] = p @ p
+        return out
+
     return NonlinearSystem(n, n, residual, row_gradient,
                            gradient_rows=gradient_rows, jacobian=jacobian,
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
                            known_solution=np.ones(n), name=f"brown(n={n})")
 
 
@@ -154,8 +173,27 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
     def jacobian(x):
         return gradient_rows(np.arange(n), x)
 
+    def block_vjp(idx, w, x):
+        # row k holds s_k * (-1, 3 - 4 x_k, -2) in columns k-1, k, k+1, with
+        # s_k = 2 g_k.  Columns are shifted by one so the boundary terms land
+        # in two discarded pad slots; listing the right, centre and left
+        # terms in that order sums each column in row order (sorted idx).
+        s = 2.0 * _g(x)[idx]
+        ws = w * s
+        vals = np.concatenate((-2.0 * ws, w * (s * (3.0 - 4.0 * x[idx])), -ws))
+        cols = np.concatenate((idx + 2, idx + 1, idx))
+        return np.bincount(cols, vals, minlength=n + 2)[1:-1]
+
+    def row_norms_sq(x):
+        s = 2.0 * _g(x)
+        out = (s * (3.0 - 4.0 * x)) ** 2
+        out[1:] += s[1:] ** 2
+        out[:-1] += (2.0 * s[:-1]) ** 2
+        return out
+
     return NonlinearSystem(n, n, residual, row_gradient,
                            gradient_rows=gradient_rows, jacobian=jacobian,
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
                            name=f"broyden(n={n})")
 
 
@@ -210,9 +248,26 @@ def make_overdetermined_rational(n: int, squared_denominator: bool = False) -> N
     def jacobian(x):
         return gradient_rows(np.arange(m), x)
 
+    def block_vjp(idx, w, x):
+        # row 2i holds (10 r'(x_i), -10) in columns i, i+1 and row 2i+1 holds
+        # 1 in column i; listed so each column sums in row order (sorted idx)
+        i = idx // 2
+        odd = idx % 2 == 0
+        io, wo = i[odd], w[odd]
+        vals = np.concatenate((wo * -10.0, wo * (10.0 * _rational_deriv(x[io])), w[~odd]))
+        cols = np.concatenate((io + 1, io, i[~odd]))
+        return np.bincount(cols, vals, minlength=n)
+
+    def row_norms_sq(x):
+        a = 10.0 * _rational_deriv(x[: n - 1])
+        out = np.ones(m)
+        out[0::2] = a * a + 100.0
+        return out
+
     known = None if squared_denominator else np.ones(n)
     return NonlinearSystem(m, n, residual, row_gradient,
                            gradient_rows=gradient_rows, jacobian=jacobian,
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
                            known_solution=known, name=f"overdetermined(n={n})")
 
 

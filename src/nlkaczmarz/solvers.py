@@ -12,6 +12,7 @@ step, or the iteration cap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -59,10 +60,10 @@ class SolverConfig:
 
     def __post_init__(self):
         self.method = Method(self.method)
-        if not 0.0 < self.rho <= 1.0:
+        if not (math.isfinite(self.rho) and 0.0 < self.rho <= 1.0):
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.tol_sq <= 0.0:
-            raise ValueError("tol_sq must be positive")
+        if not (math.isfinite(self.tol_sq) and self.tol_sq > 0.0):
+            raise ValueError(f"tol_sq must be positive and finite, got {self.tol_sq}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -107,7 +108,8 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
 
 
 def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
-    """Capped selection weighted by row-gradient norms; needs the full Jacobian.
+    """Capped selection weighted by row-gradient norms, which cost one full
+    Jacobian (``sys.row_norms_sq``).
 
     I = { i : f_i^2 >= delta ||f||^2 ||grad f_i||^2 } with
     delta = (max_i (f_i^2/||grad f_i||^2) / ||f||^2 + 1/||f'||_F^2) / 2.
@@ -116,8 +118,7 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     fx = state.fx
     if not fx.any():
         raise ValueError("selection from a zero residual: solver should have terminated")
-    J = sys.jacobian(state.x)
-    w = np.einsum("ij,ij->i", J, J)
+    w = sys.row_norms_sq(state.x)
     a2 = fx * fx
     r2 = a2.sum()
     zero_grad = (w == 0.0) & (a2 > 0.0)
@@ -140,14 +141,20 @@ def average_block_step(sys: NonlinearSystem, state: IterateState, sel: BlockSele
     idx = np.asarray(sel.indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("empty block selection")
-    G = sys.gradient_rows(idx, state.x)
-    d, s2 = kernels.block_direction(np.ascontiguousarray(state.fx[idx]), np.ascontiguousarray(G))
+    x_new = _averaged_point(sys, state.x, state.fx, idx, state.k)
+    return IterateState.at(sys, x_new, state.k + 1)
+
+
+def _averaged_point(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray,
+                    idx: np.ndarray, k: Optional[int] = None) -> np.ndarray:
+    """x + (||f_tau||^2 / ||d||^2) d with d = -J_tau^T f_tau."""
+    f_tau = fx[idx]
+    d = -sys.block_vjp(idx, f_tau, x)
     nd2 = d @ d
     if nd2 < BREAKDOWN_EPS:
         raise BreakdownError("block direction annihilated (singular Jacobian rows)",
-                             iteration=state.k)
-    x_new = state.x + (s2 / nd2) * d
-    return IterateState.at(sys, x_new, state.k + 1)
+                             iteration=k)
+    return x + (float(f_tau @ f_tau) / nd2) * d
 
 
 def nrk_step(sys: NonlinearSystem, state: IterateState,
@@ -212,7 +219,14 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     history: List[Tuple[int, float, int, float]] = []
     iterates = [x.copy()] if cfg.store_iterates else None
 
-    fx = sys.residual(x)
+    if not np.isfinite(x).all():
+        return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
+                            message="non-finite starting point")
+    try:
+        fx = sys.residual(x)
+    except DomainError as exc:
+        return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
+                            message=f"at the starting point: {exc}")
     r2 = float(fx @ fx)
     k = 0
     while True:
@@ -240,12 +254,7 @@ def _advance(sys, x, fx, r2, method, rho, rng):
             idx, _ = kernels.ngabk_select(cfx)
         else:
             idx, _ = kernels.mrnabk_select(cfx, rho)
-        G = sys.gradient_rows(idx, x)
-        d, s2 = kernels.block_direction(np.ascontiguousarray(cfx[idx]), np.ascontiguousarray(G))
-        nd2 = d @ d
-        if nd2 < BREAKDOWN_EPS:
-            raise BreakdownError("block direction annihilated (singular Jacobian rows)")
-        x_new = x + (s2 / nd2) * d
+        x_new = _averaged_point(sys, x, cfx, idx)
         return x_new, sys.residual(x_new), len(idx)
 
     if method is Method.NRK:

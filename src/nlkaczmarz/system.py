@@ -5,7 +5,9 @@ with per-row gradient access (row i of the Jacobian).  Row gradients are
 exposed individually because the block solvers only touch the selected
 rows; a full-Jacobian view exists for the baselines and diagnostics that
 genuinely need it, and its use is counted separately so per-iteration cost
-differences stay visible.
+differences stay visible.  Two structured views, the block vector-Jacobian
+product and the row norms, let a problem with sparse rows serve the
+averaged step and the capped selection without forming dense rows.
 """
 from __future__ import annotations
 
@@ -55,6 +57,12 @@ class NonlinearSystem:
     jacobian
         Optional full Jacobian ``x -> (m, n) array``; falls back to
         ``gradient_rows(range(m), x)``.
+    block_vjp
+        Optional ``(indices, w, x) -> (n,) array`` returning
+        ``w @ gradient_rows(indices, x)`` without forming the rows.
+    row_norms_sq
+        Optional ``x -> (m,) array`` of squared Jacobian row norms,
+        without forming the Jacobian.
     known_solution
         Optional root, when analytically available.
 
@@ -71,6 +79,8 @@ class NonlinearSystem:
         *,
         gradient_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        block_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
+        row_norms_sq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         known_solution: Optional[np.ndarray] = None,
         name: str = "",
     ):
@@ -82,6 +92,8 @@ class NonlinearSystem:
         self._row_gradient = row_gradient
         self._gradient_rows = gradient_rows
         self._jacobian = jacobian
+        self._block_vjp = block_vjp
+        self._row_norms_sq = row_norms_sq
         self.known_solution = None if known_solution is None else np.asarray(known_solution, dtype=float)
         self.name = name
         self.counters = EvalCounters()
@@ -119,11 +131,54 @@ class NonlinearSystem:
 
     def gradient_rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Stack the Jacobian rows listed in ``indices`` at x."""
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.m):
-            raise IndexError("row index out of range")
+        indices = self._check_rows(indices)
         x = self._check_point(x)
         self.counters.row_gradient_evals += len(indices)
+        return self._rows(indices, x)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate the full Jacobian (counted as one full evaluation)."""
+        x = self._check_point(x)
+        self.counters.jacobian_evals += 1
+        return self._full_jacobian(x)
+
+    def block_vjp(self, indices: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``w @ gradient_rows(indices, x)``: the transposed block Jacobian
+        applied to ``w``, counted as ``len(indices)`` row gradients."""
+        indices = self._check_rows(indices)
+        x = self._check_point(x)
+        w = np.asarray(w, dtype=float)
+        if w.shape != indices.shape:
+            raise ValueError(f"weights have shape {w.shape}, expected {indices.shape}")
+        if self._block_vjp is None:
+            return w @ self.gradient_rows(indices, x)
+        self.counters.row_gradient_evals += len(indices)
+        with np.errstate(all="ignore"):
+            v = np.asarray(self._block_vjp(indices, w, x), dtype=float)
+        if v.shape != (self.n,):
+            raise ValueError(f"block_vjp returned shape {v.shape}, expected ({self.n},)")
+        if np.isfinite(v).all():
+            return v
+        # the dense rows raise gradient_rows' DomainError, with its row index
+        return w @ self._rows(indices, x)
+
+    def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
+        """Squared norm of every Jacobian row (counted as one full Jacobian)."""
+        x = self._check_point(x)
+        if self._row_norms_sq is None:
+            J = self.jacobian(x)
+        else:
+            self.counters.jacobian_evals += 1
+            with np.errstate(all="ignore"):
+                w = np.asarray(self._row_norms_sq(x), dtype=float)
+            if w.shape != (self.m,):
+                raise ValueError(f"row_norms_sq returned shape {w.shape}, expected ({self.m},)")
+            if np.isfinite(w).all():
+                return w
+            J = self._full_jacobian(x)  # raises jacobian's DomainError
+        return np.einsum("ij,ij->i", J, J)
+
+    def _rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             if self._gradient_rows is not None:
                 G = np.asarray(self._gradient_rows(indices, x), dtype=float)
@@ -134,10 +189,7 @@ class NonlinearSystem:
             raise DomainError(f"non-finite gradient in row {i}", index=i)
         return G
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the full Jacobian (counted as one full evaluation)."""
-        x = self._check_point(x)
-        self.counters.jacobian_evals += 1
+    def _full_jacobian(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             if self._jacobian is not None:
                 J = np.asarray(self._jacobian(x), dtype=float)
@@ -150,6 +202,12 @@ class NonlinearSystem:
         if not np.isfinite(J).all():
             raise DomainError("non-finite entry in Jacobian")
         return J
+
+    def _check_rows(self, indices) -> np.ndarray:
+        indices = np.asarray(indices, dtype=np.intp)
+        if indices.size and (indices.min() < 0 or indices.max() >= self.m):
+            raise IndexError("row index out of range")
+        return indices
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from nlkaczmarz import cli
 from nlkaczmarz.cli import CSV_HEADER, main
+from nlkaczmarz.exceptions import DomainError
 
 
 def run_cli(*argv):
@@ -62,6 +64,23 @@ def test_bad_x0_spec_is_usage_error(capsys):
                    "--method", "ngabk", "--x0", "bogus")
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--tol-sq", "nan"), ("--tol-sq", "inf"),
+                                        ("--rho", "nan")])
+def test_non_finite_config_is_usage_error(flag, value, capsys):
+    code = run_cli("solve", "--problem", "brown", "--n", "10",
+                   "--method", "mrnabk", flag, value)
+    capsys.readouterr()
+    assert code == 2
+
+
+def test_non_finite_start_exit_code(capsys):
+    code = run_cli("solve", "--problem", "brown", "--n", "10",
+                   "--method", "ngabk", "--x0", "const:nan")
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["status"] == "breakdown" and out["iters"] == 0
 
 
 def test_breakdown_exit_code(capsys):
@@ -160,3 +179,32 @@ def test_stdout_csv_when_no_out(capsys):
     out = capsys.readouterr().out
     assert out.startswith(",".join(CSV_HEADER) + "\n")
     assert re.match(r"mrnabk,h-equation,20,20,0\.1,", out.splitlines()[1])
+
+
+def test_bench_error_rows_and_uncaught_faults(tmp_path, monkeypatch, capsys):
+    def domain_error(*args):
+        raise DomainError("injected", index=0)
+
+    monkeypatch.setattr(cli, "_timed_run", domain_error)
+    sidecar = tmp_path / "bench.json"
+    code = run_cli("bench", "--suite", "overdetermined", "--sizes", "6",
+                   "--repeats", "1", "--json", str(sidecar))
+    capsys.readouterr()
+    assert code == 0
+    rows = json.loads(sidecar.read_text())
+    assert len(rows) == 5
+    assert all(r["m"] == 10 and r["status"] == "error:injected" for r in rows)
+
+    def programming_error(*args):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(cli, "_timed_run", programming_error)
+    with pytest.raises(TypeError):
+        run_cli("bench", "--suite", "overdetermined", "--sizes", "6", "--repeats", "1")
+
+
+@pytest.mark.parametrize("flags", [("--repeats", "0"), ("--sizes", "1")])
+def test_bench_bad_arguments_are_usage_errors(flags, capsys):
+    code = run_cli("bench", "--suite", "brown", "--repeats", "1", *flags)
+    capsys.readouterr()
+    assert code == 2

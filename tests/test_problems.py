@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlkaczmarz import (
+    DomainError,
     IterateState,
     Method,
     SolverConfig,
@@ -131,3 +132,75 @@ def test_size_lower_bounds(n):
         make_singular_broyden(1)
     with pytest.raises(ValueError):
         make_overdetermined_rational(1)
+
+
+SPARSE_ROW_PROBLEMS = [("brown", {}), ("broyden", {}),
+                       ("overdetermined", {"squared_denominator": 0.0}),
+                       ("overdetermined", {"squared_denominator": 1.0})]
+
+
+def _index_sets(m, rng):
+    # row 0, the last row (Brown's product row) and both overdetermined row
+    # kinds, then random sorted sets and one unsorted set with repeats
+    sets = [np.array([0]), np.array([m - 1]), np.array([1, 2]), np.arange(m)]
+    sets += [np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+             for _ in range(8)]
+    sets.append(rng.integers(0, m, size=2 * m))
+    return [s.astype(np.intp) for s in sets]
+
+
+def _sparse_row_points(problem, rng):
+    lo, hi = problem.sample_box[:, 0], problem.sample_box[:, 1]
+    points = [rng.uniform(lo, hi) for _ in range(8)]
+    points.append(np.where(np.arange(problem.system.n) == 3, 0.0, points[0]))
+    return points
+
+
+@pytest.mark.parametrize("n", [9, 40])
+@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS)
+def test_block_vjp_matches_dense_rows(name, params, n, rng):
+    problem = get_problem(name, n, dict(params))
+    sys = problem.system
+    eps = np.finfo(float).eps
+    for x in _sparse_row_points(problem, rng):
+        for idx in _index_sets(sys.m, rng):
+            w = rng.normal(size=len(idx))
+            G = sys.gradient_rows(idx, x)
+            # rounding bound of a sum over at most m terms, per column
+            bound = 2 * sys.m * eps * (np.abs(w) @ np.abs(G))
+            assert (np.abs(sys.block_vjp(idx, w, x) - w @ G) <= bound).all()
+
+
+@pytest.mark.parametrize("n", [9, 40])
+@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS)
+def test_row_norms_sq_match_jacobian(name, params, n, rng):
+    problem = get_problem(name, n, dict(params))
+    sys = problem.system
+    for x in _sparse_row_points(problem, rng):
+        J = sys.jacobian(x)
+        assert np.allclose(sys.row_norms_sq(x), (J * J).sum(axis=1), rtol=4 * n * np.finfo(float).eps,
+                           atol=0.0)
+
+
+@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS + [("h-equation", {})])
+def test_structured_access_counters(name, params, rng):
+    problem = get_problem(name, 12, dict(params))
+    sys = problem.system
+    idx = np.array([0, 3, sys.m - 1])
+    sys.counters.reset()
+    sys.block_vjp(idx, rng.normal(size=3), problem.x0)
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 3, 0)
+    sys.row_norms_sq(problem.x0)
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 3, 1)
+
+
+def test_brown_overflowing_product_row_names_the_row():
+    sys = make_brown(6)
+    x = np.full(6, 1e200)
+    idx = np.array([1, 5])
+    with pytest.raises(DomainError) as dense:
+        sys.gradient_rows(idx, x)
+    with pytest.raises(DomainError) as structured:
+        sys.block_vjp(idx, np.ones(2), x)
+    assert dense.value.index == structured.value.index == 5

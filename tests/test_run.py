@@ -108,3 +108,19 @@ def test_config_validation():
         SolverConfig(method=Method.NGABK, max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(method=Method.NGABK, tol_sq=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(method=Method.NGABK, tol_sq=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(method=Method.MRNABK, rho=bad)
+
+
+@pytest.mark.parametrize("x0", [np.nan, np.inf, 1.0 / 0.225])
+def test_bad_start_is_breakdown(x0):
+    # 1/0.225 puts the N=1 H-equation denominator at zero: a finite start
+    # whose residual is non-finite
+    prob = get_problem("h-equation", 1)
+    report = run(prob.system, np.array([x0]), SolverConfig(method=Method.NGABK))
+    assert report.status is Status.BREAKDOWN
+    assert report.iters == 0 and report.history == []
+    assert report.message

@@ -4,6 +4,7 @@ import pytest
 from nlkaczmarz import (
     DomainError,
     IterateState,
+    NonlinearSystem,
     fd_check,
     make_brown,
     make_h_equation,
@@ -117,3 +118,61 @@ def test_counters_tally_work():
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (1, 3, 1)
     c.reset()
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 0)
+
+
+def _system_with_bad_row(bad_row, block_vjp, row_norms_sq):
+    """4x3 linear rows whose gradient in ``bad_row`` is NaN."""
+    A = np.arange(12.0).reshape(4, 3)
+
+    def rows(idx, x):
+        G = A[idx].copy()
+        G[idx == bad_row] = np.nan
+        return G
+
+    return NonlinearSystem(4, 3, lambda x: A @ x, lambda i, x: rows(np.array([i]), x)[0],
+                           gradient_rows=rows, jacobian=lambda x: rows(np.arange(4), x),
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq)
+
+
+def test_non_finite_hooks_raise_the_dense_domain_error():
+    sys = _system_with_bad_row(2, lambda idx, w, x: np.full(3, np.nan),
+                               lambda x: np.full(4, np.nan))
+    x = np.ones(3)
+    idx = np.array([0, 2, 3])
+    with pytest.raises(DomainError) as dense:
+        sys.gradient_rows(idx, x)
+    sys.counters.reset()
+    with pytest.raises(DomainError) as structured:
+        sys.block_vjp(idx, np.ones(3), x)
+    assert structured.value.index == dense.value.index == 2
+    assert sys.counters.row_gradient_evals == 3
+    with pytest.raises(DomainError) as dense:
+        sys.jacobian(x)
+    sys.counters.reset()
+    with pytest.raises(DomainError) as structured:
+        sys.row_norms_sq(x)
+    assert structured.value.index == dense.value.index
+    assert sys.counters.jacobian_evals == 1
+
+
+def test_hooks_are_checked():
+    sys = _system_with_bad_row(-1, lambda idx, w, x: np.zeros(2), lambda x: np.zeros(3))
+    x = np.ones(3)
+    with pytest.raises(ValueError):
+        sys.block_vjp(np.array([0, 1]), np.ones(2), x)
+    with pytest.raises(ValueError):
+        sys.block_vjp(np.array([0, 1]), np.ones(3), x)
+    with pytest.raises(IndexError):
+        sys.block_vjp(np.array([4]), np.ones(1), x)
+    with pytest.raises(ValueError):
+        sys.row_norms_sq(x)
+
+
+def test_dense_defaults_match_rows_and_jacobian(rng):
+    A = rng.normal(size=(5, 4))
+    sys = make_affine(A, np.zeros(5))
+    idx = np.array([4, 1, 1])
+    w = rng.normal(size=3)
+    x = rng.normal(size=4)
+    assert np.array_equal(sys.block_vjp(idx, w, x), w @ A[idx])
+    assert np.array_equal(sys.row_norms_sq(x), np.einsum("ij,ij->i", A, A))
