@@ -50,12 +50,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         G[np.arange(len(idx)), idx] += 1.0
         return G
 
-    def jacobian(x):
-        s = coef * (K @ x)
-        return np.eye(N) - ((1.0 - s) ** -2)[:, None] * coef * K
-
-    return NonlinearSystem(N, N, residual, row_gradient,
-                           gradient_rows=gradient_rows, jacobian=jacobian,
+    return NonlinearSystem(N, N, residual, row_gradient, gradient_rows=gradient_rows,
                            name=f"h-equation(N={N}, c={c})")
 
 
@@ -170,9 +165,6 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         G[r[right], idx[right] + 1] = -2.0
         return 2.0 * g[idx][:, None] * G
 
-    def jacobian(x):
-        return gradient_rows(np.arange(n), x)
-
     def block_vjp(idx, w, x):
         # row k holds s_k * (-1, 3 - 4 x_k, -2) in columns k-1, k, k+1, with
         # s_k = 2 g_k.  Columns are shifted by one so the boundary terms land
@@ -191,8 +183,7 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         out[:-1] += (2.0 * s[:-1]) ** 2
         return out
 
-    return NonlinearSystem(n, n, residual, row_gradient,
-                           gradient_rows=gradient_rows, jacobian=jacobian,
+    return NonlinearSystem(n, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
                            name=f"broyden(n={n})")
 
@@ -245,9 +236,6 @@ def make_overdetermined_rational(n: int, squared_denominator: bool = False) -> N
         G[r[~odd], i[~odd]] = 1.0
         return G
 
-    def jacobian(x):
-        return gradient_rows(np.arange(m), x)
-
     def block_vjp(idx, w, x):
         # row 2i holds (10 r'(x_i), -10) in columns i, i+1 and row 2i+1 holds
         # 1 in column i; listed so each column sums in row order (sorted idx)
@@ -265,8 +253,7 @@ def make_overdetermined_rational(n: int, squared_denominator: bool = False) -> N
         return out
 
     known = None if squared_denominator else np.ones(n)
-    return NonlinearSystem(m, n, residual, row_gradient,
-                           gradient_rows=gradient_rows, jacobian=jacobian,
+    return NonlinearSystem(m, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
                            known_solution=known, name=f"overdetermined(n={n})")
 

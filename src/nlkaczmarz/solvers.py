@@ -4,8 +4,9 @@ NGABK and MRNABK take pseudoinverse-free averaged block steps
     x_{k+1} = x_k - (eta^T f / ||f'(x)^T eta||^2) f'(x)^T eta,
     eta = sum_{i in tau} (-f_i(x)) e_i,
 touching only the Jacobian rows in the selected block.  Baselines: NRK
-(single random row projection), RD-CNK (capped selection, single draw),
-RB-CNK (true least-squares block step) and Newton-Raphson.
+(single random row projection; its sampler is NumPy's ``Generator.choice``
+done inline, same rows from the same stream), RD-CNK (capped selection,
+single draw), RB-CNK (true least-squares block step) and Newton-Raphson.
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
 step, or the iteration cap.
@@ -121,19 +122,26 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     w = sys.row_norms_sq(state.x)
     a2 = fx * fx
     r2 = a2.sum()
-    zero_grad = (w == 0.0) & (a2 > 0.0)
-    if zero_grad.any():
-        return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
-                              threshold=float("inf"))
-    if not w.any():
-        raise BreakdownError("all row gradients are zero")
-    ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
+    if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
+        raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=state.k)
+    if w.all():  # no zero-gradient row: the usual case
+        ratio = a2 / w
+    else:
+        zero_grad = (w == 0.0) & (a2 > 0.0)
+        if zero_grad.any():
+            return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
+                                  threshold=float("inf"))
+        if not w.any():
+            raise BreakdownError("all row gradients are zero", iteration=state.k)
+        ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
     delta = 0.5 * (ratio.max() / r2 + 1.0 / w.sum())
-    mask = (a2 >= delta * r2 * w) & (a2 > 0.0)
-    return BlockSelection(indices=np.flatnonzero(mask).astype(np.intp), threshold=float(delta))
+    idx = np.flatnonzero((a2 >= delta * r2 * w) & (a2 > 0.0)).astype(np.intp)
+    if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
+        raise BreakdownError("capped selection is empty", iteration=state.k)
+    return BlockSelection(indices=idx, threshold=float(delta))
 
 
-# -- single steps ------------------------------------------------------
+# -- single steps: one per method, for the public steps and run() ------
 
 
 def average_block_step(sys: NonlinearSystem, state: IterateState, sel: BlockSelection) -> IterateState:
@@ -141,38 +149,52 @@ def average_block_step(sys: NonlinearSystem, state: IterateState, sel: BlockSele
     idx = np.asarray(sel.indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("empty block selection")
-    x_new = _averaged_point(sys, state.x, state.fx, idx, state.k)
-    return IterateState.at(sys, x_new, state.k + 1)
+    return IterateState(*_averaged(sys, state.x, state.fx, idx, state.k)[:2], state.k + 1)
 
 
-def _averaged_point(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray,
-                    idx: np.ndarray, k: Optional[int] = None) -> np.ndarray:
-    """x + (||f_tau||^2 / ||d||^2) d with d = -J_tau^T f_tau."""
+def _averaged(sys, x, fx, idx, k):
+    """(x + (||f_tau||^2 / ||d||^2) d with d = -J_tau^T f_tau, its residual, |tau|)."""
     f_tau = fx[idx]
     d = -sys.block_vjp(idx, f_tau, x)
-    nd2 = d @ d
+    nd2 = d.dot(d)
     if nd2 < BREAKDOWN_EPS:
         raise BreakdownError("block direction annihilated (singular Jacobian rows)",
                              iteration=k)
-    return x + (float(f_tau @ f_tau) / nd2) * d
+    x = x + (float(f_tau.dot(f_tau)) / nd2) * d
+    return x, sys.residual(x), len(idx)
 
 
 def nrk_step(sys: NonlinearSystem, state: IterateState,
              rng: np.random.Generator, index: Optional[int] = None) -> IterateState:
     """One single-row projection; the row is sampled with probability
-    f_i^2 / ||f||^2 unless ``index`` forces it."""
+    f_i^2 / ||f||^2 (``rng.choice``'s draw) unless ``index`` forces it."""
     fx = state.fx
     r2 = fx @ fx
     if r2 == 0.0:
         raise ValueError("step from a zero residual: solver should have terminated")
     if index is None:
-        index = int(rng.choice(sys.m, p=fx * fx / r2))
-    g = sys.row_gradient(index, state.x)
-    w = g @ g
+        index = _sample_row(fx, r2, rng, state.k)
+    return IterateState(*_projected(sys, state.x, fx, index, state.k)[:2], state.k + 1)
+
+
+def _sample_row(fx, r2, rng, k) -> int:
+    """NumPy's ``rng.choice(len(fx), p=fx*fx/r2)`` done inline: the same row
+    from the same stream, with a finite r2 in place of its validation of p."""
+    if not math.isfinite(r2):
+        raise BreakdownError(f"||f||^2 = {r2}: the row weights are undefined", iteration=k)
+    cdf = (fx * fx / r2).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _projected(sys, x, fx, i, k):
+    """(x - (f_i / ||grad f_i||^2) grad f_i, its residual, 1)."""
+    g = sys.row_gradient(i, x)
+    w = g.dot(g)
     if w < BREAKDOWN_EPS:
-        raise BreakdownError(f"zero gradient in selected row {index}", iteration=state.k)
-    x_new = state.x - (fx[index] / w) * g
-    return IterateState.at(sys, x_new, state.k + 1)
+        raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
+    x = x - (fx[i] / w) * g
+    return x, sys.residual(x), 1
 
 
 def rbcnk_step(sys: NonlinearSystem, state: IterateState,
@@ -185,23 +207,53 @@ def rbcnk_step(sys: NonlinearSystem, state: IterateState,
     G = sys.gradient_rows(idx, state.x)
     if not G.any():
         raise BreakdownError("selected block has all-zero gradients", iteration=state.k)
-    try:
-        d, *_ = np.linalg.lstsq(G, -state.fx[idx], rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise BreakdownError(f"least-squares factorization failed: {exc}",
-                             iteration=state.k) from exc
-    return IterateState.at(sys, state.x + d, state.k + 1)
+    return IterateState.at(sys, state.x + _lstsq(G, -state.fx[idx], state.k), state.k + 1)
 
 
 def newton_step(sys: NonlinearSystem, state: IterateState) -> IterateState:
     """One full Newton-Raphson step via minimum-norm least squares."""
-    J = sys.jacobian(state.x)
-    try:
-        d, *_ = np.linalg.lstsq(J, -state.fx, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise BreakdownError(f"least-squares factorization failed: {exc}",
-                             iteration=state.k) from exc
+    d = _lstsq(sys.jacobian(state.x), -state.fx, state.k)
     return IterateState.at(sys, state.x + d, state.k + 1)
+
+
+def _lstsq(A, b, k):
+    try:
+        return np.linalg.lstsq(A, b, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise BreakdownError(f"least-squares factorization failed: {exc}", iteration=k) from exc
+
+
+# run()'s step per method: (sys, x, fx, ||fx||^2, k, rng, rho) -> (x_{k+1}, f(x_{k+1}),
+# block size); selections and steps are module attributes looked up at call time.
+
+
+def _rdcnk(sys, x, fx, r2, k, rng, rho):
+    rows = select_rdcnk(sys, IterateState(x, fx, k)).indices
+    return _projected(sys, x, fx, int(rows[rng.integers(len(rows))]), k)
+
+
+def _rbcnk(sys, x, fx, r2, k, rng, rho):
+    sel = select_ngabk(fx)
+    state = rbcnk_step(sys, IterateState(x, fx, k), sel)
+    return state.x, state.fx, len(sel.indices)
+
+
+def _newton(sys, x, fx, r2, k, rng, rho):
+    state = newton_step(sys, IterateState(x, fx, k))
+    return state.x, state.fx, sys.m
+
+
+_STEPS = {
+    Method.NGABK: lambda sys, x, fx, r2, k, rng, rho:
+        _averaged(sys, x, fx, select_ngabk(fx).indices, k),
+    Method.MRNABK: lambda sys, x, fx, r2, k, rng, rho:
+        _averaged(sys, x, fx, select_mrnabk(fx, rho).indices, k),
+    Method.NRK: lambda sys, x, fx, r2, k, rng, rho:
+        _projected(sys, x, fx, _sample_row(fx, r2, rng, k), k),
+    Method.RDCNK: _rdcnk,
+    Method.RBCNK: _rbcnk,
+    Method.NEWTON: _newton,
+}
 
 
 # -- run loop ----------------------------------------------------------
@@ -209,12 +261,14 @@ def newton_step(sys: NonlinearSystem, state: IterateState) -> IterateState:
 
 def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport:
     """Iterate the configured method until convergence, the iteration cap,
-    or numerical breakdown.  History is recorded every iteration."""
+    or numerical breakdown.  History is recorded every iteration.  A bad
+    start, a collapsed step, a non-finite evaluation and (NRK, RD-CNK) an
+    ||f||^2 that overflows all end in ``Status.BREAKDOWN`` with a message."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
     rng = np.random.default_rng(cfg.seed)
-    method = cfg.method
+    step, rho, tol_sq, max_iters = _STEPS[cfg.method], cfg.rho, cfg.tol_sq, cfg.max_iters
 
     history: List[Tuple[int, float, int, float]] = []
     iterates = [x.copy()] if cfg.store_iterates else None
@@ -227,62 +281,21 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     except DomainError as exc:
         return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
                             message=f"at the starting point: {exc}")
-    r2 = float(fx @ fx)
+    r2 = float(fx.dot(fx))
     k = 0
     while True:
-        if r2 < cfg.tol_sq:
+        if r2 < tol_sq:
             return SolverReport(Status.CONVERGED, k, r2, history, iterates)
-        if k >= cfg.max_iters:
+        if k >= max_iters:
             return SolverReport(Status.MAX_ITERS, k, r2, history, iterates)
         try:
-            x_new, fx_new, block_size = _advance(sys, x, fx, r2, method, cfg.rho, rng)
+            x_new, fx, block_size = step(sys, x, fx, r2, k, rng, rho)
         except (BreakdownError, DomainError) as exc:
             return SolverReport(Status.BREAKDOWN, k, r2, history, iterates, message=str(exc))
-        history.append((k, r2, block_size, float(np.linalg.norm(x_new - x))))
-        x, fx = x_new, fx_new
-        r2 = float(fx @ fx)
+        dx = x_new - x
+        history.append((k, r2, block_size, math.sqrt(dx.dot(dx))))
+        x = x_new
+        r2 = float(fx.dot(fx))
         k += 1
         if iterates is not None:
             iterates.append(x.copy())
-
-
-def _advance(sys, x, fx, r2, method, rho, rng):
-    """One step of the chosen method on raw arrays; returns (x, fx, block size)."""
-    if method in (Method.NGABK, Method.MRNABK):
-        cfx = np.ascontiguousarray(fx)
-        if method is Method.NGABK:
-            idx, _ = kernels.ngabk_select(cfx)
-        else:
-            idx, _ = kernels.mrnabk_select(cfx, rho)
-        x_new = _averaged_point(sys, x, cfx, idx)
-        return x_new, sys.residual(x_new), len(idx)
-
-    if method is Method.NRK:
-        i = int(rng.choice(sys.m, p=fx * fx / r2))
-        g = sys.row_gradient(i, x)
-        w = g @ g
-        if w < BREAKDOWN_EPS:
-            raise BreakdownError(f"zero gradient in selected row {i}")
-        x_new = x - (fx[i] / w) * g
-        return x_new, sys.residual(x_new), 1
-
-    if method is Method.RDCNK:
-        sel = select_rdcnk(sys, IterateState(x=x, fx=fx, k=0))
-        i = int(sel.indices[rng.integers(len(sel.indices))])
-        g = sys.row_gradient(i, x)
-        w = g @ g
-        if w < BREAKDOWN_EPS:
-            raise BreakdownError(f"zero gradient in selected row {i}")
-        x_new = x - (fx[i] / w) * g
-        return x_new, sys.residual(x_new), 1
-
-    if method is Method.RBCNK:
-        sel = select_ngabk(fx)
-        state = rbcnk_step(sys, IterateState(x=x, fx=fx, k=0), sel)
-        return state.x, state.fx, len(sel.indices)
-
-    if method is Method.NEWTON:
-        state = newton_step(sys, IterateState(x=x, fx=fx, k=0))
-        return state.x, state.fx, sys.m
-
-    raise ValueError(f"unknown method {method!r}")

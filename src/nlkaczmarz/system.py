@@ -11,7 +11,8 @@ averaged step and the capped selection without forming dense rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,12 +107,12 @@ class NonlinearSystem:
         self.counters.residual_evals += 1
         with np.errstate(all="ignore"):
             fx = np.asarray(self._residual(x), dtype=float)
-        if fx.shape != (self.m,):
-            raise ValueError(f"residual returned shape {fx.shape}, expected ({self.m},)")
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise DomainError(f"non-finite residual component {i} at evaluation point", index=i)
+            if fx.shape != (self.m,):
+                raise ValueError(f"residual returned shape {fx.shape}, expected ({self.m},)")
+            # a finite fx.dot(fx) rules out inf and nan; scan only when it is not
+            if not (math.isfinite(fx.dot(fx)) or np.isfinite(fx).all()):
+                i = int(np.flatnonzero(~np.isfinite(fx))[0])
+                raise DomainError(f"non-finite residual component {i} at evaluation point", index=i)
         return fx
 
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -122,11 +123,10 @@ class NonlinearSystem:
         self.counters.row_gradient_evals += 1
         with np.errstate(all="ignore"):
             g = np.asarray(self._row_gradient(i, x), dtype=float)
-        if g.shape != (self.n,):
-            raise ValueError(f"row_gradient returned shape {g.shape}, expected ({self.n},)")
-        bad = ~np.isfinite(g)
-        if bad.any():
-            raise DomainError(f"non-finite gradient in row {i}", index=i)
+            if g.shape != (self.n,):
+                raise ValueError(f"row_gradient returned shape {g.shape}, expected ({self.n},)")
+            if not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
+                raise DomainError(f"non-finite gradient in row {i}", index=i)
         return g
 
     def gradient_rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -208,3 +208,29 @@ def test_bench_bad_arguments_are_usage_errors(flags, capsys):
     code = run_cli("bench", "--suite", "brown", "--repeats", "1", *flags)
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # ||f||^2 overflows after one step, at the start, and an empty capped set
+    ("--problem", "brown", "--n", "30", "--method", "rdcnk"),
+    ("--problem", "h-equation", "--n", "50", "--method", "nrk", "--x0", "const:1e200"),
+    ("--problem", "brown", "--n", "20", "--method", "rdcnk"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_overflow_and_empty_selection_exit_as_breakdown(argv, capsys):
+    code = run_cli("solve", *argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["status"] == "breakdown" and out["message"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bench_reports_an_overflow_as_a_breakdown_row(tmp_path, capsys):
+    sidecar = tmp_path / "bench.json"
+    code = run_cli("bench", "--suite", "brown", "--sizes", "30", "--repeats", "1",
+                   "--json", str(sidecar))
+    capsys.readouterr()
+    assert code == 0
+    rows = {r["method"]: r for r in json.loads(sidecar.read_text())}
+    assert len(rows) == 5
+    assert rows["rdcnk"]["status"] == "breakdown"

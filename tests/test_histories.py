@@ -1,0 +1,52 @@
+"""Seeded single-row histories pinned bit for bit.
+
+The digests were recorded at commit b34752e, where NRK drew its rows with
+``rng.choice`` and the wrapper scanned every evaluation for non-finite
+entries, using NumPy 2.4 with its bundled OpenBLAS on x86-64.  They pin the
+random stream, the projection arithmetic and the history records; a BLAS
+that rounds dot products differently changes them.
+``benchmarks/capture_histories.py`` makes the wider check across commits.
+"""
+import hashlib
+import struct
+
+import pytest
+
+from nlkaczmarz import SolverConfig, get_problem, run
+
+# (problem, n, method, seed): (iterations, digest of the history and final ||f||^2)
+RECORDED = {
+    ("h-equation", 50, "nrk", 0): (960, "913a9b65d35463c200d565fa5c76596c"),
+    ("h-equation", 50, "nrk", 1): (964, "d4979034fd520ab22f14441245901f9a"),
+    ("h-equation", 50, "nrk", 2): (956, "d0fe593ed629690d73d463a2b1d794d1"),
+    ("h-equation", 50, "nrk", 3): (968, "74281a765d64d659be5ead90d6412f47"),
+    ("broyden", 50, "nrk", 0): (1531, "406c8ac3c794dec257daebe7d542d3b1"),
+    ("broyden", 50, "nrk", 1): (1535, "2b6839064ed81f07c3979618b97fda08"),
+    ("broyden", 50, "nrk", 2): (1521, "bdfb38988001d8f4d5677116f216f7b4"),
+    ("broyden", 50, "nrk", 3): (1511, "30c498317d4c8afff30401948a6a9e16"),
+    ("overdetermined", 500, "nrk", 0): (697, "6d695360e4c853e70668f211da931cf5"),
+    ("overdetermined", 500, "nrk", 1): (702, "945f7ebd47ca8247abc19b449932375b"),
+    ("overdetermined", 500, "nrk", 2): (725, "50aeba7c5f7906cb66fa27eddcd29a78"),
+    ("overdetermined", 500, "nrk", 3): (687, "f3418e87708757185b47b3ee69ff9310"),
+    ("broyden", 50, "rdcnk", 0): (1459, "fbce64f5711f38cd0421cb74ed201b00"),
+    ("broyden", 50, "rdcnk", 1): (1457, "a00ed6dec3e5bf29844dafc26e39b786"),
+    ("broyden", 50, "rdcnk", 2): (1458, "8f30c311e412b2eeb988c1f470a159df"),
+    ("broyden", 50, "rdcnk", 3): (1456, "2ec4a0642e09cf16aa98362a0b494c90"),
+}
+
+
+def digest(report):
+    h = hashlib.sha256()
+    for k, r2, block_size, step in report.history:
+        h.update(struct.pack("<qdqd", k, r2, block_size, step))
+    h.update(struct.pack("<d", report.final_residual_sq))
+    return h.hexdigest()[:32]
+
+
+@pytest.mark.parametrize("cell", sorted(RECORDED), ids=lambda c: "-".join(map(str, c)))
+def test_history_is_bitwise_unchanged(cell):
+    problem, n, method, seed = cell
+    prob = get_problem(problem, n)
+    report = run(prob.system, prob.x0, SolverConfig(method=method, seed=seed))
+    assert report.status.value == "converged"
+    assert (report.iters, digest(report)) == RECORDED[cell]

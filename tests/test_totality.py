@@ -1,0 +1,148 @@
+"""Every input to run() ends in a report with a documented status."""
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nlkaczmarz import (
+    BreakdownError,
+    DomainError,
+    IterateState,
+    Method,
+    NonlinearSystem,
+    SolverConfig,
+    SolverReport,
+    Status,
+    average_block_step,
+    get_problem,
+    make_h_equation,
+    nrk_step,
+    rbcnk_step,
+    run,
+    select_ngabk,
+    select_rdcnk,
+)
+
+from conftest import make_affine
+
+SPECIAL = [math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-200, -1e-200, 0.0, 1.0]
+SIZES = {"h-equation": (1, 6), "brown": (2, 6), "broyden": (2, 6), "overdetermined": (2, 6)}
+
+
+@st.composite
+def cases(draw):
+    problem = draw(st.sampled_from(sorted(SIZES)))
+    n = draw(st.integers(*SIZES[problem]))
+    coordinate = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0),
+                           st.floats(allow_nan=True, allow_infinity=True))
+    start = draw(st.one_of(st.lists(coordinate, min_size=n, max_size=n),
+                           st.sampled_from(SPECIAL).map(lambda v: [v] * n)))
+    cfg = SolverConfig(method=draw(st.sampled_from(list(Method))),
+                       rho=draw(st.floats(0.01, 1.0)),
+                       max_iters=draw(st.integers(1, 40)),
+                       seed=draw(st.integers(0, 2**32 - 1)),
+                       store_iterates=draw(st.booleans()))
+    return problem, n, np.array(start, dtype=float), cfg
+
+
+# starts near 1e200 overflow NumPy arithmetic on purpose; its warnings are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_run_is_total(case):
+    problem, n, x0, cfg = case
+    report = run(get_problem(problem, n).system, x0, cfg)
+    assert isinstance(report, SolverReport)
+    assert report.status in set(Status)
+    assert 0 <= report.iters <= cfg.max_iters
+    assert len(report.history) == report.iters
+    if report.status is Status.CONVERGED:
+        assert report.final_residual_sq < cfg.tol_sq
+    if report.status is Status.BREAKDOWN:
+        assert report.message
+    if cfg.store_iterates:
+        assert len(report.iterates) == report.iters + 1
+
+
+def test_residual_at_singular_point_raises_without_warnings():
+    # N = 1: the denominator 1 - (c/4) x vanishes at x = 4 / c
+    sys = make_h_equation(1, c=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            sys.residual(np.array([4.0 / 0.9]))
+    assert exc.value.index == 0
+    assert str(exc.value) == "non-finite residual component 0 at evaluation point"
+
+
+def test_residual_index_names_the_first_bad_row():
+    sys = NonlinearSystem(4, 4, lambda x: x.copy(), lambda i, x: np.eye(4)[i])
+    with pytest.raises(DomainError) as exc:
+        sys.residual(np.array([1.0, 1e300, np.inf, np.nan]))
+    assert exc.value.index == 2
+
+
+def test_huge_finite_residual_is_accepted():
+    # fx.dot(fx) overflows, but every component is finite
+    sys = make_affine(np.eye(3), np.zeros(3))
+    assert np.array_equal(sys.residual(np.array([1e300, -1e300, 1.0])), [1e300, -1e300, 1.0])
+    assert np.array_equal(sys.row_gradient(1, np.zeros(3)), [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("method", [Method.NRK, Method.RDCNK])
+def test_overflowing_residual_norm_is_breakdown(method):
+    # every component of f(1e200 * ones) is finite, but ||f||^2 overflows
+    prob = get_problem("h-equation", 50)
+    with np.errstate(over="ignore"):
+        report = run(prob.system, np.full(50, 1e200), SolverConfig(method=method))
+    assert report.status is Status.BREAKDOWN
+    assert report.iters == 0 and report.final_residual_sq == math.inf
+    assert "||f||^2 = inf" in report.message
+
+
+def test_rdcnk_overflow_after_a_step_is_breakdown():
+    # Brown n = 30: the first RD-CNK step lands where ||f||^2 overflows
+    prob = get_problem("brown", 30)
+    with np.errstate(over="ignore"):
+        report = run(prob.system, prob.x0, SolverConfig(method=Method.RDCNK))
+    assert report.status is Status.BREAKDOWN and report.iters == 1
+    assert "||f||^2 = inf" in report.message
+
+
+def test_newton_steps_through_an_overflowing_residual_norm():
+    # Newton never weighs rows by ||f||^2, so it keeps iterating
+    prob = get_problem("brown", 30)
+    with np.errstate(over="ignore"):
+        report = run(prob.system, prob.x0, SolverConfig(method=Method.NEWTON, max_iters=5))
+    assert report.status is Status.MAX_ITERS
+    assert report.history[1][1] == math.inf
+
+
+def test_empty_capped_selection_is_breakdown():
+    # equal ratios f_i^2 / ||grad f_i||^2 put every row a rounding error short
+    # of the capped threshold
+    sys = make_affine(np.eye(3), np.zeros(3))
+    x = np.full(3, 0.7)
+    with pytest.raises(BreakdownError) as exc:
+        select_rdcnk(sys, IterateState.at(sys, x, k=4))
+    assert exc.value.iteration == 4
+    report = run(sys, x, SolverConfig(method=Method.RDCNK))
+    assert report.status is Status.BREAKDOWN and report.iters == 0
+    assert report.message == "capped selection is empty"
+
+
+def test_step_breakdowns_carry_the_iteration():
+    # f(x) = 0 x - 1: every row gradient is zero while the residual is -1
+    sys = make_affine(np.zeros((1, 1)), np.ones(1))
+    state = IterateState.at(sys, np.zeros(1), k=7)
+    steps = [lambda: nrk_step(sys, state, np.random.default_rng(0)),
+             lambda: rbcnk_step(sys, state),
+             lambda: average_block_step(sys, state, select_ngabk(state.fx))]
+    for step in steps:
+        with pytest.raises(BreakdownError) as exc:
+            step()
+        assert exc.value.iteration == 7
