@@ -29,7 +29,8 @@ STOCHASTIC = ("nrk", "rdcnk")
 SIZES = {"h-equation": (20, 50), "brown": (20, 30, 50), "broyden": (30, 50),
          "overdetermined": (20, 100)}
 SEEDS = range(4)
-# starts away from each problem's default, including ones that overflow ||f||^2
+# starts away from each problem's default, including ones that overflow ||f||^2,
+# and cells at benchmark sizes
 EXTRA = (
     ("h-equation", 50, "nrk", 0, "const:1e200"),
     ("h-equation", 50, "rdcnk", 0, "const:1e200"),
@@ -38,6 +39,13 @@ EXTRA = (
     ("broyden", 50, "nrk", 0, "const:1e160"),
     ("overdetermined", 500, "nrk", 0, "default"),
     ("overdetermined", 500, "nrk", 1, "default"),
+    # the dense-block benchmark's sizes
+    ("h-equation", 300, "ngabk", 0, "default"),
+    ("h-equation", 300, "mrnabk", 0, "default"),
+    ("h-equation", 300, "rbcnk", 0, "default"),
+    ("h-equation", 500, "ngabk", 0, "default"),
+    ("h-equation", 500, "mrnabk", 0, "default"),
+    ("h-equation", 500, "rbcnk", 0, "default"),
 )
 MAX_ITERS = 50_000
 

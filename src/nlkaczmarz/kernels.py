@@ -19,6 +19,8 @@ BACKEND = "compiled" if COMPILED else "python"
 ngabk_select = _impl.ngabk_select
 mrnabk_select = _impl.mrnabk_select
 
-# The direction is a dense matrix-vector product; numpy's BLAS beats a
-# hand-rolled C loop past a few hundred rows, so both backends share it.
+# No solver calls block_direction: the averaged step takes its direction from
+# NonlinearSystem.block_vjp.  It is kept, in its NumPy version only, for
+# benchmarks/kernel_bench.py, tests/test_kernels.py and perfbench/spans.py,
+# which wraps it by name.
 from ._kernels_py import block_direction  # noqa: E402

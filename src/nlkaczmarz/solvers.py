@@ -281,21 +281,23 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     except DomainError as exc:
         return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
                             message=f"at the starting point: {exc}")
-    r2 = float(fx.dot(fx))
-    k = 0
-    while True:
-        if r2 < tol_sq:
-            return SolverReport(Status.CONVERGED, k, r2, history, iterates)
-        if k >= max_iters:
-            return SolverReport(Status.MAX_ITERS, k, r2, history, iterates)
-        try:
-            x_new, fx, block_size = step(sys, x, fx, r2, k, rng, rho)
-        except (BreakdownError, DomainError) as exc:
-            return SolverReport(Status.BREAKDOWN, k, r2, history, iterates, message=str(exc))
-        dx = x_new - x
-        history.append((k, r2, block_size, math.sqrt(dx.dot(dx))))
-        x = x_new
+    # a finite residual whose square overflows is reported, not warned about
+    with np.errstate(over="ignore"):
         r2 = float(fx.dot(fx))
-        k += 1
-        if iterates is not None:
-            iterates.append(x.copy())
+        k = 0
+        while True:
+            if r2 < tol_sq:
+                return SolverReport(Status.CONVERGED, k, r2, history, iterates)
+            if k >= max_iters:
+                return SolverReport(Status.MAX_ITERS, k, r2, history, iterates)
+            try:
+                x_new, fx, block_size = step(sys, x, fx, r2, k, rng, rho)
+            except (BreakdownError, DomainError) as exc:
+                return SolverReport(Status.BREAKDOWN, k, r2, history, iterates, message=str(exc))
+            dx = x_new - x
+            history.append((k, r2, block_size, math.sqrt(dx.dot(dx))))
+            x = x_new
+            r2 = float(fx.dot(fx))
+            k += 1
+            if iterates is not None:
+                iterates.append(x.copy())

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlkaczmarz
 from nlkaczmarz import cli
 from nlkaczmarz.cli import CSV_HEADER, main
 from nlkaczmarz.exceptions import DomainError
@@ -222,6 +227,19 @@ def test_overflow_and_empty_selection_exit_as_breakdown(argv, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 3
     assert out["status"] == "breakdown" and out["message"]
+
+
+def test_overflow_breakdown_writes_no_warning_to_stderr():
+    # a fresh interpreter, so stderr is what a user of the command sees
+    src = Path(nlkaczmarz.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "nlkaczmarz.cli", "solve", "--problem", "brown",
+                           "--n", "30", "--method", "rdcnk"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert json.loads(done.stdout)["status"] == "breakdown"
+    assert "RuntimeWarning" not in done.stderr
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -137,6 +137,8 @@ def test_size_lower_bounds(n):
 SPARSE_ROW_PROBLEMS = [("brown", {}), ("broyden", {}),
                        ("overdetermined", {"squared_denominator": 0.0}),
                        ("overdetermined", {"squared_denominator": 1.0})]
+# every problem with a block_vjp hook; the H-equation's rows are dense
+BLOCK_VJP_PROBLEMS = SPARSE_ROW_PROBLEMS + [("h-equation", {})]
 
 
 def _index_sets(m, rng):
@@ -157,7 +159,7 @@ def _sparse_row_points(problem, rng):
 
 
 @pytest.mark.parametrize("n", [9, 40])
-@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS)
+@pytest.mark.parametrize("name,params", BLOCK_VJP_PROBLEMS)
 def test_block_vjp_matches_dense_rows(name, params, n, rng):
     problem = get_problem(name, n, dict(params))
     sys = problem.system
@@ -204,3 +206,38 @@ def test_brown_overflowing_product_row_names_the_row():
     with pytest.raises(DomainError) as structured:
         sys.block_vjp(idx, np.ones(2), x)
     assert dense.value.index == structured.value.index == 5
+
+
+def _h_kernel(N, c=0.9):
+    mu = (np.arange(1, N + 1) - 0.5) / N
+    return mu[:, None] / (mu[:, None] + mu[None, :]), c / (2.0 * N)
+
+
+def test_h_equation_singular_row_names_the_row():
+    # at x = t e_0, s_i = coef K_i0 t in any summation order; this t makes
+    # row 5's denominator 1 - s_5 exactly zero, and rows 0-4 stay finite
+    K, coef = _h_kernel(6)
+    t = 1.0 / (coef * K[5, 0])
+    assert coef * (K[5, 0] * t) == 1.0
+    x = np.where(np.arange(6) == 0, t, 0.0)
+    sys = make_h_equation(6)
+    idx = np.array([1, 5])
+    with pytest.raises(DomainError) as dense:
+        sys.gradient_rows(idx, x)
+    with pytest.raises(DomainError) as structured:
+        sys.block_vjp(idx, np.ones(2), x)
+    assert dense.value.index == structured.value.index == 5
+
+
+@pytest.mark.parametrize("n", [9, 40, 300])
+def test_h_equation_gradient_rows_bitwise_equal_to_the_row_formula(n, rng):
+    # reference: the rows written out in one expression, with their own gather
+    K, coef = _h_kernel(n)
+    sys = make_h_equation(n)
+    for _ in range(20):
+        x = rng.uniform(0.0, 3.0, size=n)
+        idx = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        s = coef * (K[idx] @ x)
+        G = -((1.0 - s) ** -2)[:, None] * coef * K[idx]
+        G[np.arange(len(idx)), idx] += 1.0
+        assert np.array_equal(sys.gradient_rows(idx, x), G)

@@ -122,6 +122,22 @@ def test_newton_steps_through_an_overflowing_residual_norm():
     assert report.history[1][1] == math.inf
 
 
+@pytest.mark.parametrize("problem,n,method,scale", [
+    ("brown", 30, Method.RDCNK, None),  # ||f||^2 overflows after one step
+    ("brown", 30, Method.NEWTON, None),  # and Newton steps on through it
+    ("h-equation", 50, Method.NRK, 1e200),  # ||f||^2 overflows at the start
+    ("h-equation", 50, Method.RDCNK, 1e200),
+])
+def test_overflowing_residual_norm_emits_no_warning(problem, n, method, scale):
+    prob = get_problem(problem, n)
+    x0 = prob.x0 if scale is None else np.full(n, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(prob.system, x0, SolverConfig(method=method, max_iters=5))
+    assert report.status in (Status.BREAKDOWN, Status.MAX_ITERS)
+    assert math.isinf(report.final_residual_sq) or report.history[1][1] == math.inf
+
+
 def test_empty_capped_selection_is_breakdown():
     # equal ratios f_i^2 / ||grad f_i||^2 put every row a rounding error short
     # of the capped threshold
