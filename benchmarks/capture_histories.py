@@ -7,7 +7,10 @@ commands: capture with the old source tree, capture with the new one, diff.
     python benchmarks/capture_histories.py capture new.pkl
     python benchmarks/capture_histories.py diff old.pkl new.pkl
 
-``capture`` runs every cell (problem, n, method, seed, x0 spec) and pickles
+``capture`` runs every cell (problem, n, method, seed, x0 spec): a grid of
+small sizes, a few starts away from the defaults, and every cell of the solve
+benchmark, read from ``perfbench/cells.py`` (stochastic cells with seeds
+0..k-1).  It pickles
 ``{cell: (status, iters, final_residual_sq, history)}``.  A cell whose solve
 raises stores ``("raised", 0, nan, [])`` with the exception type and message
 in place of the status.  ``--src`` puts a source tree first on the import
@@ -29,25 +32,33 @@ STOCHASTIC = ("nrk", "rdcnk")
 SIZES = {"h-equation": (20, 50), "brown": (20, 30, 50), "broyden": (30, 50),
          "overdetermined": (20, 100)}
 SEEDS = range(4)
-# starts away from each problem's default, including ones that overflow ||f||^2,
-# and cells at benchmark sizes
+# starts away from each problem's default, including ones that overflow ||f||^2
 EXTRA = (
     ("h-equation", 50, "nrk", 0, "const:1e200"),
     ("h-equation", 50, "rdcnk", 0, "const:1e200"),
     ("h-equation", 50, "ngabk", 0, "const:1e200"),
+    ("h-equation", 50, "mrnabk", 0, "const:1e200"),
     ("brown", 30, "nrk", 0, "zeros"),
     ("broyden", 50, "nrk", 0, "const:1e160"),
-    ("overdetermined", 500, "nrk", 0, "default"),
-    ("overdetermined", 500, "nrk", 1, "default"),
-    # the dense-block benchmark's sizes
-    ("h-equation", 300, "ngabk", 0, "default"),
-    ("h-equation", 300, "mrnabk", 0, "default"),
+    # RB-CNK at the dense-block benchmark's larger sizes
     ("h-equation", 300, "rbcnk", 0, "default"),
-    ("h-equation", 500, "ngabk", 0, "default"),
-    ("h-equation", 500, "mrnabk", 0, "default"),
     ("h-equation", 500, "rbcnk", 0, "default"),
 )
 MAX_ITERS = 50_000
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_cells():
+    """Every cell of every workload in ``perfbench/cells.py``."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.cells import WORKLOADS
+
+    cells = []
+    for workload in WORKLOADS.values():
+        for problem, n, method, pinned, *count in workload:
+            seeds = range(count[0]) if pinned is None else (0,)
+            cells += [(problem, n, method, s, "default") for s in seeds]
+    return cells
 
 
 def default_cells():
@@ -56,7 +67,8 @@ def default_cells():
         for n in sizes:
             cells += [(problem, n, m, 0, "default") for m in DETERMINISTIC]
             cells += [(problem, n, m, s, "default") for m in STOCHASTIC for s in SEEDS]
-    return cells + list(EXTRA)
+    # a cell listed twice is run once
+    return list(dict.fromkeys(cells + list(EXTRA) + benchmark_cells()))
 
 
 def capture(cells):
@@ -120,7 +132,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("capture", help="run every cell and pickle the outcomes")
     p.add_argument("out")
-    p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    p.add_argument("--src", default=str(ROOT / "src"))
     p = sub.add_parser("diff", help="compare two captures bitwise")
     p.add_argument("old")
     p.add_argument("new")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import IterateState, NonlinearSystem
+from .system import IterateState, NonlinearSystem, solve_scope
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 
@@ -157,10 +157,14 @@ def _averaged(sys, x, fx, idx, k):
     f_tau = fx[idx]
     d = -sys.block_vjp(idx, f_tau, x)
     nd2 = d.dot(d)
+    s2 = float(f_tau.dot(f_tau))
+    if not (math.isfinite(s2) and math.isfinite(nd2)):  # finite entries, overflowing squares
+        raise BreakdownError(f"||f_tau||^2 = {s2}, ||d||^2 = {nd2}: the step length is undefined",
+                             iteration=k)
     if nd2 < BREAKDOWN_EPS:
         raise BreakdownError("block direction annihilated (singular Jacobian rows)",
                              iteration=k)
-    x = x + (float(f_tau.dot(f_tau)) / nd2) * d
+    x = x + (s2 / nd2) * d
     return x, sys.residual(x), len(idx)
 
 
@@ -243,6 +247,9 @@ def _newton(sys, x, fx, r2, k, rng, rho):
     return state.x, state.fx, sys.m
 
 
+# methods whose next step draws a new row, so one zero step need not repeat
+_RANDOM_ROW = (Method.NRK, Method.RDCNK)
+
 _STEPS = {
     Method.NGABK: lambda sys, x, fx, r2, k, rng, rho:
         _averaged(sys, x, fx, select_ngabk(fx).indices, k),
@@ -262,13 +269,16 @@ _STEPS = {
 def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport:
     """Iterate the configured method until convergence, the iteration cap,
     or numerical breakdown.  History is recorded every iteration.  A bad
-    start, a collapsed step, a non-finite evaluation and (NRK, RD-CNK) an
-    ||f||^2 that overflows all end in ``Status.BREAKDOWN`` with a message."""
+    start, a collapsed step, a non-finite evaluation, (NRK, RD-CNK) an
+    ||f||^2 that overflows and (the other methods) a step that leaves x
+    unchanged all end in ``Status.BREAKDOWN`` with a message.  NumPy's
+    floating-point warnings are ignored for the whole solve."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
     rng = np.random.default_rng(cfg.seed)
     step, rho, tol_sq, max_iters = _STEPS[cfg.method], cfg.rho, cfg.tol_sq, cfg.max_iters
+    stall_ends = cfg.method not in _RANDOM_ROW
 
     history: List[Tuple[int, float, int, float]] = []
     iterates = [x.copy()] if cfg.store_iterates else None
@@ -276,13 +286,13 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     if not np.isfinite(x).all():
         return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
                             message="non-finite starting point")
-    try:
-        fx = sys.residual(x)
-    except DomainError as exc:
-        return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
-                            message=f"at the starting point: {exc}")
-    # a finite residual whose square overflows is reported, not warned about
-    with np.errstate(over="ignore"):
+    # no warning for a non-finite intermediate: the report carries the outcome
+    with solve_scope():
+        try:
+            fx = sys.residual(x)
+        except DomainError as exc:
+            return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
+                                message=f"at the starting point: {exc}")
         r2 = float(fx.dot(fx))
         k = 0
         while True:
@@ -295,7 +305,12 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
             except (BreakdownError, DomainError) as exc:
                 return SolverReport(Status.BREAKDOWN, k, r2, history, iterates, message=str(exc))
             dx = x_new - x
-            history.append((k, r2, block_size, math.sqrt(dx.dot(dx))))
+            step_norm = math.sqrt(dx.dot(dx))
+            # a deterministic step that moves nothing would repeat until the cap
+            if step_norm == 0.0 and stall_ends and not dx.any():
+                return SolverReport(Status.BREAKDOWN, k, r2, history, iterates,
+                                    message=f"the step at iteration {k} left x unchanged")
+            history.append((k, r2, block_size, step_norm))
             x = x_new
             r2 = float(fx.dot(fx))
             k += 1

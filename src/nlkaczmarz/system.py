@@ -8,9 +8,16 @@ genuinely need it, and its use is counted separately so per-iteration cost
 differences stay visible.  Two structured views, the block vector-Jacobian
 product and the row norms, let a problem with sparse rows serve the
 averaged step and the capped selection without forming dense rows.
+
+Every evaluation ignores NumPy's floating-point warnings: a non-finite
+result is reported as a :class:`DomainError` instead.  Called directly, an
+evaluation enters its own ``np.errstate``; inside :func:`solve_scope`, which
+``run()`` enters once per solve, it relies on that scope's.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -20,6 +27,28 @@ import numpy as np
 from .exceptions import DomainError
 
 FD_H_SCALE = float(np.sqrt(np.finfo(float).eps))
+
+# set while a solve_scope() is active in this thread (or task)
+_IN_SOLVE: contextvars.ContextVar[bool] = contextvars.ContextVar("nlkaczmarz_in_solve",
+                                                                 default=False)
+_NO_SCOPE = contextlib.nullcontext()
+
+
+@contextlib.contextmanager
+def solve_scope():
+    """Ignore every NumPy floating-point warning until exit, once for all the
+    evaluations made inside, which then skip their own ``np.errstate``."""
+    token = _IN_SOLVE.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _IN_SOLVE.reset(token)
+
+
+def _quiet():
+    """The floating-point scope of one evaluation: none inside solve_scope()."""
+    return _NO_SCOPE if _IN_SOLVE.get() else np.errstate(all="ignore")
 
 
 @dataclass
@@ -105,7 +134,7 @@ class NonlinearSystem:
         """Evaluate f(x). Raises DomainError on non-finite output."""
         x = self._check_point(x)
         self.counters.residual_evals += 1
-        with np.errstate(all="ignore"):
+        with _quiet():
             fx = np.asarray(self._residual(x), dtype=float)
             if fx.shape != (self.m,):
                 raise ValueError(f"residual returned shape {fx.shape}, expected ({self.m},)")
@@ -121,7 +150,7 @@ class NonlinearSystem:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
         x = self._check_point(x)
         self.counters.row_gradient_evals += 1
-        with np.errstate(all="ignore"):
+        with _quiet():
             g = np.asarray(self._row_gradient(i, x), dtype=float)
             if g.shape != (self.n,):
                 raise ValueError(f"row_gradient returned shape {g.shape}, expected ({self.n},)")
@@ -153,7 +182,7 @@ class NonlinearSystem:
         if self._block_vjp is None:
             return w @ self.gradient_rows(indices, x)
         self.counters.row_gradient_evals += len(indices)
-        with np.errstate(all="ignore"):
+        with _quiet():
             v = np.asarray(self._block_vjp(indices, w, x), dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"block_vjp returned shape {v.shape}, expected ({self.n},)")
@@ -169,7 +198,7 @@ class NonlinearSystem:
             J = self.jacobian(x)
         else:
             self.counters.jacobian_evals += 1
-            with np.errstate(all="ignore"):
+            with _quiet():
                 w = np.asarray(self._row_norms_sq(x), dtype=float)
             if w.shape != (self.m,):
                 raise ValueError(f"row_norms_sq returned shape {w.shape}, expected ({self.m},)")
@@ -179,7 +208,7 @@ class NonlinearSystem:
         return np.einsum("ij,ij->i", J, J)
 
     def _rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
+        with _quiet():
             if self._gradient_rows is not None:
                 G = np.asarray(self._gradient_rows(indices, x), dtype=float)
             else:
@@ -190,7 +219,7 @@ class NonlinearSystem:
         return G
 
     def _full_jacobian(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
+        with _quiet():
             if self._jacobian is not None:
                 J = np.asarray(self._jacobian(x), dtype=float)
             elif self._gradient_rows is not None:

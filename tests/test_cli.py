@@ -229,16 +229,31 @@ def test_overflow_and_empty_selection_exit_as_breakdown(argv, capsys):
     assert out["status"] == "breakdown" and out["message"]
 
 
-def test_overflow_breakdown_writes_no_warning_to_stderr():
+def _solve_in_fresh_interpreter(*argv):
     # a fresh interpreter, so stderr is what a user of the command sees
     src = Path(nlkaczmarz.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "nlkaczmarz.cli", "solve", "--problem", "brown",
-                           "--n", "30", "--method", "rdcnk"],
+    return subprocess.run([sys.executable, "-m", "nlkaczmarz.cli", "solve", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_overflow_breakdown_writes_no_warning_to_stderr():
+    done = _solve_in_fresh_interpreter("--problem", "brown", "--n", "30", "--method", "rdcnk")
     assert done.returncode == 3
     assert json.loads(done.stdout)["status"] == "breakdown"
+    assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("method", ["ngabk", "mrnabk"])
+def test_averaged_step_on_an_overflowing_block_is_breakdown(method):
+    # ||f_tau||^2 and ||d||^2 both overflow: their ratio would be inf / inf
+    done = _solve_in_fresh_interpreter("--problem", "h-equation", "--n", "50", "--method", method,
+                                       "--x0", "const:1e200")
+    assert done.returncode == 3
+    out = json.loads(done.stdout)
+    assert out["status"] == "breakdown" and out["iters"] == 0
+    assert out["message"] == "||f_tau||^2 = inf, ||d||^2 = inf: the step length is undefined"
     assert "RuntimeWarning" not in done.stderr
 
 

@@ -1,13 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from nlkaczmarz import (
+    DomainError,
     Method,
+    NonlinearSystem,
     SolverConfig,
     Status,
     get_problem,
+    make_h_equation,
     run,
 )
+from nlkaczmarz.system import _IN_SOLVE, solve_scope
 
 
 def _solve(problem, n, method, **cfg):
@@ -124,3 +130,122 @@ def test_bad_start_is_breakdown(x0):
     assert report.status is Status.BREAKDOWN
     assert report.iters == 0 and report.history == []
     assert report.message
+
+
+def test_newton_stalled_step_is_breakdown():
+    # from iteration 451 on, Newton's step on Brown n = 30 rounds to x itself
+    _, report = _solve("brown", 30, Method.NEWTON)
+    assert report.status is Status.BREAKDOWN
+    assert report.iters == len(report.history) == 451
+    assert report.message == "the step at iteration 451 left x unchanged"
+    assert report.history[-1][3] > 0.0
+
+
+def _gradient_off_by(scale):
+    """f(x) = x - 1 with a row gradient ``scale`` times too large: from x = 2
+    every step is about 1/scale, which rounds away."""
+    return NonlinearSystem(1, 1, lambda x: x - 1.0, lambda i, x: np.array([scale]))
+
+
+@pytest.mark.parametrize("method", [Method.NGABK, Method.MRNABK, Method.RBCNK, Method.NEWTON])
+def test_deterministic_zero_step_is_breakdown(method):
+    report = run(_gradient_off_by(1e30), np.array([2.0]), SolverConfig(method=method))
+    assert report.status is Status.BREAKDOWN
+    assert report.iters == 0 and report.history == []
+    assert report.message == "the step at iteration 0 left x unchanged"
+
+
+@pytest.mark.parametrize("method", [Method.RBCNK, Method.NEWTON])
+def test_step_whose_norm_underflows_is_not_a_stall(method):
+    # from x = 0 each step is -1e-170: x moves, but ||dx||^2 underflows to 0.0
+    sys = NonlinearSystem(1, 1, lambda x: x + 1.0, lambda i, x: np.array([1e170]))
+    report = run(sys, np.zeros(1), SolverConfig(method=method, max_iters=3))
+    assert report.status is Status.MAX_ITERS
+    assert [h[3] for h in report.history] == [0.0] * 3
+
+
+@pytest.mark.parametrize("method", [Method.NRK, Method.RDCNK])
+def test_random_row_methods_step_on_after_a_zero_step(method):
+    report = run(_gradient_off_by(1e30), np.array([2.0]), SolverConfig(method=method, max_iters=5))
+    assert report.status is Status.MAX_ITERS
+    assert [h[3] for h in report.history] == [0.0] * 5
+
+
+def _fails_after_first_residual():
+    calls = []
+
+    def residual(x):
+        calls.append(None)
+        if len(calls) > 1:
+            raise RuntimeError("problem callable failed")
+        return x - 1.0
+
+    return NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i])
+
+
+@pytest.mark.parametrize("case", ["converged", "breakdown", "bad x0 shape", "callable raises"])
+def test_run_restores_the_floating_point_state(case):
+    with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
+        before = (np.geterr(), _IN_SOLVE.get())
+        if case == "converged":
+            assert _solve("h-equation", 50, Method.MRNABK)[1].status is Status.CONVERGED
+        elif case == "breakdown":
+            # ||f||^2 overflows after one step; over="raise" does not reach the solve
+            assert _solve("brown", 30, Method.RDCNK)[1].status is Status.BREAKDOWN
+        elif case == "bad x0 shape":
+            with pytest.raises(ValueError):
+                run(get_problem("brown", 4).system, np.zeros(3), SolverConfig(method=Method.NGABK))
+        else:
+            with pytest.raises(RuntimeError):
+                run(_fails_after_first_residual(), np.zeros(2), SolverConfig(method=Method.NGABK))
+        assert (np.geterr(), _IN_SOLVE.get()) == before
+
+
+def test_evaluations_inside_a_solve_use_its_scope():
+    seen = []
+
+    def residual(x):
+        seen.append((_IN_SOLVE.get(), np.geterr()))
+        return x - 1.0
+
+    sys = NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i])
+    report = run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))
+    assert report.status is Status.CONVERGED and len(seen) == 2
+    quiet = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
+    assert seen == [(True, quiet)] * 2
+    # a direct call enters its own scope; a solve nested in another keeps the mark
+    sys.residual(np.zeros(2))
+    assert seen[-1] == (False, quiet)
+    with solve_scope():
+        run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))
+        assert _IN_SOLVE.get()
+    assert not _IN_SOLVE.get()
+
+
+def test_a_solve_in_another_thread_does_not_silence_direct_calls():
+    entered, release = threading.Event(), threading.Event()
+    calls, reports = [], []
+
+    def residual(x):
+        calls.append(None)
+        if len(calls) == 2:  # the solve's first step
+            entered.set()
+            release.wait(30)
+        return x - 1.0
+
+    sys = NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i])
+    worker = threading.Thread(
+        target=lambda: reports.append(run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))))
+    worker.start()
+    try:
+        assert entered.wait(30)
+        assert not _IN_SOLVE.get()
+        # without its own scope the evaluation would raise FloatingPointError here
+        with np.errstate(all="raise"), pytest.raises(DomainError) as exc:
+            make_h_equation(1, c=0.9).residual(np.array([4.0 / 0.9]))
+        assert exc.value.index == 0
+    finally:
+        release.set()
+        worker.join(30)
+    assert not worker.is_alive()
+    assert reports[0].status is Status.CONVERGED

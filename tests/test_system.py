@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,23 @@ def test_h_equation_domain_error_carries_index():
     with pytest.raises(DomainError) as exc:
         sys.residual(np.array([1.0 / 0.225]))
     assert exc.value.index == 0
+
+
+@pytest.mark.parametrize("evaluate,index", [
+    (lambda sys, x: sys.row_gradient(0, x), 0),
+    (lambda sys, x: sys.gradient_rows(np.array([0]), x), 0),
+    (lambda sys, x: sys.block_vjp(np.array([0]), np.ones(1), x), 0),
+    (lambda sys, x: sys.row_norms_sq(x), None),
+    (lambda sys, x: sys.jacobian(x), None),
+], ids=["row_gradient", "gradient_rows", "block_vjp", "row_norms_sq", "jacobian"])
+def test_direct_evaluation_at_a_singular_point_raises_without_warnings(evaluate, index):
+    # N = 1: the denominator 1 - (c/4) x of every gradient entry vanishes at x = 4 / c
+    sys = make_h_equation(1, c=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            evaluate(sys, np.array([4.0 / 0.9]))
+    assert exc.value.index == index
 
 
 def test_brown_linear_row_gradient():
