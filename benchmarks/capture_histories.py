@@ -43,6 +43,10 @@ EXTRA = (
     # RB-CNK at the dense-block benchmark's larger sizes
     ("h-equation", 300, "rbcnk", 0, "default"),
     ("h-equation", 500, "rbcnk", 0, "default"),
+    # RB-CNK where the Jacobian is singular at the root: the blocks most
+    # likely to leave the Gram solve for lstsq
+    ("broyden", 500, "rbcnk", 0, "default"),
+    ("broyden", 2000, "rbcnk", 0, "default"),
 )
 MAX_ITERS = 50_000
 ROOT = Path(__file__).resolve().parents[1]

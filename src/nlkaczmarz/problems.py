@@ -100,11 +100,10 @@ def make_brown(n: int) -> NonlinearSystem:
 
     def gradient_rows(idx, x):
         G = np.ones((len(idx), n))
-        for r, i in enumerate(idx):
-            if i < n - 1:
-                G[r, i] += 1.0
-            else:
-                G[r] = _product_row(x)
+        affine = idx < n - 1
+        G[np.flatnonzero(affine), idx[affine]] = 2.0
+        if not affine.all():
+            G[~affine] = _product_row(x)
         return G
 
     def jacobian(x):

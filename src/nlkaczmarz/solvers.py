@@ -6,10 +6,13 @@ NGABK and MRNABK take pseudoinverse-free averaged block steps
 touching only the Jacobian rows in the selected block.  Baselines: NRK
 (single random row projection; its sampler is NumPy's ``Generator.choice``
 done inline, same rows from the same stream), RD-CNK (capped selection,
-single draw), RB-CNK (true least-squares block step) and Newton-Raphson.
+single draw), RB-CNK (minimum-norm least-squares block step, from a
+projection or a residual-checked Gram solve, with ``lstsq`` only as the
+fallback) and Newton-Raphson (``lstsq``).
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
-step, or the iteration cap.
+step, or the iteration cap.  The public steps and selections ignore NumPy's
+floating-point warnings, as ``run()`` does for a whole solve.
 """
 from __future__ import annotations
 
@@ -22,9 +25,11 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import IterateState, NonlinearSystem, solve_scope
+from .system import IterateState, NonlinearSystem, _quiet, solve_scope
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
+GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class Method(str, Enum):
@@ -93,7 +98,8 @@ def select_ngabk(fx: np.ndarray) -> BlockSelection:
     fx = np.ascontiguousarray(fx, dtype=float)
     if not fx.any():
         raise ValueError("selection from a zero residual: solver should have terminated")
-    idx, delta = kernels.ngabk_select(fx)
+    with _quiet():
+        idx, delta = kernels.ngabk_select(fx)
     return BlockSelection(indices=idx, threshold=float(delta))
 
 
@@ -104,7 +110,8 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
         raise ValueError("selection from a zero residual: solver should have terminated")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    idx, threshold = kernels.mrnabk_select(fx, float(rho))
+    with _quiet():  # rho * max f_i^2 may overflow
+        idx, threshold = kernels.mrnabk_select(fx, float(rho))
     return BlockSelection(indices=idx, threshold=float(threshold))
 
 
@@ -119,26 +126,27 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     fx = state.fx
     if not fx.any():
         raise ValueError("selection from a zero residual: solver should have terminated")
-    w = sys.row_norms_sq(state.x)
-    a2 = fx * fx
-    r2 = a2.sum()
-    if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
-        raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=state.k)
-    if w.all():  # no zero-gradient row: the usual case
-        ratio = a2 / w
-    else:
-        zero_grad = (w == 0.0) & (a2 > 0.0)
-        if zero_grad.any():
-            return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
-                                  threshold=float("inf"))
-        if not w.any():
-            raise BreakdownError("all row gradients are zero", iteration=state.k)
-        ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
-    delta = 0.5 * (ratio.max() / r2 + 1.0 / w.sum())
-    idx = np.flatnonzero((a2 >= delta * r2 * w) & (a2 > 0.0)).astype(np.intp)
-    if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
-        raise BreakdownError("capped selection is empty", iteration=state.k)
-    return BlockSelection(indices=idx, threshold=float(delta))
+    with _quiet():
+        w = sys.row_norms_sq(state.x)
+        a2 = fx * fx
+        r2 = a2.sum()
+        if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
+            raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=state.k)
+        if w.all():  # no zero-gradient row: the usual case
+            ratio = a2 / w
+        else:
+            zero_grad = (w == 0.0) & (a2 > 0.0)
+            if zero_grad.any():
+                return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
+                                      threshold=float("inf"))
+            if not w.any():
+                raise BreakdownError("all row gradients are zero", iteration=state.k)
+            ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
+        delta = 0.5 * (ratio.max() / r2 + 1.0 / w.sum())
+        idx = np.flatnonzero((a2 >= delta * r2 * w) & (a2 > 0.0)).astype(np.intp)
+        if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
+            raise BreakdownError("capped selection is empty", iteration=state.k)
+        return BlockSelection(indices=idx, threshold=float(delta))
 
 
 # -- single steps: one per method, for the public steps and run() ------
@@ -149,7 +157,8 @@ def average_block_step(sys: NonlinearSystem, state: IterateState, sel: BlockSele
     idx = np.asarray(sel.indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("empty block selection")
-    return IterateState(*_averaged(sys, state.x, state.fx, idx, state.k)[:2], state.k + 1)
+    with _quiet():
+        return IterateState(*_averaged(sys, state.x, state.fx, idx, state.k)[:2], state.k + 1)
 
 
 def _averaged(sys, x, fx, idx, k):
@@ -173,12 +182,13 @@ def nrk_step(sys: NonlinearSystem, state: IterateState,
     """One single-row projection; the row is sampled with probability
     f_i^2 / ||f||^2 (``rng.choice``'s draw) unless ``index`` forces it."""
     fx = state.fx
-    r2 = fx @ fx
-    if r2 == 0.0:
-        raise ValueError("step from a zero residual: solver should have terminated")
-    if index is None:
-        index = _sample_row(fx, r2, rng, state.k)
-    return IterateState(*_projected(sys, state.x, fx, index, state.k)[:2], state.k + 1)
+    with _quiet():
+        r2 = fx @ fx
+        if r2 == 0.0:
+            raise ValueError("step from a zero residual: solver should have terminated")
+        if index is None:
+            index = _sample_row(fx, r2, rng, state.k)
+        return IterateState(*_projected(sys, state.x, fx, index, state.k)[:2], state.k + 1)
 
 
 def _sample_row(fx, r2, rng, k) -> int:
@@ -203,21 +213,47 @@ def _projected(sys, x, fx, i, k):
 
 def rbcnk_step(sys: NonlinearSystem, state: IterateState,
                sel: Optional[BlockSelection] = None) -> IterateState:
-    """One minimum-norm least-squares step on the selected block
-    (the pseudoinverse applied to the row submatrix)."""
-    if sel is None:
-        sel = select_ngabk(state.fx)
-    idx = np.asarray(sel.indices, dtype=np.intp)
-    G = sys.gradient_rows(idx, state.x)
-    if not G.any():
-        raise BreakdownError("selected block has all-zero gradients", iteration=state.k)
-    return IterateState.at(sys, state.x + _lstsq(G, -state.fx[idx], state.k), state.k + 1)
+    """One minimum-norm least-squares step on the selected block: the
+    pseudoinverse of the row submatrix applied to -f_tau (``_min_norm``)."""
+    with _quiet():
+        if sel is None:
+            sel = select_ngabk(state.fx)
+        idx = np.asarray(sel.indices, dtype=np.intp)
+        G = sys.gradient_rows(idx, state.x)
+        if not G.any():
+            raise BreakdownError("selected block has all-zero gradients", iteration=state.k)
+        return IterateState.at(sys, state.x + _min_norm(G, -state.fx[idx], state.k), state.k + 1)
+
+
+def _min_norm(G, b, k):
+    """G^+ b, without an SVD where a cheaper form is certified.  One row: the
+    projection (b / ||g||^2) g, when ||g||^2 is a finite normal number.  A
+    block: d = G^T solve(G G^T, b), accepted when max|G d - b| <= GRAM_RTOL
+    max|b|; d lies in the row space of G, so solving G d = b makes it the
+    minimum-norm solution.  Anything else (an overflowing or underflowing
+    norm, a singular or ill-conditioned Gram) goes to ``lstsq``."""
+    if len(G) == 1:
+        g = G[0]
+        w = g.dot(g)
+        if _TINY <= w < math.inf:
+            return (b[0] / w) * g
+    else:
+        try:
+            d = G.T @ np.linalg.solve(G @ G.T, b)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # a non-finite d leaves a non-finite residual, which fails the test
+            if np.abs(G @ d - b).max() <= GRAM_RTOL * np.abs(b).max():
+                return d
+    return _lstsq(G, b, k)
 
 
 def newton_step(sys: NonlinearSystem, state: IterateState) -> IterateState:
     """One full Newton-Raphson step via minimum-norm least squares."""
-    d = _lstsq(sys.jacobian(state.x), -state.fx, state.k)
-    return IterateState.at(sys, state.x + d, state.k + 1)
+    with _quiet():
+        d = _lstsq(sys.jacobian(state.x), -state.fx, state.k)
+        return IterateState.at(sys, state.x + d, state.k + 1)
 
 
 def _lstsq(A, b, k):

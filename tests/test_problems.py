@@ -241,3 +241,18 @@ def test_h_equation_gradient_rows_bitwise_equal_to_the_row_formula(n, rng):
         G = -((1.0 - s) ** -2)[:, None] * coef * K[idx]
         G[np.arange(len(idx)), idx] += 1.0
         assert np.array_equal(sys.gradient_rows(idx, x), G)
+
+
+@pytest.mark.parametrize("n", [5, 40, 400])
+def test_brown_gradient_rows_bitwise_equal_to_the_row_loop(n, rng):
+    # reference: the rows stacked one row_gradient at a time
+    sys = make_brown(n)
+    for trial in range(30):
+        x = rng.uniform(0.25, 1.5, size=n)
+        if trial % 3 == 1:
+            x[rng.integers(n)] = 0.0  # the product row's zero-entry branch
+        idx = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        if trial % 2:
+            idx[rng.integers(len(idx))] = n - 1  # the product row, at least once
+        G = np.stack([sys.row_gradient(int(i), x) for i in idx])
+        assert np.array_equal(sys.gradient_rows(idx, x), G)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlkaczmarz import (
     BlockSelection,
@@ -19,6 +21,8 @@ from nlkaczmarz import (
 )
 
 from conftest import make_affine
+
+EPS = np.finfo(float).eps
 
 
 def test_single_affine_equation_one_projection():
@@ -127,6 +131,93 @@ def test_rbcnk_rank_deficient_block_minimum_norm():
     sel = BlockSelection(indices=np.arange(2, dtype=np.intp), threshold=0.0)
     out = rbcnk_step(sys, state, sel)
     assert out.x == pytest.approx([2.0, 0.0])
+
+
+# The RB-CNK block solve against lstsq: on f(x) = A x - b from x = 0, the step
+# over every row is the minimum-norm solution of A d = b.
+
+
+def _block_step(A, b):
+    sys = make_affine(A, b)
+    sel = BlockSelection(indices=np.arange(len(A), dtype=np.intp), threshold=0.0)
+    return rbcnk_step(sys, IterateState.at(sys, np.zeros(A.shape[1])), sel).x
+
+
+def _err_to_lstsq(d, A, b):
+    # relative, in the max norm, which neither overflows nor underflows at 1e+-170
+    ref = np.linalg.lstsq(A, b, rcond=None)[0]
+    return np.abs(d - ref).max() / np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 12), extra=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+def test_rbcnk_wide_block_matches_lstsq(m, extra, seed):
+    # a Gaussian m x n block with n >= 2m has full row rank; the Gram solve
+    # loses accuracy like eps * cond(A)^2, where lstsq loses eps * cond(A)
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, 2 * m + extra))
+    b = rng.normal(size=m)
+    assert _err_to_lstsq(_block_step(A, b), A, b) <= 100 * EPS * np.linalg.cond(A) ** 2
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (21, 100), (60, 61)])
+def test_rbcnk_well_conditioned_block_does_not_call_lstsq(shape, rng):
+    A = rng.normal(size=shape) + 3.0 * np.eye(*shape)
+    b = rng.normal(size=shape[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq called on a well-conditioned block")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", refuse)
+        d = _block_step(A, b)
+    assert _err_to_lstsq(d, A, b) <= 100 * EPS * np.linalg.cond(A) ** 2
+
+
+@pytest.mark.parametrize("A,b", [
+    ([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 1.0, 2.0]),  # consistent
+    ([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 3.0, 2.0]),  # inconsistent
+    ([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 0.0, 2.0]),  # zero row
+    ([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 5.0, 2.0]),  # and residual
+    ([[3.0, 1.0, 4.0, 1.0]] * 4, [2.0, 2.0, 2.0, 2.0]),  # one row four times
+], ids=["duplicate", "duplicate-inconsistent", "zero-row", "zero-row-inconsistent",
+        "quadruple"])
+def test_rbcnk_rank_deficient_block_matches_lstsq(A, b):
+    A, b = np.array(A), np.array(b)
+    assert _err_to_lstsq(_block_step(A, b), A, b) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rbcnk_ill_conditioned_gram_matches_lstsq(seed):
+    # cond(A) = 1e7, so cond(A A^T) = 1e14: the Gram solve leaves a residual
+    # near eps * 1e14; the step must keep lstsq's own accuracy, eps * cond(A)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+    V = np.linalg.qr(rng.normal(size=(20, 8)))[0]
+    A = (U * np.logspace(0, -7, 8)) @ V.T
+    assert np.linalg.cond(A @ A.T) == pytest.approx(1e14, rel=0.5)
+    b = rng.normal(size=8)
+    assert _err_to_lstsq(_block_step(A, b), A, b) <= 50 * EPS * 1e7
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_rbcnk_block_with_extreme_entries_matches_lstsq(scale, rng):
+    # the Gram overflows to inf or underflows to zero; lstsq scales
+    A = scale * rng.normal(size=(5, 12))
+    b = rng.normal(size=5)
+    assert _err_to_lstsq(_block_step(A, b), A, b) <= 1e-12
+
+
+@pytest.mark.parametrize("g", [
+    1e170 * np.array([1.0, -2.0, 3.0]),  # ||g||^2 overflows
+    1e-170 * np.array([1.0, -2.0, 3.0]),  # ||g||^2 underflows to zero
+    1e-160 * np.array([1.0, -2.0, 3.0]),  # ||g||^2 is subnormal
+], ids=["overflow", "underflow", "subnormal"])
+def test_rbcnk_one_row_with_extreme_norm_matches_lstsq(g):
+    A, b = g[None, :], np.array([0.75])
+    d = _block_step(A, b)
+    assert np.isfinite(d).all()
+    assert _err_to_lstsq(d, A, b) <= 1e-12
 
 
 def test_newton_affine_one_step(rng):

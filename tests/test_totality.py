@@ -19,9 +19,11 @@ from nlkaczmarz import (
     average_block_step,
     get_problem,
     make_h_equation,
+    newton_step,
     nrk_step,
     rbcnk_step,
     run,
+    select_mrnabk,
     select_ngabk,
     select_rdcnk,
 )
@@ -162,3 +164,27 @@ def test_step_breakdowns_carry_the_iteration():
         with pytest.raises(BreakdownError) as exc:
             step()
         assert exc.value.iteration == 7
+
+
+@pytest.mark.parametrize("call,raises", [
+    (lambda sys, st: select_ngabk(st.fx), None),
+    (lambda sys, st: select_mrnabk(st.fx, 0.1), None),  # rho max f_i^2 overflows
+    (lambda sys, st: select_rdcnk(sys, st), BreakdownError),
+    (lambda sys, st: average_block_step(sys, st, select_ngabk(st.fx)), BreakdownError),
+    (lambda sys, st: nrk_step(sys, st, np.random.default_rng(0)), BreakdownError),
+    (lambda sys, st: rbcnk_step(sys, st), None),
+    (lambda sys, st: newton_step(sys, st), None),
+], ids=["select_ngabk", "select_mrnabk", "select_rdcnk", "average_block_step", "nrk_step",
+        "rbcnk_step", "newton_step"])
+def test_public_step_at_an_overflowing_point_writes_no_warning(call, raises):
+    # every f_i(1e200 * ones) is finite, but ||f||^2 and the squares of the
+    # block direction overflow; a public step scopes its own arithmetic
+    sys = make_h_equation(50)
+    state = IterateState.at(sys, np.full(50, 1e200))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        if raises is None:
+            call(sys, state)
+        else:
+            with pytest.raises(raises):
+                call(sys, state)
