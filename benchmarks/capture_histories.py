@@ -47,6 +47,9 @@ EXTRA = (
     # likely to leave the Gram solve for lstsq
     ("broyden", 500, "rbcnk", 0, "default"),
     ("broyden", 2000, "rbcnk", 0, "default"),
+    # RD-CNK where the H-equation's row norms are the step's largest cost
+    ("h-equation", 100, "rdcnk", 0, "default"),
+    ("h-equation", 300, "rdcnk", 0, "default"),
 )
 MAX_ITERS = 50_000
 ROOT = Path(__file__).resolve().parents[1]

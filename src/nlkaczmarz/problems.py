@@ -5,8 +5,9 @@ gradient access.  The problems with sparse rows (Brown, Broyden,
 overdetermined) also supply the block vector-Jacobian product and the row
 norms, computed from the nonzeros alone with index arithmetic and
 ``np.bincount``.  The dense H-equation supplies the block product from one
-gather of its kernel rows, without forming the gradient rows, and keeps the
-dense default for the row norms.
+gather of its kernel rows, without forming the gradient rows, and the row
+norms in closed form from one matrix-vector product and the kernel's row
+norms and diagonal, computed once.
 ``get_problem`` adds the conventional initial point and a per-coordinate
 sampling box used for finite-difference validation and cone-constant
 estimation.
@@ -35,6 +36,8 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     mu = (np.arange(1, N + 1) - 0.5) / N
     K = mu[:, None] / (mu[:, None] + mu[None, :])
     coef = c / (2.0 * N)
+    K_norms_sq = np.einsum("ij,ij->i", K, K)
+    K_diag = K.diagonal().copy()
 
     def residual(x):
         s = coef * (K @ x)
@@ -61,8 +64,14 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         Kt = K[idx]
         return np.bincount(idx, w, minlength=N) + (w * _row_scale(Kt, x)) @ Kt
 
+    def row_norms_sq(x):
+        # ||a_i K_i + e_i||^2 = a_i^2 ||K_i||^2 + 2 a_i K_ii + 1, from one gemv
+        a = _row_scale(K, x)
+        return a * a * K_norms_sq + 2.0 * a * K_diag + 1.0
+
     return NonlinearSystem(N, N, residual, row_gradient, gradient_rows=gradient_rows,
-                           block_vjp=block_vjp, name=f"h-equation(N={N}, c={c})")
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
+                           name=f"h-equation(N={N}, c={c})")
 
 
 def make_brown(n: int) -> NonlinearSystem:

@@ -122,28 +122,28 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     I = { i : f_i^2 >= delta ||f||^2 ||grad f_i||^2 } with
     delta = (max_i (f_i^2/||grad f_i||^2) / ||f||^2 + 1/||f'||_F^2) / 2.
     A zero-gradient row with nonzero residual has ratio +inf and dominates.
+    Zero-gradient rows are looked for only when the largest ratio is not
+    finite: a zero row norm always makes it inf, or nan for 0/0.
     """
     fx = state.fx
-    if not fx.any():
-        raise ValueError("selection from a zero residual: solver should have terminated")
     with _quiet():
-        w = sys.row_norms_sq(state.x)
         a2 = fx * fx
         r2 = a2.sum()
+        if r2 == 0.0 and not fx.any():  # tiny f_i can square to zero
+            raise ValueError("selection from a zero residual: solver should have terminated")
+        w = sys.row_norms_sq(state.x)
         if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
             raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=state.k)
-        if w.all():  # no zero-gradient row: the usual case
-            ratio = a2 / w
-        else:
+        top = np.maximum.reduce(a2 / w)
+        if not math.isfinite(top):
             zero_grad = (w == 0.0) & (a2 > 0.0)
             if zero_grad.any():
-                return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
-                                      threshold=float("inf"))
+                return BlockSelection(indices=zero_grad.nonzero()[0], threshold=float("inf"))
             if not w.any():
                 raise BreakdownError("all row gradients are zero", iteration=state.k)
-            ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
-        delta = 0.5 * (ratio.max() / r2 + 1.0 / w.sum())
-        idx = np.flatnonzero((a2 >= delta * r2 * w) & (a2 > 0.0)).astype(np.intp)
+            top = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0).max()
+        delta = 0.5 * (top / r2 + 1.0 / w.sum())
+        idx = ((a2 >= delta * r2 * w) & (a2 > 0.0)).nonzero()[0]
         if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
             raise BreakdownError("capped selection is empty", iteration=state.k)
         return BlockSelection(indices=idx, threshold=float(delta))
@@ -269,7 +269,8 @@ def _lstsq(A, b, k):
 
 def _rdcnk(sys, x, fx, r2, k, rng, rho):
     rows = select_rdcnk(sys, IterateState(x, fx, k)).indices
-    return _projected(sys, x, fx, int(rows[rng.integers(len(rows))]), k)
+    # the same draw and stream as rng.integers(len(rows)), at half the call cost
+    return _projected(sys, x, fx, int(rows[rng.integers(0, len(rows))]), k)
 
 
 def _rbcnk(sys, x, fx, r2, k, rng, rho):

@@ -200,10 +200,11 @@ class NonlinearSystem:
             self.counters.jacobian_evals += 1
             with _quiet():
                 w = np.asarray(self._row_norms_sq(x), dtype=float)
-            if w.shape != (self.m,):
-                raise ValueError(f"row_norms_sq returned shape {w.shape}, expected ({self.m},)")
-            if np.isfinite(w).all():
-                return w
+                if w.shape != (self.m,):
+                    raise ValueError(f"row_norms_sq returned shape {w.shape}, expected ({self.m},)")
+                # a finite sum rules out inf and nan; scan only when it is not
+                if math.isfinite(w.sum()) or np.isfinite(w).all():
+                    return w
             J = self._full_jacobian(x)  # raises jacobian's DomainError
         return np.einsum("ij,ij->i", J, J)
 

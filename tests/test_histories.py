@@ -6,6 +6,8 @@ The digests were recorded at commit b34752e, where NRK drew its rows with
 entries, using NumPy 2.4 with its bundled OpenBLAS on x86-64.  The RB-CNK
 digest was recorded when its block step moved from ``lstsq`` to the checked
 Gram solve, which rounds differently; the iteration count stayed at 66.
+The overdetermined RD-CNK digests were recorded at commit 22808cf, before
+the capped selection was cut to fewer passes over its arrays.
 They pin the random stream, the projection and block-solve arithmetic and
 the history records; a BLAS that rounds dot products differently changes
 them.  The averaged direction's summation order is free to change, so its
@@ -37,6 +39,10 @@ RECORDED = {
     ("broyden", 50, "rdcnk", 1): (1457, "a00ed6dec3e5bf29844dafc26e39b786"),
     ("broyden", 50, "rdcnk", 2): (1458, "8f30c311e412b2eeb988c1f470a159df"),
     ("broyden", 50, "rdcnk", 3): (1456, "2ec4a0642e09cf16aa98362a0b494c90"),
+    ("overdetermined", 500, "rdcnk", 0): (500, "eae9cf478034c9b99eaf89c7d55d2a56"),
+    ("overdetermined", 500, "rdcnk", 1): (500, "10d6f07729c77cf072ee07eb45867a56"),
+    ("overdetermined", 500, "rdcnk", 2): (500, "44de38f278871ea6f7e384b8eba44643"),
+    ("overdetermined", 500, "rdcnk", 3): (500, "e17f6f6f5f360fa7cc290875f14e9c0a"),
     ("h-equation", 100, "rbcnk", 0): (66, "4981d6eb1f51b532a50686d5d7ad8780"),
 }
 

@@ -174,7 +174,7 @@ def test_block_vjp_matches_dense_rows(name, params, n, rng):
 
 
 @pytest.mark.parametrize("n", [9, 40])
-@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS)
+@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS + [("h-equation", {})])
 def test_row_norms_sq_match_jacobian(name, params, n, rng):
     problem = get_problem(name, n, dict(params))
     sys = problem.system
@@ -256,3 +256,41 @@ def test_brown_gradient_rows_bitwise_equal_to_the_row_loop(n, rng):
             idx[rng.integers(len(idx))] = n - 1  # the product row, at least once
         G = np.stack([sys.row_gradient(int(i), x) for i in idx])
         assert np.array_equal(sys.gradient_rows(idx, x), G)
+
+
+@pytest.mark.parametrize("n", [9, 40, 300])
+def test_h_equation_row_norms_match_the_dense_default(n, rng):
+    # the closed form a_i^2 ||K_i||^2 + 2 a_i K_ii + 1 against the sum of
+    # squares of the dense rows, inside and outside the sampling box
+    sys = make_h_equation(n)
+    dense = NonlinearSystem(n, n, sys.residual, sys.row_gradient, gradient_rows=sys.gradient_rows)
+    eps = np.finfo(float).eps
+    for scale in (1.0, 1.0, 3.0, -5.0):
+        x = scale * rng.uniform(0.0, 1.0, size=n)
+        w, ref = sys.row_norms_sq(x), dense.row_norms_sq(x)
+        # the rounding bound of the dense sum over n squares
+        assert (np.abs(w - ref) <= 4 * n * eps * ref).all()
+
+
+def test_h_equation_row_norms_at_a_singular_point_raise_the_jacobian_error():
+    # row 5's denominator is exactly zero at this x, as in
+    # test_h_equation_singular_row_names_the_row
+    K, coef = _h_kernel(6)
+    x = np.where(np.arange(6) == 0, 1.0 / (coef * K[5, 0]), 0.0)
+    sys = make_h_equation(6)
+    with pytest.raises(DomainError) as dense:
+        sys.jacobian(x)
+    with pytest.raises(DomainError) as structured:
+        sys.row_norms_sq(x)
+    assert str(structured.value) == str(dense.value)
+    assert structured.value.index == dense.value.index
+
+
+def test_h_equation_row_norms_charge_one_jacobian_without_forming_it(monkeypatch, rng):
+    sys = make_h_equation(40)
+    monkeypatch.setattr(sys, "_full_jacobian", lambda x: pytest.fail("dense Jacobian formed"))
+    sys.counters.reset()
+    for _ in range(3):
+        sys.row_norms_sq(rng.uniform(0.0, 1.0, size=40))
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 3)

@@ -1,4 +1,5 @@
-"""NRK's inline row sampler against NumPy's ``Generator.choice``, its reference."""
+"""NRK's inline row sampler against NumPy's ``Generator.choice``, its reference,
+and RD-CNK's uniform draw against ``Generator.integers(k)``."""
 import numpy as np
 import pytest
 
@@ -73,3 +74,14 @@ def test_overflowing_weights_raise_breakdown():
     with pytest.raises(BreakdownError) as exc:
         _sample_row(fx, float("inf"), np.random.default_rng(0), 12)
     assert exc.value.iteration == 12
+
+
+def test_integers_from_zero_equals_integers_up_to_k():
+    # RD-CNK draws its row with rng.integers(0, k): the same draws and the
+    # same stream as rng.integers(k), for every capped-set size k
+    ours = np.random.default_rng(11)
+    ref = np.random.default_rng(11)
+    for k in range(1, 3001):
+        for _ in range(3):
+            assert ours.integers(0, k) == ref.integers(k)
+        assert ours.bit_generator.state == ref.bit_generator.state

@@ -1,10 +1,22 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nlkaczmarz import IterateState, select_mrnabk, select_ngabk, select_rdcnk
+from nlkaczmarz import (
+    BreakdownError,
+    DomainError,
+    IterateState,
+    NonlinearSystem,
+    select_mrnabk,
+    select_ngabk,
+    select_rdcnk,
+)
+from nlkaczmarz.solvers import BlockSelection
 
 from conftest import make_affine
 
@@ -124,3 +136,106 @@ def test_rdcnk_zero_gradient_row_dominates():
     sel = select_rdcnk(sys, state)
     assert list(sel.indices) == [1]
     assert sel.threshold == np.inf
+
+
+# -- RD-CNK selection against its earlier form -----------------------------
+
+
+def _select_rdcnk_reference(sys, state):
+    """The capped selection as written before it took fewer passes: a full
+    ``fx.any()`` and ``w.all()`` on every call, the ratios formed in either
+    branch and the indices copied to intp."""
+    fx = state.fx
+    if not fx.any():
+        raise ValueError("selection from a zero residual: solver should have terminated")
+    with np.errstate(all="ignore"):
+        w = sys.row_norms_sq(state.x)
+        a2 = fx * fx
+        r2 = a2.sum()
+        if not math.isfinite(r2):
+            raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=state.k)
+        if w.all():
+            ratio = a2 / w
+        else:
+            zero_grad = (w == 0.0) & (a2 > 0.0)
+            if zero_grad.any():
+                return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
+                                      threshold=float("inf"))
+            if not w.any():
+                raise BreakdownError("all row gradients are zero", iteration=state.k)
+            ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
+        delta = 0.5 * (ratio.max() / r2 + 1.0 / w.sum())
+        idx = np.flatnonzero((a2 >= delta * r2 * w) & (a2 > 0.0)).astype(np.intp)
+        if idx.size == 0:
+            raise BreakdownError("capped selection is empty", iteration=state.k)
+        return BlockSelection(indices=idx, threshold=float(delta))
+
+
+def _norms_system(w):
+    """A system whose row_norms_sq hook returns ``w``; its dense Jacobian has
+    the rows sqrt(w_i), so a non-finite hook result raises the dense
+    path's DomainError."""
+    m = len(w)
+    J = lambda x: np.sqrt(w)[:, None]
+    return NonlinearSystem(m, 1, lambda x: np.zeros(m), lambda i, x: J(x)[i],
+                           jacobian=J, row_norms_sq=lambda x: w.copy())
+
+
+# residual entries: zeros, squares that underflow (1e-170) or overflow
+# (1e200), and magnitudes of 1e+-150
+_F = st.one_of(st.sampled_from([0.0, 1e-170, -1e-170, 1e-150, -1e150, 1e150, 1e200, 0.7]),
+               st.floats(-1e3, 1e3))
+# squared row norms: zeros, 1e+-150, non-finite values a hook may return
+_W = st.one_of(st.sampled_from([0.0, 1e-150, 1e150, 1.0, math.nan, math.inf]),
+               st.floats(0.0, 1e3))
+
+
+@st.composite
+def _rdcnk_cases(draw):
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["any", "tied", "zero-norms", "zero-residual"]))
+    if kind == "tied":  # equal ratios: the empty-set breakdown
+        fx = np.full(m, draw(st.sampled_from([0.7, 0.1, 3.0, 1e-150])))
+        w = np.full(m, draw(st.sampled_from([1.0, 0.3, 1e150])))
+    else:
+        fx = np.array(draw(st.lists(_F, min_size=m, max_size=m)))
+        w = np.array(draw(st.lists(_W, min_size=m, max_size=m)))
+        if kind == "zero-norms":
+            w[:] = 0.0
+        elif kind == "zero-residual":
+            fx[:] = 0.0
+    return fx, w, draw(st.integers(0, 99))
+
+
+def _outcome(select, sys, state):
+    try:
+        sel = select(sys, state)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "iteration", None), getattr(exc, "index", None)
+    return (sel.indices.dtype, sel.indices.tolist(), struct.pack("<d", sel.threshold))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=_rdcnk_cases())
+def test_rdcnk_selection_matches_the_reference(case):
+    fx, w, k = case
+    sys = _norms_system(w)
+    state = IterateState(np.zeros(1), fx, k)
+    assert _outcome(select_rdcnk, sys, state) == _outcome(_select_rdcnk_reference, sys, state)
+
+
+def test_rdcnk_selection_kinds_are_reached():
+    # each outcome of the selection, from inputs of the kinds the parity
+    # property above draws
+    one = np.zeros(1)
+    cases = [
+        (np.array([0.0, 0.0]), np.array([1.0, 1.0]), ValueError),
+        (np.array([1.0, 2.0]), np.array([1.0, math.nan]), DomainError),
+        (np.array([1e200, 1.0]), np.array([1.0, 1.0]), BreakdownError),
+        (np.array([1e-170, 0.0]), np.array([0.0, 0.0]), BreakdownError),  # all norms zero
+        (np.array([1.0, 2.0]), np.array([0.0, 1.0]), None),  # zero-gradient row
+        (np.full(3, 0.7), np.ones(3), BreakdownError),  # tied ratios
+    ]
+    for fx, w, raises in cases:
+        outcome = _outcome(select_rdcnk, _norms_system(w), IterateState(one, fx, 0))
+        assert outcome[0] is (raises or np.dtype(np.intp))
