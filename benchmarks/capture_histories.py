@@ -11,12 +11,13 @@ commands: capture with the old source tree, capture with the new one, diff.
 small sizes, a few starts away from the defaults, and every cell of the solve
 benchmark, read from ``perfbench/cells.py`` (stochastic cells with seeds
 0..k-1).  It pickles
-``{cell: (status, iters, final_residual_sq, history)}``.  A cell whose solve
-raises stores ``("raised", 0, nan, [])`` with the exception type and message
-in place of the status.  ``--src`` puts a source tree first on the import
+``{cell: (status, iters, final_residual_sq, history, message)}``.  A cell
+whose solve raises stores ``("raised", 0, nan, [], "")`` with the exception
+type and message in place of the status.  ``--src`` puts a source tree first on the import
 path (default: this checkout's ``src``).  ``diff`` compares floats by their
-bit patterns, prints one line per cell that changed, naming the first step
-that differs, and exits 1 when any cell differs.
+bit patterns and messages as strings, prints one line per cell that changed,
+naming the first step that differs and any change of message, and exits 1
+when any cell differs.
 """
 from __future__ import annotations
 
@@ -96,10 +97,11 @@ def capture(cells):
             r = run(prob.system, start, cfg)
             out[(problem, n, method, seed, x0)] = (
                 r.status.value, r.iters, r.final_residual_sq,
-                [(int(k), float(r2), int(b), float(s)) for k, r2, b, s in r.history])
+                [(int(k), float(r2), int(b), float(s)) for k, r2, b, s in r.history],
+                r.message)
         except Exception as exc:  # recorded, so a diff shows the change of outcome
             out[(problem, n, method, seed, x0)] = (
-                f"raised {type(exc).__name__}: {exc}", 0, math.nan, [])
+                f"raised {type(exc).__name__}: {exc}", 0, math.nan, [], "")
     return out
 
 
@@ -122,13 +124,14 @@ def diff(old, new) -> int:
             print(f"{cell}: only in {'new' if cell in new else 'old'} capture")
             changed += 1
             continue
-        (s0, k0, f0, h0), (s1, k1, f1, h1) = old[cell], new[cell]
+        (s0, k0, f0, h0, m0), (s1, k1, f1, h1, m1) = old[cell], new[cell]
         step = first_difference(h0, h1)
-        if s0 == s1 and k0 == k1 and _bits(f0) == _bits(f1) and step is None:
+        if s0 == s1 and k0 == k1 and _bits(f0) == _bits(f1) and step is None and m0 == m1:
             continue
         changed += 1
         where = "" if step is None else f", history differs from step {step}"
-        print(f"{cell}: {s0} after {k0} -> {s1} after {k1}{where}")
+        said = "" if m0 == m1 else f", message {m0!r} -> {m1!r}"
+        print(f"{cell}: {s0} after {k0} -> {s1} after {k1}{where}{said}")
     print(f"{len(old.keys() & new.keys())} cells compared, {changed} differ")
     return 1 if changed else 0
 

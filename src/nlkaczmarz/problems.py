@@ -160,13 +160,15 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         return _g(x) ** 2
 
     def row_gradient(i, x):
-        gi = (3.0 - 2.0 * x[i]) * x[i] + 1.0
+        # _g's operations in its order, on Python floats
+        xi = float(x[i])
+        gi = (3.0 - 2.0 * xi) * xi + 1.0
         if i > 0:
-            gi -= x[i - 1]
+            gi -= float(x[i - 1])
         if i < n - 1:
-            gi -= 2.0 * x[i + 1]
+            gi -= 2.0 * float(x[i + 1])
         grad = np.zeros(n)
-        grad[i] = 3.0 - 4.0 * x[i]
+        grad[i] = 3.0 - 4.0 * xi
         if i > 0:
             grad[i - 1] = -1.0
         if i < n - 1:
@@ -174,15 +176,20 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         return 2.0 * gi * grad
 
     def gradient_rows(idx, x):
-        g = _g(x)
+        # row k is 2 g_k (-1, 3 - 4 x_k, -2) in columns k-1, k, k+1, with g
+        # taken at the rows idx alone.  In a zero-padded copy of x a boundary
+        # term subtracts 0.0, which leaves _g's value bitwise; in G a clipped
+        # boundary column is the diagonal, which is written last.
+        xp = np.zeros(n + 2)
+        xp[1:-1] = x
+        xi = xp[idx + 1]
+        g = (3.0 - 2.0 * xi) * xi + 1.0 - xp[idx] - 2.0 * xp[idx + 2]
         G = np.zeros((len(idx), n))
         r = np.arange(len(idx))
-        G[r, idx] = 3.0 - 4.0 * x[idx]
-        left = idx > 0
-        G[r[left], idx[left] - 1] = -1.0
-        right = idx < n - 1
-        G[r[right], idx[right] + 1] = -2.0
-        return 2.0 * g[idx][:, None] * G
+        G[r, np.maximum(idx - 1, 0)] = -1.0
+        G[r, np.minimum(idx + 1, n - 1)] = -2.0
+        G[r, idx] = 3.0 - 4.0 * xi
+        return 2.0 * g[:, None] * G
 
     def block_vjp(idx, w, x):
         # row k holds s_k * (-1, 3 - 4 x_k, -2) in columns k-1, k, k+1, with

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import IterateState, NonlinearSystem, _quiet, solve_scope
+from .system import (IterateState, NonlinearSystem, _check_gradient, _check_residual, _quiet,
+                     solve_scope)
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -205,6 +206,8 @@ def _projected(sys, x, fx, i, k):
     """(x - (f_i / ||grad f_i||^2) grad f_i, its residual, 1)."""
     g = sys.row_gradient(i, x)
     w = g.dot(g)
+    if not math.isfinite(w):  # inside run() the only check that g is finite
+        _check_gradient(g, i)
     if w < BREAKDOWN_EPS:
         raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
     x = x - (fx[i] / w) * g
@@ -309,7 +312,9 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     start, a collapsed step, a non-finite evaluation, (NRK, RD-CNK) an
     ||f||^2 that overflows and (the other methods) a step that leaves x
     unchanged all end in ``Status.BREAKDOWN`` with a message.  NumPy's
-    floating-point warnings are ignored for the whole solve."""
+    floating-point warnings are ignored for the whole solve.  Each ||f||^2
+    doubles as the finiteness check of the residual it sums, which the
+    solved system's evaluations leave to it (``solve_scope``)."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
@@ -324,13 +329,15 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
         return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
                             message="non-finite starting point")
     # no warning for a non-finite intermediate: the report carries the outcome
-    with solve_scope():
+    with solve_scope(sys):
         try:
             fx = sys.residual(x)
+            r2 = float(fx.dot(fx))
+            if not math.isfinite(r2):  # finite components can overflow it too
+                _check_residual(fx)
         except DomainError as exc:
             return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
                                 message=f"at the starting point: {exc}")
-        r2 = float(fx.dot(fx))
         k = 0
         while True:
             if r2 < tol_sq:
@@ -339,6 +346,9 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
                 return SolverReport(Status.MAX_ITERS, k, r2, history, iterates)
             try:
                 x_new, fx, block_size = step(sys, x, fx, r2, k, rng, rho)
+                r2_new = float(fx.dot(fx))
+                if not math.isfinite(r2_new):
+                    _check_residual(fx)
             except (BreakdownError, DomainError) as exc:
                 return SolverReport(Status.BREAKDOWN, k, r2, history, iterates, message=str(exc))
             dx = x_new - x
@@ -348,8 +358,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
                 return SolverReport(Status.BREAKDOWN, k, r2, history, iterates,
                                     message=f"the step at iteration {k} left x unchanged")
             history.append((k, r2, block_size, step_norm))
-            x = x_new
-            r2 = float(fx.dot(fx))
+            x, r2 = x_new, r2_new
             k += 1
             if iterates is not None:
                 iterates.append(x.copy())

@@ -12,7 +12,10 @@ averaged step and the capped selection without forming dense rows.
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
 result is reported as a :class:`DomainError` instead.  Called directly, an
 evaluation enters its own ``np.errstate``; inside :func:`solve_scope`, which
-``run()`` enters once per solve, it relies on that scope's.
+``run()`` enters once per solve, it relies on that scope's.  There the
+residual and row gradients of the system being solved skip their finiteness
+scan: the solver's ||f||^2 and ||grad f_i||^2 are the check, and a
+non-finite norm raises the same :class:`DomainError`.
 """
 from __future__ import annotations
 
@@ -28,27 +31,52 @@ from .exceptions import DomainError
 
 FD_H_SCALE = float(np.sqrt(np.finfo(float).eps))
 
-# set while a solve_scope() is active in this thread (or task)
-_IN_SOLVE: contextvars.ContextVar[bool] = contextvars.ContextVar("nlkaczmarz_in_solve",
-                                                                 default=False)
+# the system a solve_scope() is solving in this thread (or task), else None
+_SOLVING: contextvars.ContextVar[Optional["NonlinearSystem"]] = contextvars.ContextVar(
+    "nlkaczmarz_solving", default=None)
 _NO_SCOPE = contextlib.nullcontext()
 
 
 @contextlib.contextmanager
-def solve_scope():
+def solve_scope(system: "NonlinearSystem"):
     """Ignore every NumPy floating-point warning until exit, once for all the
-    evaluations made inside, which then skip their own ``np.errstate``."""
-    token = _IN_SOLVE.set(True)
+    evaluations made inside, which then skip their own ``np.errstate``.
+    ``system``'s ``residual`` and ``row_gradient`` also skip their finiteness
+    checks, which the solver makes on its norms (``_check_residual``,
+    ``_check_gradient``); every other system keeps them."""
+    token = _SOLVING.set(system)
     try:
         with np.errstate(all="ignore"):
             yield
     finally:
-        _IN_SOLVE.reset(token)
+        _SOLVING.reset(token)
 
 
 def _quiet():
     """The floating-point scope of one evaluation: none inside solve_scope()."""
-    return _NO_SCOPE if _IN_SOLVE.get() else np.errstate(all="ignore")
+    return _NO_SCOPE if _SOLVING.get() is not None else np.errstate(all="ignore")
+
+
+def _check_residual(fx: np.ndarray) -> None:
+    """Raise the DomainError of fx's first non-finite component, if any."""
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        i = int(bad.nonzero()[0][0])
+        raise DomainError(f"non-finite residual component {i} at evaluation point", index=i)
+
+
+def _check_gradient(g: np.ndarray, i: int) -> None:
+    """Raise the DomainError of row i when its gradient g is not finite."""
+    if not np.isfinite(g).all():
+        raise DomainError(f"non-finite gradient in row {i}", index=i)
+
+
+def _shaped(what: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array, which must have ``shape``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{what} returned shape {value.shape}, expected {shape}")
+    return value
 
 
 @dataclass
@@ -131,31 +159,33 @@ class NonlinearSystem:
     # -- evaluation ------------------------------------------------------
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate f(x). Raises DomainError on non-finite output."""
+        """Evaluate f(x). Raises DomainError on non-finite output; inside the
+        solve of this system, ``run()`` checks its ||f||^2 instead."""
         x = self._check_point(x)
         self.counters.residual_evals += 1
+        if _SOLVING.get() is self:
+            return _shaped("residual", self._residual(x), (self.m,))
         with _quiet():
-            fx = np.asarray(self._residual(x), dtype=float)
-            if fx.shape != (self.m,):
-                raise ValueError(f"residual returned shape {fx.shape}, expected ({self.m},)")
+            fx = _shaped("residual", self._residual(x), (self.m,))
             # a finite fx.dot(fx) rules out inf and nan; scan only when it is not
-            if not (math.isfinite(fx.dot(fx)) or np.isfinite(fx).all()):
-                i = int(np.flatnonzero(~np.isfinite(fx))[0])
-                raise DomainError(f"non-finite residual component {i} at evaluation point", index=i)
+            if not math.isfinite(fx.dot(fx)):
+                _check_residual(fx)
         return fx
 
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Evaluate the i-th Jacobian row at x."""
+        """Evaluate the i-th Jacobian row at x. Raises DomainError on
+        non-finite output; inside the solve of this system, the projection
+        checks its ||grad f_i||^2 instead."""
         if not 0 <= i < self.m:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
         x = self._check_point(x)
         self.counters.row_gradient_evals += 1
+        if _SOLVING.get() is self:
+            return _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
         with _quiet():
-            g = np.asarray(self._row_gradient(i, x), dtype=float)
-            if g.shape != (self.n,):
-                raise ValueError(f"row_gradient returned shape {g.shape}, expected ({self.n},)")
-            if not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
-                raise DomainError(f"non-finite gradient in row {i}", index=i)
+            g = _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
+            if not math.isfinite(g.dot(g)):
+                _check_gradient(g, i)
         return g
 
     def gradient_rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -183,9 +213,7 @@ class NonlinearSystem:
             return w @ self.gradient_rows(indices, x)
         self.counters.row_gradient_evals += len(indices)
         with _quiet():
-            v = np.asarray(self._block_vjp(indices, w, x), dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"block_vjp returned shape {v.shape}, expected ({self.n},)")
+            v = _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
         if np.isfinite(v).all():
             return v
         # the dense rows raise gradient_rows' DomainError, with its row index
@@ -199,9 +227,7 @@ class NonlinearSystem:
         else:
             self.counters.jacobian_evals += 1
             with _quiet():
-                w = np.asarray(self._row_norms_sq(x), dtype=float)
-                if w.shape != (self.m,):
-                    raise ValueError(f"row_norms_sq returned shape {w.shape}, expected ({self.m},)")
+                w = _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,))
                 # a finite sum rules out inf and nan; scan only when it is not
                 if math.isfinite(w.sum()) or np.isfinite(w).all():
                     return w
@@ -222,13 +248,12 @@ class NonlinearSystem:
     def _full_jacobian(self, x: np.ndarray) -> np.ndarray:
         with _quiet():
             if self._jacobian is not None:
-                J = np.asarray(self._jacobian(x), dtype=float)
+                J = self._jacobian(x)
             elif self._gradient_rows is not None:
-                J = np.asarray(self._gradient_rows(np.arange(self.m), x), dtype=float)
+                J = self._gradient_rows(np.arange(self.m), x)
             else:
-                J = np.stack([np.asarray(self._row_gradient(i, x), dtype=float) for i in range(self.m)])
-        if J.shape != (self.m, self.n):
-            raise ValueError(f"jacobian returned shape {J.shape}, expected ({self.m}, {self.n})")
+                J = np.stack([self._row_gradient(i, x) for i in range(self.m)])
+            J = _shaped("jacobian", J, (self.m, self.n))
         if not np.isfinite(J).all():
             raise DomainError("non-finite entry in Jacobian")
         return J

@@ -258,6 +258,32 @@ def test_brown_gradient_rows_bitwise_equal_to_the_row_loop(n, rng):
         assert np.array_equal(sys.gradient_rows(idx, x), G)
 
 
+@pytest.mark.parametrize("n", [2, 3, 40, 500])
+def test_broyden_gradient_rows_bitwise_equal_to_the_full_g(n, rng):
+    # reference: 2 g[idx] times the stencil rows, with g over all n (the form
+    # the rows-only evaluation replaced) and the rows stacked one at a time
+    sys = make_singular_broyden(n)
+    special = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0, -0.0, 1e-300])
+    for trial in range(40):
+        x = rng.uniform(-1.5, 0.5, size=n)
+        if trial % 2:
+            x[rng.integers(0, n, size=2)] = rng.choice(special, size=2)
+        idx = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        idx[0] = (0, n - 1)[trial % 2]  # a boundary row, every time
+        stencil = np.zeros((len(idx), n))
+        r = np.arange(len(idx))
+        stencil[r[idx > 0], idx[idx > 0] - 1] = -1.0
+        stencil[r[idx < n - 1], idx[idx < n - 1] + 1] = -2.0
+        with np.errstate(all="ignore"):
+            g = (3.0 - 2.0 * x) * x + 1.0
+            g[1:] -= x[:-1]
+            g[:-1] -= 2.0 * x[1:]
+            stencil[r, idx] = 3.0 - 4.0 * x[idx]
+            G = sys._gradient_rows(idx, x)
+            assert G.tobytes() == (2.0 * g[idx][:, None] * stencil).tobytes()
+            assert G.tobytes() == np.stack([sys._row_gradient(int(i), x) for i in idx]).tobytes()
+
+
 @pytest.mark.parametrize("n", [9, 40, 300])
 def test_h_equation_row_norms_match_the_dense_default(n, rng):
     # the closed form a_i^2 ||K_i||^2 + 2 a_i K_ii + 1 against the sum of

@@ -13,7 +13,7 @@ from nlkaczmarz import (
     make_h_equation,
     run,
 )
-from nlkaczmarz.system import _IN_SOLVE, solve_scope
+from nlkaczmarz.system import _SOLVING, solve_scope
 
 
 def _solve(problem, n, method, **cfg):
@@ -186,7 +186,7 @@ def _fails_after_first_residual():
 @pytest.mark.parametrize("case", ["converged", "breakdown", "bad x0 shape", "callable raises"])
 def test_run_restores_the_floating_point_state(case):
     with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
-        before = (np.geterr(), _IN_SOLVE.get())
+        before = (np.geterr(), _SOLVING.get())
         if case == "converged":
             assert _solve("h-equation", 50, Method.MRNABK)[1].status is Status.CONVERGED
         elif case == "breakdown":
@@ -198,28 +198,64 @@ def test_run_restores_the_floating_point_state(case):
         else:
             with pytest.raises(RuntimeError):
                 run(_fails_after_first_residual(), np.zeros(2), SolverConfig(method=Method.NGABK))
-        assert (np.geterr(), _IN_SOLVE.get()) == before
+        assert (np.geterr(), _SOLVING.get()) == before
 
 
 def test_evaluations_inside_a_solve_use_its_scope():
     seen = []
 
     def residual(x):
-        seen.append((_IN_SOLVE.get(), np.geterr()))
+        seen.append((_SOLVING.get(), np.geterr()))
         return x - 1.0
 
     sys = NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i])
     report = run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))
     assert report.status is Status.CONVERGED and len(seen) == 2
     quiet = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
-    assert seen == [(True, quiet)] * 2
+    assert seen == [(sys, quiet)] * 2
     # a direct call enters its own scope; a solve nested in another keeps the mark
     sys.residual(np.zeros(2))
-    assert seen[-1] == (False, quiet)
-    with solve_scope():
+    assert seen[-1] == (None, quiet)
+    outer = make_h_equation(2)
+    with solve_scope(outer):
         run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))
-        assert _IN_SOLVE.get()
-    assert not _IN_SOLVE.get()
+        assert _SOLVING.get() is outer
+    assert _SOLVING.get() is None
+
+
+def test_another_system_keeps_its_checks_inside_a_solve():
+    # the solved system leaves its checks to run(); a system its callables
+    # evaluate still raises its own DomainError
+    other = make_h_equation(1, c=0.9)
+    singular = np.array([4.0 / 0.9])
+    caught = []
+
+    def residual(x):
+        for evaluate in (other.residual, lambda z: other.row_gradient(0, z)):
+            with pytest.raises(DomainError) as exc:
+                evaluate(singular)
+            caught.append(str(exc.value))
+        return x - 1.0
+
+    sys = NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i])
+    for method in (Method.NGABK, Method.NRK):
+        caught.clear()
+        report = run(sys, np.zeros(2), SolverConfig(method=method))
+        assert report.status is Status.CONVERGED
+        assert caught == ["non-finite residual component 0 at evaluation point",
+                          "non-finite gradient in row 0"] * (report.iters + 1)
+
+
+@pytest.mark.parametrize("problem,n,method,counts", [
+    ("h-equation", 50, Method.NRK, (960, 961, 960, 0)),
+    ("broyden", 50, Method.RDCNK, (1459, 1460, 1459, 1459)),
+])
+def test_single_row_solve_evaluation_counts(problem, n, method, counts):
+    # one residual per step plus the start, one row gradient per projection
+    # and, for RD-CNK, one set of row norms (a Jacobian) per selection
+    prob, report = _solve(problem, n, method)
+    c = prob.system.counters
+    assert (report.iters, c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == counts
 
 
 def test_a_solve_in_another_thread_does_not_silence_direct_calls():
@@ -239,7 +275,7 @@ def test_a_solve_in_another_thread_does_not_silence_direct_calls():
     worker.start()
     try:
         assert entered.wait(30)
-        assert not _IN_SOLVE.get()
+        assert _SOLVING.get() is None
         # without its own scope the evaluation would raise FloatingPointError here
         with np.errstate(all="raise"), pytest.raises(DomainError) as exc:
             make_h_equation(1, c=0.9).residual(np.array([4.0 / 0.9]))

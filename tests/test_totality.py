@@ -188,3 +188,98 @@ def test_public_step_at_an_overflowing_point_writes_no_warning(call, raises):
         else:
             with pytest.raises(raises):
                 call(sys, state)
+
+
+# f(x) = A x + x^3 / 10 - 1: from x = 0 Newton takes two steps, the others 21-66
+_A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+
+
+def _poisoned(bad=None, residual_call=None, gradient_call=None):
+    """The cubic system above, except that residual evaluation number
+    ``residual_call`` (counted from 1), or row gradient number
+    ``gradient_call``, has ``bad`` in its second component.  Only the
+    single-row ``row_gradient`` goes through the counted callable; the rows
+    it was asked for are kept in ``sys.rows_asked``."""
+    calls = {"residual": 0, "gradient": 0}
+    rows_asked = []
+
+    def residual(x):
+        calls["residual"] += 1
+        f = _A @ x + 0.1 * x**3 - 1.0
+        if calls["residual"] == residual_call:
+            f[1] = bad
+        return f
+
+    def gradient_rows(idx, x):
+        G = _A[idx].copy()
+        G[np.arange(len(idx)), idx] += 0.3 * x[idx] ** 2
+        return G
+
+    def row_gradient(i, x):
+        calls["gradient"] += 1
+        rows_asked.append(i)
+        g = gradient_rows(np.array([i]), x)[0]
+        if calls["gradient"] == gradient_call:
+            g[1] = bad
+        return g
+
+    sys = NonlinearSystem(3, 3, residual, row_gradient, gradient_rows=gradient_rows,
+                          jacobian=lambda x: gradient_rows(np.arange(3), x))
+    sys.rows_asked = rows_asked
+    return sys
+
+
+def _clean_run(method, iters):
+    """The unpoisoned run stopped after ``iters`` steps: the same iterates."""
+    return run(_poisoned(), np.zeros(3), SolverConfig(method=method, max_iters=iters))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", list(Method))
+def test_non_finite_starting_residual_is_breakdown(method, bad):
+    report = run(_poisoned(bad, residual_call=1), np.zeros(3), SolverConfig(method=method))
+    assert report.status is Status.BREAKDOWN
+    assert report.iters == 0 and report.history == []
+    assert math.isnan(report.final_residual_sq)
+    assert report.message == ("at the starting point: "
+                              "non-finite residual component 1 at evaluation point")
+
+
+@pytest.mark.parametrize("call", [2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", list(Method))
+def test_non_finite_residual_after_a_step_is_breakdown(method, bad, call):
+    # evaluation `call` is the residual of step call - 2's new point
+    k = call - 2
+    report = run(_poisoned(bad, residual_call=call), np.zeros(3),
+                 SolverConfig(method=method, store_iterates=True))
+    clean = _clean_run(method, k + 1)
+    assert report.status is Status.BREAKDOWN and report.iters == k
+    assert report.history == clean.history[:k] and len(report.iterates) == k + 1
+    assert report.final_residual_sq == clean.history[k][1]
+    assert report.message == "non-finite residual component 1 at evaluation point"
+
+
+@pytest.mark.parametrize("call", [1, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", [Method.NRK, Method.RDCNK])
+def test_non_finite_row_gradient_in_a_solve_is_breakdown(method, bad, call):
+    # the single-row methods ask for one row gradient per step
+    k = call - 1
+    sys = _poisoned(bad, gradient_call=call)
+    report = run(sys, np.zeros(3), SolverConfig(method=method))
+    clean = _clean_run(method, k + 1)
+    assert report.status is Status.BREAKDOWN and report.iters == k
+    assert report.history == clean.history[:k]
+    assert report.final_residual_sq == clean.history[k][1]
+    assert report.message == f"non-finite gradient in row {sys.rows_asked[-1]}"
+    assert len(sys.rows_asked) == call
+
+
+def test_finite_gradient_whose_square_overflows_is_not_a_domain_error():
+    # ||grad f_0||^2 overflows while every entry is finite: the projection
+    # takes a zero step, as it did when the wrapper scanned every row
+    sys = NonlinearSystem(1, 1, lambda x: x - 1.0, lambda i, x: np.array([1e200]))
+    report = run(sys, np.array([2.0]), SolverConfig(method=Method.NRK, max_iters=3))
+    assert report.status is Status.MAX_ITERS
+    assert [h[3] for h in report.history] == [0.0] * 3
