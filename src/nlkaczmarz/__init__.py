@@ -16,7 +16,6 @@ from .diagnostics import (
     verified_contraction_steps,
 )
 from .exceptions import BreakdownError, DomainError
-from .kernels import BACKEND as KERNEL_BACKEND
 from .problems import (
     Problem,
     get_problem,
@@ -44,7 +43,7 @@ from .system import IterateState, NonlinearSystem, fd_check
 
 __all__ = [
     "BlockSelection", "BreakdownError", "ConeEstimate", "DomainError",
-    "IterateState", "KERNEL_BACKEND", "Lemma1Check", "Method",
+    "IterateState", "Lemma1Check", "Method",
     "NonlinearSystem", "OrderingReport", "Problem", "SolverConfig",
     "SolverReport", "StepBound", "Status", "VerifiedStep",
     "average_block_step", "check_lemma1", "estimate_cone", "fd_check",

@@ -19,10 +19,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import diagnostics, kernels
+from . import diagnostics
 from .exceptions import BreakdownError, DomainError
 from .problems import PROBLEM_NAMES, get_problem
-from .solvers import Method, SolverConfig, Status, run
+from .solvers import Method, SolverConfig, Status, run, select_mrnabk, select_ngabk
 from .system import IterateState
 
 CSV_HEADER = ["method", "problem", "n", "m", "rho", "iters",
@@ -105,7 +105,6 @@ def cmd_solve(args) -> int:
         "seed": cfg.seed,
         "status": report.status.value,
         "message": report.message,
-        "kernel_backend": kernels.BACKEND,
         "counters": vars(problem.system.counters),
     }
     out = _out_path(args.out)
@@ -265,7 +264,6 @@ def cmd_diagnose(args) -> int:
 
     ratios = diagnostics.per_step_contraction(report, x_star) if x_star is not None else []
     steps = []
-    from .solvers import select_mrnabk, select_ngabk
     for k, (x, hist) in enumerate(zip(report.iterates, report.history)):
         state = IterateState(x=x, fx=system.residual(x), k=k)
         sel = (select_ngabk(state.fx) if method is Method.NGABK

@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .solvers import BlockSelection, Method, SolverReport
+from .solvers import BlockSelection, Method, SolverReport, select_mrnabk, select_ngabk
 from .system import IterateState, NonlinearSystem
 
 DEGENERATE_SV_RTOL = 1e-12  # sigma_min below this times sigma_max counts as rank-deficient
@@ -192,8 +192,6 @@ def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
     rounding); steps where a hypothesis fails carry no claim and are
     skipped.
     """
-    from .solvers import select_mrnabk, select_ngabk
-
     method = Method(method)
     if report.iterates is None:
         raise ValueError("run was made without store_iterates=True")

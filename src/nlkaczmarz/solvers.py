@@ -96,7 +96,7 @@ def select_ngabk(fx: np.ndarray) -> BlockSelection:
     The argmax-residual index always satisfies the criterion, so tau is
     nonempty for any nonzero residual.
     """
-    fx = np.ascontiguousarray(fx, dtype=float)
+    fx = np.asarray(fx, dtype=float)
     if not fx.any():
         raise ValueError("selection from a zero residual: solver should have terminated")
     with _quiet():
@@ -106,7 +106,7 @@ def select_ngabk(fx: np.ndarray) -> BlockSelection:
 
 def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
     """Relaxed max-residual block: tau = { i : f_i^2 >= rho * max_j f_j^2 }."""
-    fx = np.ascontiguousarray(fx, dtype=float)
+    fx = np.asarray(fx, dtype=float)
     if not fx.any():
         raise ValueError("selection from a zero residual: solver should have terminated")
     if not 0.0 < rho <= 1.0:

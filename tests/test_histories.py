@@ -6,6 +6,8 @@ The digests were recorded at commit b34752e, where NRK drew its rows with
 entries, using NumPy 2.4 with its bundled OpenBLAS on x86-64.  The RB-CNK
 digest was recorded when its block step moved from ``lstsq`` to the checked
 Gram solve, which rounds differently; the iteration count stayed at 66.
+It was recorded with the default BLAS thread count (on 2 CPUs) and fails
+with one BLAS thread, because the Gram solve's rounding depends on it.
 The overdetermined RD-CNK digests were recorded at commit 22808cf, before
 the capped selection was cut to fewer passes over its arrays.
 They pin the random stream, the projection and block-solve arithmetic and
