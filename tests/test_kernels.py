@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,23 @@ def _random_residuals(rng, count=200):
         fx = rng.normal(scale=rng.choice([1e-6, 1.0, 1e6]), size=m)
         if np.any(fx != 0.0):
             yield fx
+
+
+def _ngabk_reference(fx):
+    """NGABK selection in scalar Python: exact sum, one component at a time."""
+    scale = max(abs(float(v)) for v in fx)
+    a2 = [(float(v) / scale) ** 2 for v in fx]
+    r2 = math.fsum(a2)
+    delta = 0.5 * (max(a2) / r2 + 1.0 / len(a2))
+    return [i for i, a in enumerate(a2) if a >= delta * r2], delta
+
+
+def test_ngabk_parity_with_pure_python(rng):
+    for fx in _random_residuals(rng):
+        idx_a, thr_a = kernels.ngabk_select(fx)
+        idx_b, thr_b = _ngabk_reference(fx)
+        assert np.array_equal(idx_a, idx_b)
+        assert thr_a == pytest.approx(thr_b, rel=1e-15)
 
 
 def test_ngabk_formula(rng):
