@@ -115,11 +115,6 @@ def make_brown(n: int) -> NonlinearSystem:
             G[~affine] = _product_row(x)
         return G
 
-    def jacobian(x):
-        J = np.ones((n, n)) + np.eye(n)
-        J[n - 1] = _product_row(x)
-        return J
-
     def block_vjp(idx, w, x):
         # affine row k is ones + e_k; the product row is dense
         affine = idx < n - 1
@@ -135,9 +130,9 @@ def make_brown(n: int) -> NonlinearSystem:
         return out
 
     return NonlinearSystem(n, n, residual, row_gradient,
-                           gradient_rows=gradient_rows, jacobian=jacobian,
-                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
-                           known_solution=np.ones(n), name=f"brown(n={n})")
+                           gradient_rows=gradient_rows, block_vjp=block_vjp,
+                           row_norms_sq=row_norms_sq, known_solution=np.ones(n),
+                           name=f"brown(n={n})")
 
 
 def make_singular_broyden(n: int) -> NonlinearSystem:

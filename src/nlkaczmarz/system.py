@@ -209,37 +209,38 @@ class NonlinearSystem:
         w = np.asarray(w, dtype=float)
         if w.shape != indices.shape:
             raise ValueError(f"weights have shape {w.shape}, expected {indices.shape}")
-        if self._block_vjp is None:
-            return w @ self.gradient_rows(indices, x)
         self.counters.row_gradient_evals += len(indices)
-        with _quiet():
-            v = _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
-        if np.isfinite(v).all():
-            return v
-        # the dense rows raise gradient_rows' DomainError, with its row index
+        if self._block_vjp is not None:
+            with _quiet():
+                v = _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
+            if np.isfinite(v).all():
+                return v
+        # no hook, or a non-finite result: the dense rows raise
+        # gradient_rows' DomainError, with its row index
         return w @ self._rows(indices, x)
 
     def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared norm of every Jacobian row (counted as one full Jacobian)."""
         x = self._check_point(x)
-        if self._row_norms_sq is None:
-            J = self.jacobian(x)
-        else:
-            self.counters.jacobian_evals += 1
+        self.counters.jacobian_evals += 1
+        if self._row_norms_sq is not None:
             with _quiet():
                 w = _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,))
                 # a finite sum rules out inf and nan; scan only when it is not
                 if math.isfinite(w.sum()) or np.isfinite(w).all():
                     return w
-            J = self._full_jacobian(x)  # raises jacobian's DomainError
+        # no hook, or a non-finite result: the dense Jacobian raises
+        # jacobian's DomainError
+        J = self._full_jacobian(x)
         return np.einsum("ij,ij->i", J, J)
 
     def _rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
         with _quiet():
             if self._gradient_rows is not None:
-                G = np.asarray(self._gradient_rows(indices, x), dtype=float)
+                G = self._gradient_rows(indices, x)
             else:
-                G = np.stack([np.asarray(self._row_gradient(i, x), dtype=float) for i in indices])
+                G = np.stack([self._row_gradient(i, x) for i in indices])
+            G = _shaped("gradient_rows", G, (len(indices), self.n))
         if not np.isfinite(G).all():
             i = int(indices[np.flatnonzero(~np.isfinite(G).all(axis=1))[0]])
             raise DomainError(f"non-finite gradient in row {i}", index=i)

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import nlkaczmarz
-from nlkaczmarz import cli
-from nlkaczmarz.cli import CSV_HEADER, main
-from nlkaczmarz.exceptions import DomainError
+from nlkaczmarz import Method, cli, get_problem
+from nlkaczmarz.cli import CSV_HEADER, _bench_cell, main
 
 
 def run_cli(*argv):
@@ -176,6 +175,28 @@ def test_rho_sweep(tmp_path, capsys):
     assert all(r["status"] == "converged" for r in rows)
 
 
+def test_rho_sweep_rows_are_bench_cells(tmp_path, capsys):
+    out, sidecar = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    code = run_cli("rho-sweep", "--problem", "h-equation", "--sizes", "20,30",
+                   "--rhos", "0.1,0.5", "--out", str(out), "--json", str(sidecar))
+    capsys.readouterr()
+    assert code == 0
+
+    def without_wall(row):
+        row = dict(row, wall_ms=None)
+        row["runs"] = [dict(r, wall_ms=None) for r in row["runs"]]
+        return row
+
+    cells = [_bench_cell(get_problem("h-equation", n), Method.MRNABK, rho, 1, 0, 200_000, 1e-6)
+             for n in (20, 30) for rho in (0.1, 0.5)]
+    assert [without_wall(r) for r in json.loads(sidecar.read_text())] == \
+        [without_wall(c) for c in cells]
+    with out.open() as fh:
+        assert [dict(r, wall_ms=None) for r in csv.DictReader(fh)] == \
+            [{k: "" if c[k] is None else str(c[k]) for k in CSV_HEADER} | {"wall_ms": None}
+             for c in cells]
+
+
 def test_stdout_csv_when_no_out(capsys):
     code = run_cli("rho-sweep", "--problem", "h-equation", "--sizes", "20",
                    "--rhos", "0.1")
@@ -185,20 +206,7 @@ def test_stdout_csv_when_no_out(capsys):
     assert re.match(r"mrnabk,h-equation,20,20,0\.1,", out.splitlines()[1])
 
 
-def test_bench_error_rows_and_uncaught_faults(tmp_path, monkeypatch, capsys):
-    def domain_error(*args):
-        raise DomainError("injected", index=0)
-
-    monkeypatch.setattr(cli, "_timed_run", domain_error)
-    sidecar = tmp_path / "bench.json"
-    code = run_cli("bench", "--suite", "overdetermined", "--sizes", "6",
-                   "--repeats", "1", "--json", str(sidecar))
-    capsys.readouterr()
-    assert code == 0
-    rows = json.loads(sidecar.read_text())
-    assert len(rows) == 5
-    assert all(r["m"] == 10 and r["status"] == "error:injected" for r in rows)
-
+def test_bench_propagates_uncaught_faults(monkeypatch):
     def programming_error(*args):
         raise TypeError("not a solver failure")
 

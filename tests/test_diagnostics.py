@@ -138,6 +138,16 @@ def test_remark2_ordering_on_random_states(rng):
     assert strict == 50
 
 
+def test_remark2_compare_reuses_the_bound_jacobian():
+    sys = get_problem("h-equation", 30).system
+    state = IterateState.at(sys, np.full(30, 0.5))
+    sys.counters.reset()
+    bound = theorem_bound(sys, state, select_ngabk(state.fx), xi=0.1)
+    rep = remark2_compare(bound, sys, state, xi=0.1)
+    assert sys.counters.jacobian_evals == 1
+    assert rep.rho_nrk == nrk_bound(sys, state, xi=0.1)
+
+
 def test_nrk_bound_below_one(rng):
     sys = make_affine(rng.normal(size=(6, 6)), rng.normal(size=6))
     state = IterateState.at(sys, rng.normal(size=6))

@@ -4,10 +4,11 @@ bit, and the averaged methods' iteration counts pinned exactly.
 The digests were recorded at commit b34752e, where NRK drew its rows with
 ``rng.choice`` and the wrapper scanned every evaluation for non-finite
 entries, using NumPy 2.4 with its bundled OpenBLAS on x86-64.  The RB-CNK
-digest was recorded when its block step moved from ``lstsq`` to the checked
-Gram solve, which rounds differently; the iteration count stayed at 66.
-It was recorded with the default BLAS thread count (on 2 CPUs) and fails
-with one BLAS thread, because the Gram solve's rounding depends on it.
+digest was recorded at commit b9d76bf, after its block step moved from
+``lstsq`` to the checked Gram solve, which rounds differently; the iteration
+count stayed at 66.  The Gram solve's rounding depends on the BLAS thread
+count, so that cell runs in a fresh interpreter with one BLAS thread, as
+``perfbench`` and ``benchmarks/capture_histories.py`` run it.
 The overdetermined RD-CNK digests were recorded at commit 22808cf, before
 the capped selection was cut to fewer passes over its arrays.
 They pin the random stream, the projection and block-solve arithmetic and
@@ -17,10 +18,16 @@ histories are not pinned, only the counts the benchmark's cells expect.
 ``benchmarks/capture_histories.py`` makes the wider check across commits.
 """
 import hashlib
+import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlkaczmarz
 from nlkaczmarz import SolverConfig, get_problem, run
 
 # (problem, n, method, seed): (iterations, digest of the history and final ||f||^2)
@@ -45,8 +52,10 @@ RECORDED = {
     ("overdetermined", 500, "rdcnk", 1): (500, "10d6f07729c77cf072ee07eb45867a56"),
     ("overdetermined", 500, "rdcnk", 2): (500, "44de38f278871ea6f7e384b8eba44643"),
     ("overdetermined", 500, "rdcnk", 3): (500, "e17f6f6f5f360fa7cc290875f14e9c0a"),
-    ("h-equation", 100, "rbcnk", 0): (66, "4981d6eb1f51b532a50686d5d7ad8780"),
+    ("h-equation", 100, "rbcnk", 0): (66, "e3cd336be6b71822fc87040f1de4fabc"),
 }
+# cells whose rounding depends on the BLAS thread count
+ONE_BLAS_THREAD = {("h-equation", 100, "rbcnk", 0)}
 
 # (problem, n, method): iterations of the deterministic averaged methods
 AVERAGED_COUNTS = {
@@ -67,13 +76,31 @@ def digest(report):
     return h.hexdigest()[:32]
 
 
-@pytest.mark.parametrize("cell", sorted(RECORDED), ids=lambda c: "-".join(map(str, c)))
-def test_history_is_bitwise_unchanged(cell):
+def outcome(cell):
     problem, n, method, seed = cell
     prob = get_problem(problem, n)
     report = run(prob.system, prob.x0, SolverConfig(method=method, seed=seed))
-    assert report.status.value == "converged"
-    assert (report.iters, digest(report)) == RECORDED[cell]
+    return [report.status.value, report.iters, digest(report)]
+
+
+def outcome_with_one_blas_thread(cell):
+    """``outcome(cell)`` in a fresh interpreter: BLAS fixes its thread count
+    when NumPy is first imported."""
+    paths = [str(Path(nlkaczmarz.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    code = f"import json, test_histories as t; print(json.dumps(t.outcome({cell!r})))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("cell", sorted(RECORDED), ids=lambda c: "-".join(map(str, c)))
+def test_history_is_bitwise_unchanged(cell):
+    got = outcome_with_one_blas_thread(cell) if cell in ONE_BLAS_THREAD else outcome(cell)
+    assert got == ["converged", *RECORDED[cell]]
 
 
 @pytest.mark.parametrize("cell", sorted(AVERAGED_COUNTS), ids=lambda c: "-".join(map(str, c)))

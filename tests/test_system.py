@@ -185,6 +185,10 @@ def test_hooks_are_checked():
         sys.block_vjp(np.array([4]), np.ones(1), x)
     with pytest.raises(ValueError):
         sys.row_norms_sq(x)
+    wide = NonlinearSystem(4, 3, lambda x: np.zeros(4), lambda i, x: np.zeros(3),
+                           gradient_rows=lambda idx, x: np.zeros((len(idx), 4)))
+    with pytest.raises(ValueError):
+        wide.gradient_rows(np.array([0, 1]), x)
 
 
 def test_dense_defaults_match_rows_and_jacobian(rng):
