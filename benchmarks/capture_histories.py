@@ -18,15 +18,25 @@ path (default: this checkout's ``src``).  ``diff`` compares floats by their
 bit patterns and messages as strings, prints one line per cell that changed,
 naming the first step that differs and any change of message, and exits 1
 when any cell differs.
+
+The capture runs with one BLAS thread, as ``perfbench`` does, because the
+RB-CNK block solve rounds differently with more than one.
 """
 from __future__ import annotations
 
-import argparse
-import math
-import pickle
-import struct
-import sys
-from pathlib import Path
+import os
+
+# one BLAS thread, pinned before anything imports NumPy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import math  # noqa: E402
+import pickle  # noqa: E402
+import struct  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 DETERMINISTIC = ("ngabk", "mrnabk", "rbcnk", "newton")
 STOCHASTIC = ("nrk", "rdcnk")

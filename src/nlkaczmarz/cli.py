@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import sys as _sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import diagnostics
 from .problems import PROBLEM_NAMES, get_problem
-from .solvers import Method, SolverConfig, Status, run, select_mrnabk, select_ngabk
+from .solvers import RANDOM_ROW, Method, SolverConfig, Status, run, select_mrnabk, select_ngabk
 from .system import IterateState
 
 CSV_HEADER = ["method", "problem", "n", "m", "rho", "iters",
@@ -35,7 +36,6 @@ SUITE_SIZES = {
 }
 
 BENCH_METHODS = [Method.MRNABK, Method.NGABK, Method.NRK, Method.RBCNK, Method.RDCNK]
-STOCHASTIC = {Method.NRK, Method.RDCNK}
 DIAG_SIZE_GUARD = 2000
 
 EXIT_OK = 0
@@ -127,7 +127,7 @@ def cmd_solve(args) -> int:
 
 def _bench_cell(problem, method: Method, rho: float, repeats: int,
                 seed_base: int, max_iters: int, tol_sq: float) -> Dict:
-    stochastic = method in STOCHASTIC
+    stochastic = method in RANDOM_ROW
     runs = []
     for r in range(repeats):
         seed = seed_base + r if stochastic else seed_base
@@ -206,7 +206,7 @@ def cmd_rho_sweep(args) -> int:
     sizes = [int(v) for v in args.sizes.split(",")]
     rows = []
     for n in sizes:
-        problem = get_problem(args.problem, n, dict(params))
+        problem = get_problem(args.problem, n, params)
         rows += [_bench_cell(problem, Method.MRNABK, rho, 1, 0, args.max_iters, args.tol_sq)
                  for rho in rhos]
     rows.sort(key=lambda r: (r["n"], r["rho"]))
@@ -228,6 +228,10 @@ def cmd_diagnose(args) -> int:
     if method not in (Method.NGABK, Method.MRNABK):
         print("diagnose: bounds exist for ngabk and mrnabk only", file=_sys.stderr)
         return EXIT_USAGE
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be 0 or more, got {args.pairs}")
+    if args.pair_radius is not None and not 0.0 < args.pair_radius < math.inf:
+        raise ValueError(f"--pair-radius must be finite and positive, got {args.pair_radius}")
 
     cfg = SolverConfig(method=method, rho=args.rho, max_iters=args.max_iters,
                        tol_sq=args.tol_sq, store_iterates=True)
@@ -292,11 +296,8 @@ def cmd_diagnose(args) -> int:
 
 
 def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--tol-sq", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=200_000)
-    p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="problem parameter, e.g. c=0.9 (repeatable)")
     p.add_argument("--out", help="output file (JSON for solve/diagnose, CSV for tables)")
 
 
@@ -325,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_solver_flags(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("rho-sweep", help="MRNABK relaxation-parameter sweep")
+    # no abbreviations, so that a --rho is refused rather than read as --rhos
+    p = sub.add_parser("rho-sweep", help="MRNABK relaxation-parameter sweep", allow_abbrev=False)
     p.add_argument("--problem", default="h-equation", choices=PROBLEM_NAMES)
     p.add_argument("--rhos", default="0.1,0.3,0.5,0.7,0.8,0.9")
     p.add_argument("--sizes", default="50,100")
@@ -344,6 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_solver_flags(p)
     p.set_defaults(func=cmd_diagnose)
 
+    # each subcommand takes only the flags it reads
+    for command in ("solve", "bench", "diagnose"):
+        sub.choices[command].add_argument("--rho", type=float, default=0.1)
+    for command in ("solve", "rho-sweep", "diagnose"):
+        sub.choices[command].add_argument("--param", action="append", metavar="KEY=VALUE",
+                                          help="problem parameter, e.g. c=0.9 (repeatable)")
     return parser
 
 

@@ -8,7 +8,7 @@ diagnostic use only), and compares against the single-row bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .solvers import BlockSelection, Method, SolverReport, select_mrnabk, select
 from .system import IterateState, NonlinearSystem
 
 DEGENERATE_SV_RTOL = 1e-12  # sigma_min below this times sigma_max counts as rank-deficient
+SKIP_BELOW = 1e-14  # a residual difference below this carries no cone information
 
 
 @dataclass
@@ -78,11 +79,10 @@ def sample_pairs(box: np.ndarray, count: int, radius: float,
 
 
 def estimate_cone(sys: NonlinearSystem,
-                  x_pairs: Iterable[Tuple[np.ndarray, np.ndarray]],
-                  skip_below: float = 1e-14) -> ConeEstimate:
+                  x_pairs: Iterable[Tuple[np.ndarray, np.ndarray]]) -> ConeEstimate:
     """Estimate xi_i = max over pairs of
     |f_i(x1) - f_i(x2) - grad f_i(x1)^T (x1 - x2)| / |f_i(x1) - f_i(x2)|,
-    skipping pairs whose denominator is below ``skip_below`` per row."""
+    skipping pairs whose denominator is below ``SKIP_BELOW`` per row."""
     xi_per_row = np.full(sys.m, np.nan)
     used = 0
     for x1, x2 in x_pairs:
@@ -90,7 +90,7 @@ def estimate_cone(sys: NonlinearSystem,
         x2 = np.asarray(x2, dtype=float)
         df = sys.residual(x1) - sys.residual(x2)
         lin = sys.jacobian(x1) @ (x1 - x2)
-        usable = np.abs(df) >= skip_below
+        usable = np.abs(df) >= SKIP_BELOW
         if not usable.any():
             continue
         used += 1
@@ -185,13 +185,12 @@ class VerifiedStep:
 
 def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
                                x_star: np.ndarray, method: Method = Method.NGABK,
-                               rho: float = 0.1,
-                               skip_below: float = 1e-14) -> List[VerifiedStep]:
+                               rho: float = 0.1) -> List[VerifiedStep]:
     """Trajectory steps where the contraction theorem's hypotheses hold
     verifiably for the pair (x_k, x*), with the bound evaluated there.
 
     A step qualifies when every row's residual difference is usable
-    (above ``skip_below``), the resulting pairwise cone constant is below
+    (above ``SKIP_BELOW``), the resulting pairwise cone constant is below
     1/2, the block lower-bound inequality holds for the pair, and the full
     Jacobian is not rank-deficient.  On qualifying steps the measured
     ratio ||x_{k+1}-x*||^2 / ||x_k-x*||^2 must obey the bound (up to
@@ -209,7 +208,7 @@ def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
         x = np.asarray(report.iterates[k], dtype=float)
         fx = sys.residual(x)
         df = fx - f_star
-        if not (np.abs(df) >= skip_below).all():
+        if not (np.abs(df) >= SKIP_BELOW).all():
             continue
         lin = sys.jacobian(x) @ (x - x_star)
         xi = float((np.abs(df - lin) / np.abs(df)).max())

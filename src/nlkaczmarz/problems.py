@@ -70,8 +70,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         return a * a * K_norms_sq + 2.0 * a * K_diag + 1.0
 
     return NonlinearSystem(N, N, residual, row_gradient, gradient_rows=gradient_rows,
-                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
-                           name=f"h-equation(N={N}, c={c})")
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq)
 
 
 def make_brown(n: int) -> NonlinearSystem:
@@ -131,8 +130,7 @@ def make_brown(n: int) -> NonlinearSystem:
 
     return NonlinearSystem(n, n, residual, row_gradient,
                            gradient_rows=gradient_rows, block_vjp=block_vjp,
-                           row_norms_sq=row_norms_sq, known_solution=np.ones(n),
-                           name=f"brown(n={n})")
+                           row_norms_sq=row_norms_sq, known_solution=np.ones(n))
 
 
 def make_singular_broyden(n: int) -> NonlinearSystem:
@@ -205,20 +203,16 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         return out
 
     return NonlinearSystem(n, n, residual, row_gradient, gradient_rows=gradient_rows,
-                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
-                           name=f"broyden(n={n})")
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq)
 
 
-def make_overdetermined_rational(n: int, squared_denominator: bool = False) -> NonlinearSystem:
+def make_overdetermined_rational(n: int) -> NonlinearSystem:
     """Overdetermined rational system with m = 2(n-1) equations.
 
     Equation pair for each i in 1..n-1 (odd/even rows):
         f_odd  = 10 * (2 x_i / (1 + x_i^2) - x_{i+1})
         f_even = x_i - 1
-    with root at the all-ones vector.  ``squared_denominator=True`` switches
-    the odd rows to 2 x_i / (1 + x_i^2)^2, a variant with no exact root
-    (the even rows force x_i = 1 but the odd rows then demand
-    x_{i+1} = 0.5); it is kept for comparison runs only.
+    with root at the all-ones vector.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -226,15 +220,12 @@ def make_overdetermined_rational(n: int, squared_denominator: bool = False) -> N
 
     def residual(x):
         xi = x[: n - 1]
-        den = (1.0 + xi**2) ** 2 if squared_denominator else (1.0 + xi**2)
         out = np.empty(m)
-        out[0::2] = 10.0 * (2.0 * xi / den - x[1:])
+        out[0::2] = 10.0 * (2.0 * xi / (1.0 + xi**2) - x[1:])
         out[1::2] = xi - 1.0
         return out
 
     def _rational_deriv(xi):
-        if squared_denominator:
-            return (2.0 - 6.0 * xi**2) / (1.0 + xi**2) ** 3
         return (2.0 - 2.0 * xi**2) / (1.0 + xi**2) ** 2
 
     def row_gradient(k, x):
@@ -273,10 +264,9 @@ def make_overdetermined_rational(n: int, squared_denominator: bool = False) -> N
         out[0::2] = a * a + 100.0
         return out
 
-    known = None if squared_denominator else np.ones(n)
     return NonlinearSystem(m, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
-                           known_solution=known, name=f"overdetermined(n={n})")
+                           known_solution=np.ones(n))
 
 
 @dataclass
@@ -317,11 +307,10 @@ def get_problem(name: str, n: int, params: Optional[Dict[str, float]] = None) ->
         box = _box(n, -1.0, 0.0)
         used = {}
     elif name == "overdetermined":
-        squared = bool(params.pop("squared_denominator", False))
-        sys = make_overdetermined_rational(n, squared_denominator=squared)
+        sys = make_overdetermined_rational(n)
         x0 = np.zeros(n)
         box = _box(n, -0.5, 1.5)
-        used = {"squared_denominator": float(squared)}
+        used = {}
     else:
         raise KeyError(f"unknown problem {name!r}; known: {PROBLEM_NAMES}")
     if params:

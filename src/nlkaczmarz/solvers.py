@@ -287,8 +287,9 @@ def _newton(sys, x, fx, r2, k, rng, rho):
     return state.x, state.fx, sys.m
 
 
-# methods whose next step draws a new row, so one zero step need not repeat
-_RANDOM_ROW = (Method.NRK, Method.RDCNK)
+# methods that draw their rows at random: the only ones a seed changes, and
+# the only ones whose next step draws a new row, so one zero step need not repeat
+RANDOM_ROW = (Method.NRK, Method.RDCNK)
 
 _STEPS = {
     Method.NGABK: lambda sys, x, fx, r2, k, rng, rho:
@@ -320,7 +321,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
     rng = np.random.default_rng(cfg.seed)
     step, rho, tol_sq, max_iters = _STEPS[cfg.method], cfg.rho, cfg.tol_sq, cfg.max_iters
-    stall_ends = cfg.method not in _RANDOM_ROW
+    stall_ends = cfg.method not in RANDOM_ROW
 
     history: List[Tuple[int, float, int, float]] = []
     iterates = [x.copy()] if cfg.store_iterates else None

@@ -114,7 +114,7 @@ class NonlinearSystem:
         Falls back to stacking single rows.
     jacobian
         Optional full Jacobian ``x -> (m, n) array``; falls back to
-        ``gradient_rows(range(m), x)``.
+        ``gradient_rows(range(m), x)``, whose DomainError names the row.
     block_vjp
         Optional ``(indices, w, x) -> (n,) array`` returning
         ``w @ gradient_rows(indices, x)`` without forming the rows.
@@ -140,7 +140,6 @@ class NonlinearSystem:
         block_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
         row_norms_sq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         known_solution: Optional[np.ndarray] = None,
-        name: str = "",
     ):
         if m < 1 or n < 1:
             raise ValueError(f"m and n must be positive, got m={m}, n={n}")
@@ -153,7 +152,6 @@ class NonlinearSystem:
         self._block_vjp = block_vjp
         self._row_norms_sq = row_norms_sq
         self.known_solution = None if known_solution is None else np.asarray(known_solution, dtype=float)
-        self.name = name
         self.counters = EvalCounters()
 
     # -- evaluation ------------------------------------------------------
@@ -230,7 +228,7 @@ class NonlinearSystem:
                 if math.isfinite(w.sum()) or np.isfinite(w).all():
                     return w
         # no hook, or a non-finite result: the dense Jacobian raises
-        # jacobian's DomainError
+        # jacobian's DomainError, with its row index when it is built from rows
         J = self._full_jacobian(x)
         return np.einsum("ij,ij->i", J, J)
 
@@ -247,14 +245,10 @@ class NonlinearSystem:
         return G
 
     def _full_jacobian(self, x: np.ndarray) -> np.ndarray:
+        if self._jacobian is None:
+            return self._rows(np.arange(self.m), x)
         with _quiet():
-            if self._jacobian is not None:
-                J = self._jacobian(x)
-            elif self._gradient_rows is not None:
-                J = self._gradient_rows(np.arange(self.m), x)
-            else:
-                J = np.stack([self._row_gradient(i, x) for i in range(self.m)])
-            J = _shaped("jacobian", J, (self.m, self.n))
+            J = _shaped("jacobian", self._jacobian(x), (self.m, self.n))
         if not np.isfinite(J).all():
             raise DomainError("non-finite entry in Jacobian")
         return J
@@ -286,15 +280,15 @@ class IterateState:
         return cls(x=x, fx=sys.residual(x), k=k)
 
 
-def fd_check(sys: NonlinearSystem, x: np.ndarray, h_scale: float = FD_H_SCALE) -> np.ndarray:
+def fd_check(sys: NonlinearSystem, x: np.ndarray) -> np.ndarray:
     """Per-row maximum relative deviation between analytic and central-difference Jacobian.
 
-    Step per coordinate is ``h_j = h_scale * max(1, |x_j|)``.  Returns an
+    Step per coordinate is ``h_j = FD_H_SCALE * max(1, |x_j|)``.  Returns an
     (m,) array of deviations; callers decide thresholds.
     """
     x = np.asarray(x, dtype=float)
     n, m = sys.n, sys.m
-    h = h_scale * np.maximum(1.0, np.abs(x))
+    h = FD_H_SCALE * np.maximum(1.0, np.abs(x))
     J_num = np.empty((m, n))
     for j in range(n):
         xp = x.copy()

@@ -15,7 +15,6 @@ def make_affine(A, b):
         row_gradient=lambda i, x: A[i].copy(),
         gradient_rows=lambda idx, x: A[idx].copy(),
         jacobian=lambda x: A.copy(),
-        name="affine",
     )
 
 

@@ -78,6 +78,49 @@ def test_non_finite_config_is_usage_error(flag, value, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("params,c,iters", [((), 0.9, 62), (("--param", "c=0.5"), 0.5, 12)])
+def test_param_reaches_the_problem(params, c, iters, capsys):
+    code = run_cli("solve", "--problem", "h-equation", "--n", "20", "--method", "ngabk", *params)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["params"] == {"c": c}
+    assert out["iters"] == iters
+
+
+def _exit_code(*argv):
+    # main's return value, or the code of argparse's usage error
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "h-equation", "--n", "20", "--method", "ngabk", "--param", "c"),
+    ("solve", "--problem", "overdetermined", "--n", "20", "--method", "ngabk",
+     "--param", "squared_denominator=1"),
+    # flags a subcommand does not read are not accepted
+    ("bench", "--suite", "h-equation", "--sizes", "20", "--repeats", "1", "--param", "c=0.5"),
+    ("rho-sweep", "--sizes", "20", "--rhos", "0.1", "--rho", "0.5"),
+], ids=["param-without-value", "unknown-param", "bench-param", "rho-sweep-rho"])
+def test_unread_or_malformed_flags_are_usage_errors(argv, capsys):
+    assert _exit_code(*argv) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (("--pair-radius", "nan"), "--pair-radius"),
+    (("--pair-radius", "inf"), "--pair-radius"),
+    (("--pair-radius", "0"), "--pair-radius"),
+    (("--pairs", "-3", "--pair-radius", "-1"), "--pairs"),
+])
+def test_diagnose_bad_pair_spec_is_usage_error(flags, named, capsys):
+    code = run_cli("diagnose", "--problem", "h-equation", "--n", "20", *flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err and captured.out == ""
+
+
 def test_non_finite_start_exit_code(capsys):
     code = run_cli("solve", "--problem", "brown", "--n", "10",
                    "--method", "ngabk", "--x0", "const:nan")

@@ -4,8 +4,6 @@ import pytest
 from nlkaczmarz import (
     DomainError,
     IterateState,
-    Method,
-    SolverConfig,
     fd_check,
     get_problem,
     make_brown,
@@ -13,7 +11,6 @@ from nlkaczmarz import (
     make_overdetermined_rational,
     make_singular_broyden,
     newton_step,
-    run,
 )
 from nlkaczmarz.problems import PROBLEM_NAMES
 from nlkaczmarz.system import NonlinearSystem
@@ -93,20 +90,6 @@ def test_overdetermined_shape_and_row_pattern():
     assert np.array_equal(fx[1::2], x[: n - 1] - 1.0)
 
 
-def test_overdetermined_squared_variant_has_no_root_at_ones():
-    sys = make_overdetermined_rational(4, squared_denominator=True)
-    fx = sys.residual(np.ones(4))
-    assert fx[0::2] == pytest.approx([-5.0, -5.0, -5.0])
-    assert np.array_equal(fx[1::2], np.zeros(3))
-    assert sys.known_solution is None
-
-
-def test_squared_variant_does_not_converge_quickly():
-    sys = make_overdetermined_rational(20, squared_denominator=True)
-    report = run(sys, np.zeros(20), SolverConfig(method=Method.MRNABK, max_iters=500))
-    assert report.iters == 500 or report.status.value != "converged"
-
-
 def test_registry_rejects_unknowns():
     with pytest.raises(KeyError):
         get_problem("nonexistent", 5)
@@ -134,11 +117,10 @@ def test_size_lower_bounds(n):
         make_overdetermined_rational(1)
 
 
-SPARSE_ROW_PROBLEMS = [("brown", {}), ("broyden", {}),
-                       ("overdetermined", {"squared_denominator": 0.0}),
-                       ("overdetermined", {"squared_denominator": 1.0})]
-# every problem with a block_vjp hook; the H-equation's rows are dense
-BLOCK_VJP_PROBLEMS = SPARSE_ROW_PROBLEMS + [("h-equation", {})]
+SPARSE_ROW_PROBLEMS = [("brown", {}), ("broyden", {}), ("overdetermined", {})]
+# every problem with structured row access; the H-equation's rows are dense,
+# and its hooks are checked at a second value of its model parameter c
+STRUCTURED_PROBLEMS = SPARSE_ROW_PROBLEMS + [("h-equation", {"c": 0.5}), ("h-equation", {})]
 
 
 def _index_sets(m, rng):
@@ -159,7 +141,7 @@ def _sparse_row_points(problem, rng):
 
 
 @pytest.mark.parametrize("n", [9, 40])
-@pytest.mark.parametrize("name,params", BLOCK_VJP_PROBLEMS)
+@pytest.mark.parametrize("name,params", STRUCTURED_PROBLEMS)
 def test_block_vjp_matches_dense_rows(name, params, n, rng):
     problem = get_problem(name, n, dict(params))
     sys = problem.system
@@ -174,7 +156,7 @@ def test_block_vjp_matches_dense_rows(name, params, n, rng):
 
 
 @pytest.mark.parametrize("n", [9, 40])
-@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS + [("h-equation", {})])
+@pytest.mark.parametrize("name,params", STRUCTURED_PROBLEMS)
 def test_row_norms_sq_match_jacobian(name, params, n, rng):
     problem = get_problem(name, n, dict(params))
     sys = problem.system
@@ -184,7 +166,7 @@ def test_row_norms_sq_match_jacobian(name, params, n, rng):
                            atol=0.0)
 
 
-@pytest.mark.parametrize("name,params", SPARSE_ROW_PROBLEMS + [("h-equation", {})])
+@pytest.mark.parametrize("name,params", STRUCTURED_PROBLEMS)
 def test_structured_access_counters(name, params, rng):
     problem = get_problem(name, 12, dict(params))
     sys = problem.system

@@ -59,8 +59,8 @@ def test_h_equation_domain_error_carries_index():
     (lambda sys, x: sys.row_gradient(0, x), 0),
     (lambda sys, x: sys.gradient_rows(np.array([0]), x), 0),
     (lambda sys, x: sys.block_vjp(np.array([0]), np.ones(1), x), 0),
-    (lambda sys, x: sys.row_norms_sq(x), None),
-    (lambda sys, x: sys.jacobian(x), None),
+    (lambda sys, x: sys.row_norms_sq(x), 0),
+    (lambda sys, x: sys.jacobian(x), 0),
 ], ids=["row_gradient", "gradient_rows", "block_vjp", "row_norms_sq", "jacobian"])
 def test_direct_evaluation_at_a_singular_point_raises_without_warnings(evaluate, index):
     # N = 1: the denominator 1 - (c/4) x of every gradient entry vanishes at x = 4 / c
