@@ -1,23 +1,18 @@
-"""Capture solver histories from a checkout and diff two captures bitwise.
+"""Record every solver history in a committed manifest, and check against it.
 
-A change that claims to leave the algorithm alone can be checked in two
-commands: capture with the old source tree, capture with the new one, diff.
+    python benchmarks/capture_histories.py record   # writes benchmarks/histories.json
+    python benchmarks/capture_histories.py check    # exits 1 if anything differs
 
-    python benchmarks/capture_histories.py capture old.pkl --src /path/to/old/src
-    python benchmarks/capture_histories.py capture new.pkl
-    python benchmarks/capture_histories.py diff old.pkl new.pkl
-
-``capture`` runs every cell (problem, n, method, seed, x0 spec): a grid of
-small sizes, a few starts away from the defaults, and every cell of the solve
-benchmark, read from ``perfbench/cells.py`` (stochastic cells with seeds
-0..k-1).  It pickles
-``{cell: (status, iters, final_residual_sq, history, message)}``.  A cell
-whose solve raises stores ``("raised", 0, nan, [], "")`` with the exception
-type and message in place of the status.  ``--src`` puts a source tree first on the import
-path (default: this checkout's ``src``).  ``diff`` compares floats by their
-bit patterns and messages as strings, prints one line per cell that changed,
-naming the first step that differs and any change of message, and exits 1
-when any cell differs.
+Both run every cell (problem, n, method, seed, x0 spec): a grid of small
+sizes, a few starts away from the defaults, and every cell of the solve
+benchmark in ``perfbench/cells.py`` (stochastic cells with seeds 0..k-1).
+Per cell, keyed ``problem/n/method/seed/x0``, the manifest keeps the status
+(``raised`` if the solve raises, with the exception as the message), the
+iteration count, ``float.hex()`` of the final ||f||^2, the message and the
+first 32 hex digits of the SHA-256 of the history records packed as
+``<qdqd`` and then the final ||f||^2.  It also records the NumPy version and
+the BLAS name, version and thread count, read as ``perfbench/run.py`` does.
+``check`` prints one line per cell or environment value that differs.
 
 The capture runs with one BLAS thread, as ``perfbench`` does, because the
 RB-CNK block solve rounds differently with more than one.
@@ -32,12 +27,20 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import math  # noqa: E402
-import pickle  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from cells import WORKLOADS  # noqa: E402
+from run import environment  # noqa: E402
+
+MANIFEST = ROOT / "benchmarks" / "histories.json"
+ENVIRONMENT = ("numpy", "blas", "blas_version", "blas_threads")
 DETERMINISTIC = ("ngabk", "mrnabk", "rbcnk", "newton")
 STOCHASTIC = ("nrk", "rdcnk")
 SIZES = {"h-equation": (20, 50), "brown": (20, 30, 50), "broyden": (30, 50),
@@ -61,16 +64,18 @@ EXTRA = (
     # RD-CNK where the H-equation's row norms are the step's largest cost
     ("h-equation", 100, "rdcnk", 0, "default"),
     ("h-equation", 300, "rdcnk", 0, "default"),
+    # seeds 0..3 of both seeded methods on the overdetermined n = 500 system,
+    # beyond the seeds the benchmark runs
+    ("overdetermined", 500, "nrk", 3, "default"),
+    ("overdetermined", 500, "rdcnk", 1, "default"),
+    ("overdetermined", 500, "rdcnk", 2, "default"),
+    ("overdetermined", 500, "rdcnk", 3, "default"),
 )
 MAX_ITERS = 50_000
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def benchmark_cells():
     """Every cell of every workload in ``perfbench/cells.py``."""
-    sys.path.insert(0, str(ROOT))
-    from perfbench.cells import WORKLOADS
-
     cells = []
     for workload in WORKLOADS.values():
         for problem, n, method, pinned, *count in workload:
@@ -89,7 +94,16 @@ def default_cells():
     return list(dict.fromkeys(cells + list(EXTRA) + benchmark_cells()))
 
 
+def digest(history, final_residual_sq):
+    h = hashlib.sha256()
+    for k, r2, block_size, step in history:
+        h.update(struct.pack("<qdqd", k, r2, block_size, step))
+    h.update(struct.pack("<d", final_residual_sq))
+    return h.hexdigest()[:32]
+
+
 def capture(cells):
+    """``{"problem/n/method/seed/x0": entry}`` for every cell, in key order."""
     import numpy as np
     from nlkaczmarz import SolverConfig, get_problem, run
 
@@ -105,71 +119,59 @@ def capture(cells):
         cfg = SolverConfig(method=method, seed=seed, max_iters=MAX_ITERS)
         try:
             r = run(prob.system, start, cfg)
-            out[(problem, n, method, seed, x0)] = (
-                r.status.value, r.iters, r.final_residual_sq,
-                [(int(k), float(r2), int(b), float(s)) for k, r2, b, s in r.history],
-                r.message)
-        except Exception as exc:  # recorded, so a diff shows the change of outcome
-            out[(problem, n, method, seed, x0)] = (
-                f"raised {type(exc).__name__}: {exc}", 0, math.nan, [], "")
-    return out
+            status, iters, final, history, message = (
+                r.status.value, r.iters, r.final_residual_sq, r.history, r.message)
+        except Exception as exc:  # recorded, so a check shows the change of outcome
+            status, iters, final, history, message = (
+                "raised", 0, float("nan"), [], f"{type(exc).__name__}: {exc}")
+        out[f"{problem}/{n}/{method}/{seed}/{x0}"] = {
+            "status": status, "iters": iters, "final_residual_sq": final.hex(),
+            "message": message, "digest": digest(history, final)}
+    return dict(sorted(out.items()))
 
 
-def _bits(value):
-    return struct.pack("<d", value) if isinstance(value, float) else value
-
-
-def first_difference(a, b):
-    """Index of the first history entry that differs bitwise, or None."""
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        if tuple(map(_bits, ra)) != tuple(map(_bits, rb)):
-            return i
-    return None if len(a) == len(b) else min(len(a), len(b))
-
-
-def diff(old, new) -> int:
-    changed = 0
-    for cell in sorted(old.keys() | new.keys()):
-        if cell not in old or cell not in new:
-            print(f"{cell}: only in {'new' if cell in new else 'old'} capture")
-            changed += 1
-            continue
-        (s0, k0, f0, h0, m0), (s1, k1, f1, h1, m1) = old[cell], new[cell]
-        step = first_difference(h0, h1)
-        if s0 == s1 and k0 == k1 and _bits(f0) == _bits(f1) and step is None and m0 == m1:
-            continue
-        changed += 1
-        where = "" if step is None else f", history differs from step {step}"
-        said = "" if m0 == m1 else f", message {m0!r} -> {m1!r}"
-        print(f"{cell}: {s0} after {k0} -> {s1} after {k1}{where}{said}")
-    print(f"{len(old.keys() & new.keys())} cells compared, {changed} differ")
-    return 1 if changed else 0
+def check(recorded, found) -> int:
+    """Print one line per value of ``found`` that differs from ``recorded``;
+    1 if any does, else 0."""
+    differ = 0
+    for key in ENVIRONMENT:
+        old, new = recorded["environment"].get(key), found["environment"][key]
+        if old != new:
+            print(f"environment {key}: recorded {old!r}, found {new!r}")
+            differ += 1
+    old_cells, new_cells = recorded["cells"], found["cells"]
+    for cell in sorted(old_cells.keys() | new_cells.keys()):
+        if cell not in new_cells:
+            changed = ["no longer captured"]
+        elif cell not in old_cells:
+            changed = ["not in the manifest"]
+        else:
+            old, new = old_cells[cell], new_cells[cell]
+            changed = [f"{field} {old[field]!r} -> {new[field]!r}"
+                       for field in old if old[field] != new[field]]
+        if changed:
+            print(f"{cell}: {', '.join(changed)}")
+            differ += 1
+    print(f"{len(new_cells)} cells checked against {MANIFEST.name}, {differ} differences")
+    return 1 if differ else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("capture", help="run every cell and pickle the outcomes")
-    p.add_argument("out")
-    p.add_argument("--src", default=str(ROOT / "src"))
-    p = sub.add_parser("diff", help="compare two captures bitwise")
-    p.add_argument("old")
-    p.add_argument("new")
+    sub.add_parser("record", help=f"capture every cell and write {MANIFEST.name}")
+    sub.add_parser("check", help=f"capture every cell and compare with {MANIFEST.name}")
     args = parser.parse_args(argv)
 
-    if args.command == "capture":
-        sys.path.insert(0, args.src)
-        outcomes = capture(default_cells())
-        with open(args.out, "wb") as fh:
-            pickle.dump(outcomes, fh)
-        print(f"{len(outcomes)} cells written to {args.out}")
+    env = environment()
+    found = {"environment": {key: env[key] for key in ENVIRONMENT},
+             "cells": capture(default_cells())}
+    if args.command == "record":
+        MANIFEST.write_text(json.dumps(found, indent=2) + "\n")
+        print(f"{len(found['cells'])} cells written to {MANIFEST.relative_to(ROOT)}")
         return 0
-    with open(args.old, "rb") as fh:
-        old = pickle.load(fh)
-    with open(args.new, "rb") as fh:
-        new = pickle.load(fh)
-    return diff(old, new)
+    return check(json.loads(MANIFEST.read_text()), found)
 
 
 if __name__ == "__main__":

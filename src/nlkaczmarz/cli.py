@@ -1,14 +1,16 @@
 """Benchmark command line: solve, bench, rho-sweep, diagnose.
 
-Outputs are JSON for single runs and CSV (comma, header row, LF) for
-tables.  Relative output paths are resolved against $NLKACZMARZ_OUTDIR
-when set.  Exit codes: 0 success, 2 usage error, 3 numerical breakdown,
-4 diagnostic size guard exceeded.
+Outputs are strict JSON for single runs, with a non-finite float written as
+null, and CSV (comma, header row, LF) for tables.  Relative output paths are
+resolved against $NLKACZMARZ_OUTDIR when set.  Exit codes: 0 success, 2 usage
+error or an output that cannot be written, 3 numerical breakdown, 4
+diagnostic size guard exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -44,15 +46,43 @@ EXIT_BREAKDOWN = 3
 EXIT_SIZE_GUARD = 4
 
 
-def _out_path(path: Optional[str]) -> Optional[Path]:
-    if path is None:
-        return None
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, resolved against $NLKACZMARZ_OUTDIR when
+    relative, creating its parent directories.  A path that cannot be
+    written is a usage error that names it."""
     p = Path(path)
     base = os.environ.get("NLKACZMARZ_OUTDIR")
     if base and not p.is_absolute():
         p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(text, newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {p}: {exc}") from None
+
+
+def _json(payload) -> str:
+    """``payload`` as strict JSON: a non-finite float is written as null."""
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
+    return json.dumps(finite(payload), indent=2)
+
+
+def _csv(header: List[str], rows) -> str:
+    """CSV with a header row and LF line ends: a float is written by ``repr``
+    and None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _parse_params(items: Optional[List[str]]) -> Dict[str, float]:
@@ -61,6 +91,8 @@ def _parse_params(items: Optional[List[str]]) -> Dict[str, float]:
         key, _, value = item.partition("=")
         if not _:
             raise ValueError(f"--param expects key=value, got {item!r}")
+        if key in params:
+            raise ValueError(f"--param {key} is given more than once")
         params[key] = float(value)
     return params
 
@@ -106,19 +138,12 @@ def cmd_solve(args) -> int:
         "message": report.message,
         "counters": vars(problem.system.counters),
     }
-    out = _out_path(args.out)
-    text = json.dumps(payload, indent=2)
-    if out:
-        out.write_text(text + "\n")
-    print(text)
-
+    text = _json(payload)
+    if args.out:
+        _write(args.out, text + "\n")
     if args.history:
-        hist = _out_path(args.history)
-        with hist.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "residual_sq", "block_size", "step_norm"])
-            for row in report.history:
-                writer.writerow([row[0], repr(row[1]), row[2], repr(row[3])])
+        _write(args.history, _csv(["k", "residual_sq", "block_size", "step_norm"], report.history))
+    print(text)
     return EXIT_BREAKDOWN if report.status is Status.BREAKDOWN else EXIT_OK
 
 
@@ -160,24 +185,14 @@ def _bench_cell(problem, method: Method, rho: float, repeats: int,
     }
 
 
-def _write_table(rows: List[Dict], out: Optional[Path], json_out: Optional[Path]) -> None:
-    def fmt(value):
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return value
-
-    lines = [",".join(CSV_HEADER)]
-    for row in rows:
-        lines.append(",".join(str(fmt(row[c])) for c in CSV_HEADER))
-    text = "\n".join(lines) + "\n"
+def _write_table(rows: List[Dict], out: Optional[str], json_out: Optional[str]) -> None:
+    text = _csv(CSV_HEADER, ([row[c] for c in CSV_HEADER] for row in rows))
+    if json_out:
+        _write(json_out, _json(rows) + "\n")
     if out:
-        out.write_text(text)
+        _write(out, text)
     else:
         _sys.stdout.write(text)
-    if json_out:
-        json_out.write_text(json.dumps(rows, indent=2) + "\n")
 
 
 def cmd_bench(args) -> int:
@@ -193,7 +208,7 @@ def cmd_bench(args) -> int:
                 rows.append(_bench_cell(problem, method, args.rho, args.repeats,
                                         args.seed_base, args.max_iters, args.tol_sq))
     rows.sort(key=lambda r: (r["problem"], r["n"], r["method"]))
-    _write_table(rows, _out_path(args.out), _out_path(args.json))
+    _write_table(rows, args.out, args.json)
     return EXIT_OK
 
 
@@ -210,7 +225,7 @@ def cmd_rho_sweep(args) -> int:
         rows += [_bench_cell(problem, Method.MRNABK, rho, 1, 0, args.max_iters, args.tol_sq)
                  for rho in rhos]
     rows.sort(key=lambda r: (r["n"], r["rho"]))
-    _write_table(rows, _out_path(args.out), _out_path(args.json))
+    _write_table(rows, args.out, args.json)
     return EXIT_OK
 
 
@@ -284,10 +299,9 @@ def cmd_diagnose(args) -> int:
                  "condition_holds": cone.condition_holds},
         "steps": steps,
     }
-    text = json.dumps(payload, indent=2)
-    out = _out_path(args.out)
-    if out:
-        out.write_text(text + "\n")
+    text = _json(payload)
+    if args.out:
+        _write(args.out, text + "\n")
     print(text)
     return EXIT_BREAKDOWN if report.status is Status.BREAKDOWN else EXIT_OK
 

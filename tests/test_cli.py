@@ -317,3 +317,44 @@ def test_bench_reports_an_overflow_as_a_breakdown_row(tmp_path, capsys):
     rows = {r["method"]: r for r in json.loads(sidecar.read_text())}
     assert len(rows) == 5
     assert rows["rdcnk"]["status"] == "breakdown"
+
+
+H_EQUATION_20 = ("--problem", "h-equation", "--n", "20", "--method", "ngabk")
+
+
+def test_repeated_param_is_usage_error(capsys):
+    code = run_cli("solve", *H_EQUATION_20, "--param", "c=0.5", "--param", "c=0.7")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--param c " in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,target", [
+    (("solve", *H_EQUATION_20, "--out"), "dir"),
+    (("solve", *H_EQUATION_20, "--history"), "dir"),
+    (("bench", "--suite", "overdetermined", "--sizes", "6", "--repeats", "1", "--json"), "dir"),
+    (("solve", *H_EQUATION_20, "--out"), "file/run.json"),
+], ids=["out-directory", "history-directory", "json-directory", "out-under-a-file"])
+def test_unwritable_output_is_usage_error(argv, target, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    code = run_cli(*argv, path)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"cannot write {path}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,sidecar", [
+    (("solve", "--problem", "brown", "--n", "30", "--method", "rdcnk"), False),
+    (("solve", "--problem", "brown", "--n", "10", "--method", "ngabk", "--x0", "const:nan"), False),
+    (("bench", "--suite", "brown", "--sizes", "30", "--repeats", "1", "--json"), True),
+    (("diagnose", "--problem", "broyden", "--n", "20", "--pairs", "0", "--max-iters", "1"), False),
+], ids=["solve-overflow", "solve-nan-start", "bench-sidecar", "diagnose-xi"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_json_is_strict(argv, sidecar, tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    run_cli(*argv, *([str(path)] if sidecar else []))
+    out = capsys.readouterr().out
+    text = path.read_text() if sidecar else out
+    json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} is not strict JSON"))
