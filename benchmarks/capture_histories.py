@@ -10,8 +10,11 @@ Per cell, keyed ``problem/n/method/seed/x0``, the manifest keeps the status
 (``raised`` if the solve raises, with the exception as the message), the
 iteration count, ``float.hex()`` of the final ||f||^2, the message and the
 first 32 hex digits of the SHA-256 of the history records packed as
-``<qdqd`` and then the final ||f||^2.  It also records the NumPy version and
-the BLAS name, version and thread count, read as ``perfbench/run.py`` does.
+``<qdqd`` and then the final ||f||^2, and the evaluation counters
+(``residual_evals``, ``row_gradient_evals``, ``jacobian_evals``) of the
+cell's solve, which builds its own problem.  It also records the NumPy
+version and the BLAS name, version and thread count, read as
+``perfbench/run.py`` does.
 ``check`` prints one line per cell or environment value that differs.
 
 The capture runs with one BLAS thread, as ``perfbench`` does, because the
@@ -70,6 +73,11 @@ EXTRA = (
     ("overdetermined", 500, "rdcnk", 1, "default"),
     ("overdetermined", 500, "rdcnk", 2, "default"),
     ("overdetermined", 500, "rdcnk", 3, "default"),
+    # single-row steps far from the default start, where the residual
+    # refreshed on the rows a projection touches meets huge or negative x
+    ("overdetermined", 100, "nrk", 0, "const:1e100"),
+    ("overdetermined", 100, "rdcnk", 0, "const:-7"),
+    ("broyden", 30, "rdcnk", 0, "const:1e30"),
 )
 MAX_ITERS = 50_000
 
@@ -126,7 +134,8 @@ def capture(cells):
                 "raised", 0, float("nan"), [], f"{type(exc).__name__}: {exc}")
         out[f"{problem}/{n}/{method}/{seed}/{x0}"] = {
             "status": status, "iters": iters, "final_residual_sq": final.hex(),
-            "message": message, "digest": digest(history, final)}
+            "message": message, "digest": digest(history, final),
+            **vars(prob.system.counters)}
     return dict(sorted(out.items()))
 
 

@@ -46,16 +46,34 @@ EXIT_BREAKDOWN = 3
 EXIT_SIZE_GUARD = 4
 
 
-def _write(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, resolved against $NLKACZMARZ_OUTDIR when
-    relative, creating its parent directories.  A path that cannot be
-    written is a usage error that names it."""
+def _output(path: Optional[str]) -> Optional[Path]:
+    """``path`` resolved against $NLKACZMARZ_OUTDIR when relative, with its
+    parent directories created and the file opened for appending once (and
+    removed again if that created it), so that each command can learn that
+    an output cannot be written before it solves anything.  A path that
+    cannot be written is a usage error that names it."""
+    if not path:
+        return None
     p = Path(path)
     base = os.environ.get("NLKACZMARZ_OUTDIR")
     if base and not p.is_absolute():
         p = Path(base) / p
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
+        existed = p.exists()
+        with p.open("a"):
+            pass
+        if not existed:
+            p.unlink()
+    except OSError as exc:
+        raise ValueError(f"cannot write {p}: {exc}") from None
+    return p
+
+
+def _write(p: Path, text: str) -> None:
+    """Write ``text`` to the resolved output ``p``; a failure is the same
+    usage error as ``_output``'s."""
+    try:
         p.write_text(text, newline="")
     except OSError as exc:
         raise ValueError(f"cannot write {p}: {exc}") from None
@@ -121,6 +139,7 @@ def cmd_solve(args) -> int:
     cfg = SolverConfig(method=args.method, rho=args.rho, max_iters=args.max_iters,
                        tol_sq=args.tol_sq, seed=args.seed)
     x0 = _initial_point(args.x0, problem)
+    out, history = _output(args.out), _output(args.history)
     report, wall_ms = _timed_run(problem.system, x0, cfg)
 
     payload = {
@@ -139,10 +158,10 @@ def cmd_solve(args) -> int:
         "counters": vars(problem.system.counters),
     }
     text = _json(payload)
-    if args.out:
-        _write(args.out, text + "\n")
-    if args.history:
-        _write(args.history, _csv(["k", "residual_sq", "block_size", "step_norm"], report.history))
+    if out:
+        _write(out, text + "\n")
+    if history:
+        _write(history, _csv(["k", "residual_sq", "block_size", "step_norm"], report.history))
     print(text)
     return EXIT_BREAKDOWN if report.status is Status.BREAKDOWN else EXIT_OK
 
@@ -185,7 +204,7 @@ def _bench_cell(problem, method: Method, rho: float, repeats: int,
     }
 
 
-def _write_table(rows: List[Dict], out: Optional[str], json_out: Optional[str]) -> None:
+def _write_table(rows: List[Dict], out: Optional[Path], json_out: Optional[Path]) -> None:
     text = _csv(CSV_HEADER, ([row[c] for c in CSV_HEADER] for row in rows))
     if json_out:
         _write(json_out, _json(rows) + "\n")
@@ -200,6 +219,7 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--repeats must be positive, got {args.repeats}")
     suites = list(SUITE_SIZES) if args.suite == "all" else [args.suite]
     sizes_override = [int(s) for s in args.sizes.split(",")] if args.sizes else None
+    out, json_out = _output(args.out), _output(args.json)
     rows = []
     for suite in suites:
         for n in sizes_override or SUITE_SIZES[suite]:
@@ -208,7 +228,7 @@ def cmd_bench(args) -> int:
                 rows.append(_bench_cell(problem, method, args.rho, args.repeats,
                                         args.seed_base, args.max_iters, args.tol_sq))
     rows.sort(key=lambda r: (r["problem"], r["n"], r["method"]))
-    _write_table(rows, args.out, args.json)
+    _write_table(rows, out, json_out)
     return EXIT_OK
 
 
@@ -219,13 +239,14 @@ def cmd_rho_sweep(args) -> int:
     params = _parse_params(args.param)
     rhos = [float(v) for v in args.rhos.split(",")]
     sizes = [int(v) for v in args.sizes.split(",")]
+    out, json_out = _output(args.out), _output(args.json)
     rows = []
     for n in sizes:
         problem = get_problem(args.problem, n, params)
         rows += [_bench_cell(problem, Method.MRNABK, rho, 1, 0, args.max_iters, args.tol_sq)
                  for rho in rhos]
     rows.sort(key=lambda r: (r["n"], r["rho"]))
-    _write_table(rows, args.out, args.json)
+    _write_table(rows, out, json_out)
     return EXIT_OK
 
 
@@ -250,6 +271,7 @@ def cmd_diagnose(args) -> int:
 
     cfg = SolverConfig(method=method, rho=args.rho, max_iters=args.max_iters,
                        tol_sq=args.tol_sq, store_iterates=True)
+    out = _output(args.out)
     report, _ = _timed_run(system, problem.x0, cfg)
 
     rng = np.random.default_rng(args.seed)
@@ -300,8 +322,8 @@ def cmd_diagnose(args) -> int:
         "steps": steps,
     }
     text = _json(payload)
-    if args.out:
-        _write(args.out, text + "\n")
+    if out:
+        _write(out, text + "\n")
     print(text)
     return EXIT_BREAKDOWN if report.status is Status.BREAKDOWN else EXIT_OK
 

@@ -7,7 +7,10 @@ norms, computed from the nonzeros alone with index arithmetic and
 ``np.bincount``.  The dense H-equation supplies the block product from one
 gather of its kernel rows, without forming the gradient rows, and the row
 norms in closed form from one matrix-vector product and the kernel's row
-norms and diagonal, computed once.
+norms and diagonal, computed once.  Broyden and the overdetermined system,
+whose residual rows read at most three neighbouring columns, also recompute
+the residual after a single-row step on the rows that read that row's
+columns alone.
 ``get_problem`` adds the conventional initial point and a per-coordinate
 sampling box used for finite-difference validation and cone-constant
 estimation.
@@ -202,8 +205,27 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         out[:-1] += (2.0 * s[:-1]) ** 2
         return out
 
+    def residual_after_row(i, x, fx):
+        # row i moves columns i-1..i+1, which rows i-2..i+2 read; each is
+        # recomputed with _g's operations in its order, on Python floats,
+        # squared by a product because ** raises OverflowError on them
+        lo, hi = max(i - 2, 0), min(i + 3, n)
+        start = max(lo - 1, 0)
+        xs = x[start:hi + 1].tolist()
+        out = fx.copy()
+        for k in range(lo, hi):
+            j = k - start
+            gk = (3.0 - 2.0 * xs[j]) * xs[j] + 1.0
+            if k > 0:
+                gk -= xs[j - 1]
+            if k < n - 1:
+                gk -= 2.0 * xs[j + 1]
+            out[k] = gk * gk
+        return out
+
     return NonlinearSystem(n, n, residual, row_gradient, gradient_rows=gradient_rows,
-                           block_vjp=block_vjp, row_norms_sq=row_norms_sq)
+                           block_vjp=block_vjp, row_norms_sq=row_norms_sq,
+                           residual_after_row=residual_after_row)
 
 
 def make_overdetermined_rational(n: int) -> NonlinearSystem:
@@ -264,8 +286,23 @@ def make_overdetermined_rational(n: int) -> NonlinearSystem:
         out[0::2] = a * a + 100.0
         return out
 
+    def residual_after_row(k, x, fx):
+        # row k moves columns p and p+1 (p = k // 2), which the pairs p-1..p+1
+        # read; each is recomputed with residual's operations in its order,
+        # on Python floats, squared by a product because ** raises
+        # OverflowError on them; 1 + x^2 is never 0
+        lo, hi = max(k // 2 - 1, 0), min(k // 2 + 2, n - 1)
+        out = fx.copy()
+        xs = x[lo:hi + 1].tolist()
+        for p in range(lo, hi):
+            xp = xs[p - lo]
+            out[2 * p] = 10.0 * (2.0 * xp / (1.0 + xp * xp) - xs[p + 1 - lo])
+            out[2 * p + 1] = xp - 1.0
+        return out
+
     return NonlinearSystem(m, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
+                           residual_after_row=residual_after_row,
                            known_solution=np.ones(n))
 
 

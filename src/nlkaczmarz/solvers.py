@@ -203,15 +203,20 @@ def _sample_row(fx, r2, rng, k) -> int:
 
 
 def _projected(sys, x, fx, i, k):
-    """(x - (f_i / ||grad f_i||^2) grad f_i, its residual, 1)."""
+    """(x - (f_i / ||grad f_i||^2) grad f_i, its residual, 1).  The residual
+    is refreshed on the rows that read row i's columns alone when the step
+    length c is finite: only then is c * 0 = 0 off the support.  (A -0.0
+    there can still turn into +0.0, which may flip the sign of a zero
+    residual component; no step reads one, as a selected row has f_i != 0.)"""
     g = sys.row_gradient(i, x)
     w = g.dot(g)
     if not math.isfinite(w):  # inside run() the only check that g is finite
         _check_gradient(g, i)
     if w < BREAKDOWN_EPS:
         raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
-    x = x - (fx[i] / w) * g
-    return x, sys.residual(x), 1
+    c = fx[i] / w
+    x = x - c * g
+    return x, sys.residual_after_row(i, x, fx) if math.isfinite(c) else sys.residual(x), 1
 
 
 def rbcnk_step(sys: NonlinearSystem, state: IterateState,

@@ -7,13 +7,15 @@ rows; a full-Jacobian view exists for the baselines and diagnostics that
 genuinely need it, and its use is counted separately so per-iteration cost
 differences stay visible.  Two structured views, the block vector-Jacobian
 product and the row norms, let a problem with sparse rows serve the
-averaged step and the capped selection without forming dense rows.
+averaged step and the capped selection without forming dense rows; a third,
+the residual after a single-row step, lets it recompute only the residual
+rows that the step's columns reach.
 
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
 result is reported as a :class:`DomainError` instead.  Called directly, an
 evaluation enters its own ``np.errstate``; inside :func:`solve_scope`, which
 ``run()`` enters once per solve, it relies on that scope's.  There the
-residual and row gradients of the system being solved skip their finiteness
+residuals and row gradients of the system being solved skip their finiteness
 scan: the solver's ||f||^2 and ||grad f_i||^2 are the check, and a
 non-finite norm raises the same :class:`DomainError`.
 """
@@ -41,9 +43,10 @@ _NO_SCOPE = contextlib.nullcontext()
 def solve_scope(system: "NonlinearSystem"):
     """Ignore every NumPy floating-point warning until exit, once for all the
     evaluations made inside, which then skip their own ``np.errstate``.
-    ``system``'s ``residual`` and ``row_gradient`` also skip their finiteness
-    checks, which the solver makes on its norms (``_check_residual``,
-    ``_check_gradient``); every other system keeps them."""
+    ``system``'s ``residual``, ``residual_after_row`` and ``row_gradient``
+    also skip their finiteness checks, which the solver makes on its norms
+    (``_check_residual``, ``_check_gradient``); every other system keeps
+    them."""
     token = _SOLVING.set(system)
     try:
         with np.errstate(all="ignore"):
@@ -121,6 +124,12 @@ class NonlinearSystem:
     row_norms_sq
         Optional ``x -> (m,) array`` of squared Jacobian row norms,
         without forming the Jacobian.
+    residual_after_row
+        Optional ``(i, x, fx) -> (m,) array`` returning ``residual(x)``
+        bit for bit, given the residual ``fx`` at a point that differs
+        from ``x`` only in the columns of row i's gradient: only the rows
+        that read those columns are recomputed, the rest are copied from
+        ``fx``, which is not written.
     known_solution
         Optional root, when analytically available.
 
@@ -139,6 +148,7 @@ class NonlinearSystem:
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         block_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
         row_norms_sq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        residual_after_row: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None,
         known_solution: Optional[np.ndarray] = None,
     ):
         if m < 1 or n < 1:
@@ -151,6 +161,7 @@ class NonlinearSystem:
         self._jacobian = jacobian
         self._block_vjp = block_vjp
         self._row_norms_sq = row_norms_sq
+        self._residual_after_row = residual_after_row
         self.known_solution = None if known_solution is None else np.asarray(known_solution, dtype=float)
         self.counters = EvalCounters()
 
@@ -166,6 +177,28 @@ class NonlinearSystem:
         with _quiet():
             fx = _shaped("residual", self._residual(x), (self.m,))
             # a finite fx.dot(fx) rules out inf and nan; scan only when it is not
+            if not math.isfinite(fx.dot(fx)):
+                _check_residual(fx)
+        return fx
+
+    def residual_after_row(self, i: int, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        """f(x), from the residual ``fx`` at a point that differs from x only
+        in the columns of row i's gradient: the ``residual_after_row`` hook,
+        or ``residual(x)`` without one.  Counted, checked and silenced as
+        ``residual`` is."""
+        if self._residual_after_row is None:
+            return self.residual(x)
+        if not 0 <= i < self.m:
+            raise IndexError(f"row index {i} out of range [0, {self.m})")
+        x = self._check_point(x)
+        fx = np.asarray(fx, dtype=float)
+        if fx.shape != (self.m,):
+            raise ValueError(f"residual has shape {fx.shape}, expected ({self.m},)")
+        self.counters.residual_evals += 1
+        if _SOLVING.get() is self:
+            return _shaped("residual_after_row", self._residual_after_row(i, x, fx), (self.m,))
+        with _quiet():
+            fx = _shaped("residual_after_row", self._residual_after_row(i, x, fx), (self.m,))
             if not math.isfinite(fx.dot(fx)):
                 _check_residual(fx)
         return fx

@@ -345,6 +345,32 @@ def test_unwritable_output_is_usage_error(argv, target, tmp_path, capsys):
     assert f"cannot write {path}" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("bench", "--suite", "overdetermined", "--sizes", "6", "--repeats", "1", "--json"),
+    ("bench", "--suite", "overdetermined", "--sizes", "6", "--repeats", "1", "--out"),
+    ("rho-sweep", "--problem", "overdetermined", "--sizes", "6", "--json"),
+    ("solve", *H_EQUATION_20, "--history"),
+    ("diagnose", "--problem", "broyden", "--n", "20", "--pairs", "0", "--out"),
+], ids=["bench-json", "bench-out", "rho-sweep-json", "solve-history", "diagnose-out"])
+def test_unwritable_output_fails_before_any_solve(argv, tmp_path, monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(cli, "_bench_cell", lambda *args: solves.append(args))
+    monkeypatch.setattr(cli, "_timed_run", lambda *args: solves.append(args))
+    code = run_cli(*argv, str(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2 and solves == []
+    assert f"cannot write {tmp_path}" in captured.err and captured.out == ""
+
+
+def test_probing_an_output_leaves_no_file(tmp_path, capsys):
+    # --out is probed, and removed again, before --history fails its probe
+    out = tmp_path / "new" / "run.json"
+    code = run_cli("solve", *H_EQUATION_20, "--out", str(out), "--history", str(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2 and f"cannot write {tmp_path}" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,sidecar", [
     (("solve", "--problem", "brown", "--n", "30", "--method", "rdcnk"), False),
     (("solve", "--problem", "brown", "--n", "10", "--method", "ngabk", "--x0", "const:nan"), False),

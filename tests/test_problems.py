@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlkaczmarz import (
     DomainError,
@@ -13,7 +15,7 @@ from nlkaczmarz import (
     newton_step,
 )
 from nlkaczmarz.problems import PROBLEM_NAMES
-from nlkaczmarz.system import NonlinearSystem
+from nlkaczmarz.system import NonlinearSystem, solve_scope
 
 
 @pytest.mark.parametrize("name,n", [("h-equation", 12), ("brown", 8), ("broyden", 9),
@@ -302,3 +304,42 @@ def test_h_equation_row_norms_charge_one_jacobian_without_forming_it(monkeypatch
         sys.row_norms_sq(rng.uniform(0.0, 1.0, size=40))
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 3)
+
+
+# any float, with the values where rounding, overflow and NaN propagation are
+# most likely to tell two operation orders apart drawn more often
+ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e155, -1e155, 1e200, -1e200,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     np.inf, -np.inf, np.nan, -np.nan]),
+    st.floats(),
+)
+
+
+def _support(name, n, i):
+    """The columns of row i's gradient."""
+    if name == "broyden":
+        return list(range(max(i - 1, 0), min(i + 2, n)))
+    p = i // 2
+    return [p, p + 1] if i % 2 == 0 else [p]
+
+
+@pytest.mark.parametrize("name", ["broyden", "overdetermined"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_residual_after_row_is_bitwise_the_residual(name, data):
+    n = data.draw(st.integers(2, 60), label="n")
+    sys = get_problem(name, n).system
+    x_old = np.array(data.draw(st.lists(ANY_FLOAT, min_size=n, max_size=n), label="x"))
+    i = data.draw(st.integers(0, sys.m - 1), label="row")
+    cols = _support(name, n, i)
+    x_new = x_old.copy()
+    x_new[cols] = data.draw(st.lists(ANY_FLOAT, min_size=len(cols), max_size=len(cols)),
+                            label="support")
+    # inside the solve scope the wrapper leaves non-finite values to the caller
+    with solve_scope(sys):
+        fx = sys.residual(x_old)
+        before = fx.tobytes()
+        refreshed = sys.residual_after_row(i, x_new, fx)
+        assert refreshed.tobytes() == sys.residual(x_new).tobytes()
+    assert fx.tobytes() == before

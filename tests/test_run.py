@@ -1,3 +1,5 @@
+import math
+import struct
 import threading
 
 import numpy as np
@@ -5,12 +7,15 @@ import pytest
 
 from nlkaczmarz import (
     DomainError,
+    IterateState,
     Method,
     NonlinearSystem,
     SolverConfig,
     Status,
     get_problem,
     make_h_equation,
+    make_singular_broyden,
+    nrk_step,
     run,
 )
 from nlkaczmarz.system import _SOLVING, solve_scope
@@ -285,3 +290,60 @@ def test_a_solve_in_another_thread_does_not_silence_direct_calls():
         worker.join(30)
     assert not worker.is_alive()
     assert reports[0].status is Status.CONVERGED
+
+
+def _without_refresh(sys):
+    """``sys`` built again from the same callables, without its
+    ``residual_after_row`` hook."""
+    return NonlinearSystem(sys.m, sys.n, sys._residual, sys._row_gradient,
+                           gradient_rows=sys._gradient_rows, jacobian=sys._jacobian,
+                           block_vjp=sys._block_vjp, row_norms_sq=sys._row_norms_sq,
+                           known_solution=sys.known_solution)
+
+
+def _report_bits(sys, report):
+    history = b"".join(struct.pack("<qdqd", *record) for record in report.history)
+    return (report.status, report.iters, history, report.message,
+            struct.pack("<d", report.final_residual_sq), vars(sys.counters))
+
+
+@pytest.mark.parametrize("start", ["default", "const:1e100", "const:-7", "const:1e30"])
+@pytest.mark.parametrize("problem,n", [("broyden", 30), ("overdetermined", 100)])
+@pytest.mark.parametrize("method", [Method.NRK, Method.RDCNK])
+def test_refreshed_residual_leaves_the_report_unchanged(method, problem, n, start):
+    for seed in range(4):
+        prob = get_problem(problem, n)
+        x0 = prob.x0 if start == "default" else float(start[6:]) * np.ones(n)
+        cfg = SolverConfig(method=method, seed=seed, max_iters=5000)
+        refreshes = []
+        hook = prob.system._residual_after_row
+        prob.system._residual_after_row = lambda i, x, fx: refreshes.append(i) or hook(i, x, fx)
+        plain = _without_refresh(prob.system)
+        report = run(prob.system, x0, cfg)
+        # every completed step refreshed its residual through the hook
+        assert len(refreshes) >= report.iters
+        assert _report_bits(prob.system, report) == _report_bits(plain, run(plain, x0, cfg))
+
+
+def test_nrk_step_with_an_infinite_step_length_evaluates_the_full_residual():
+    # g_2 = 1 - x_1 = 1e-9 makes ||grad f_2||^2 about 6e-17, so a huge f_2
+    # overflows the step length c; inf * 0 then puts NaN off row 2's columns
+    sys = make_singular_broyden(10)
+    x = np.zeros(10)
+    x[1] = 1.0 - 1e-9
+    fx = sys.residual(x)
+    fx[2] = 1e300
+    g = sys.row_gradient(2, x)
+    with np.errstate(over="ignore"):
+        assert math.isinf(fx[2] / g.dot(g))
+    outcomes = []
+    for system in (sys, _without_refresh(sys)):
+        system.counters.reset()
+        state = IterateState(x.copy(), fx.copy())
+        with pytest.raises(DomainError) as exc:
+            nrk_step(system, state, np.random.default_rng(0), index=2)
+        with solve_scope(system):
+            new = nrk_step(system, state, np.random.default_rng(0), index=2)
+        outcomes.append((str(exc.value), new.x.tobytes(), new.fx.tobytes(), new.k,
+                         vars(system.counters)))
+    assert outcomes[0] == outcomes[1]

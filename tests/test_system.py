@@ -139,6 +139,46 @@ def test_counters_tally_work():
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 0)
 
 
+def test_residual_after_row_is_counted_and_checked_as_the_residual():
+    sys = make_singular_broyden(8)
+    x = np.full(8, -0.5)
+    fx = sys.residual(x)
+    y = x.copy()
+    y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
+    sys.counters.reset()
+    assert np.array_equal(sys.residual_after_row(3, y, fx), sys.residual(y))
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
+    with pytest.raises(IndexError):
+        sys.residual_after_row(8, y, fx)
+    with pytest.raises(ValueError):
+        sys.residual_after_row(3, y[:7], fx)
+    with pytest.raises(ValueError):
+        sys.residual_after_row(3, y, fx[:7])
+    # a non-finite row raises the residual's DomainError, without a warning
+    y[4] = np.inf
+    with pytest.raises(DomainError) as full:
+        sys.residual(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as refreshed:
+            sys.residual_after_row(3, y, fx)
+    assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
+    wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
+                           residual_after_row=lambda i, x, fx: np.zeros(3))
+    with pytest.raises(ValueError):
+        wide.residual_after_row(0, np.zeros(2), np.zeros(2))
+
+
+def test_residual_after_row_without_a_hook_is_the_residual():
+    sys = make_brown(4)
+    x = np.array([0.5, 1.0, 2.0, -1.0])
+    fx = sys.residual(np.ones(4))
+    sys.counters.reset()
+    assert np.array_equal(sys.residual_after_row(1, x, fx), sys.residual(x))
+    assert sys.counters.residual_evals == 2
+
+
 def _system_with_bad_row(bad_row, block_vjp, row_norms_sq):
     """4x3 linear rows whose gradient in ``bad_row`` is NaN."""
     A = np.arange(12.0).reshape(4, 3)
