@@ -78,6 +78,12 @@ EXTRA = (
     ("overdetermined", 100, "nrk", 0, "const:1e100"),
     ("overdetermined", 100, "rdcnk", 0, "const:-7"),
     ("broyden", 30, "rdcnk", 0, "const:1e30"),
+    # RD-CNK on systems so small that the row norms refreshed after a
+    # projection are clipped at both ends
+    ("broyden", 2, "rdcnk", 0, "default"),
+    ("broyden", 3, "rdcnk", 0, "default"),
+    ("overdetermined", 2, "rdcnk", 0, "default"),
+    ("overdetermined", 3, "rdcnk", 0, "default"),
 )
 MAX_ITERS = 50_000
 

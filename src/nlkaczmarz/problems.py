@@ -8,9 +8,9 @@ norms, computed from the nonzeros alone with index arithmetic and
 gather of its kernel rows, without forming the gradient rows, and the row
 norms in closed form from one matrix-vector product and the kernel's row
 norms and diagonal, computed once.  Broyden and the overdetermined system,
-whose residual rows read at most three neighbouring columns, also recompute
-the residual after a single-row step on the rows that read that row's
-columns alone.
+whose rows read at most three neighbouring columns, also recompute the
+residual and the row norms after a single-row step on the rows that read
+that row's columns alone.
 ``get_problem`` adds the conventional initial point and a per-coordinate
 sampling box used for finite-difference validation and cone-constant
 estimation.
@@ -205,14 +205,14 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         out[:-1] += (2.0 * s[:-1]) ** 2
         return out
 
-    def residual_after_row(i, x, fx):
-        # row i moves columns i-1..i+1, which rows i-2..i+2 read; each is
-        # recomputed with _g's operations in its order, on Python floats,
-        # squared by a product because ** raises OverflowError on them
+    def _g_near(i, x):
+        # (k, x_k, g_k) for the rows i-2..i+2, clipped to the system, that
+        # read row i's columns i-1..i+1, with _g's operations in its order,
+        # on Python floats; the refreshes below square by a product, because
+        # a Python float's ** raises OverflowError where NumPy's returns inf
         lo, hi = max(i - 2, 0), min(i + 3, n)
         start = max(lo - 1, 0)
         xs = x[start:hi + 1].tolist()
-        out = fx.copy()
         for k in range(lo, hi):
             j = k - start
             gk = (3.0 - 2.0 * xs[j]) * xs[j] + 1.0
@@ -220,12 +220,33 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
                 gk -= xs[j - 1]
             if k < n - 1:
                 gk -= 2.0 * xs[j + 1]
+            yield k, xs[j], gk
+
+    def residual_after_row(i, x, fx):
+        out = fx.copy()
+        for k, _, gk in _g_near(i, x):
             out[k] = gk * gk
+        return out
+
+    def row_norms_after_row(i, x, w):
+        # row_norms_sq's operations in its order
+        out = w.copy()
+        for k, xk, gk in _g_near(i, x):
+            sk = 2.0 * gk
+            a = sk * (3.0 - 4.0 * xk)
+            v = a * a
+            if k > 0:
+                v += sk * sk
+            if k < n - 1:
+                b = 2.0 * sk
+                v += b * b
+            out[k] = v
         return out
 
     return NonlinearSystem(n, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
-                           residual_after_row=residual_after_row)
+                           residual_after_row=residual_after_row,
+                           row_norms_after_row=row_norms_after_row)
 
 
 def make_overdetermined_rational(n: int) -> NonlinearSystem:
@@ -300,9 +321,25 @@ def make_overdetermined_rational(n: int) -> NonlinearSystem:
             out[2 * p + 1] = xp - 1.0
         return out
 
+    def row_norms_after_row(k, x, w):
+        # only the even row 2p's norm reads a column, x_p, and row k moves
+        # columns p and p+1 (p = k // 2): rows 2p and 2p+2 are recomputed
+        # with row_norms_sq's operations in its order, on Python floats,
+        # squared by a product as in residual_after_row
+        p = k // 2
+        out = w.copy()
+        for q in range(p, min(p + 2, n - 1)):
+            xq = float(x[q])
+            xq2 = xq * xq
+            d = 1.0 + xq2
+            a = 10.0 * ((2.0 - 2.0 * xq2) / (d * d))
+            out[2 * q] = a * a + 100.0
+        return out
+
     return NonlinearSystem(m, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
                            residual_after_row=residual_after_row,
+                           row_norms_after_row=row_norms_after_row,
                            known_solution=np.ones(n))
 
 

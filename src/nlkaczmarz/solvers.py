@@ -6,9 +6,10 @@ NGABK and MRNABK take pseudoinverse-free averaged block steps
 touching only the Jacobian rows in the selected block.  Baselines: NRK
 (single random row projection; its sampler is NumPy's ``Generator.choice``
 done inline, same rows from the same stream), RD-CNK (capped selection,
-single draw), RB-CNK (minimum-norm least-squares block step, from a
-projection or a residual-checked Gram solve, with ``lstsq`` only as the
-fallback) and Newton-Raphson (``lstsq``).
+single draw; a solve keeps its row norms and refreshes them), RB-CNK
+(minimum-norm least-squares block step, from a projection or a
+residual-checked Gram solve, with ``lstsq`` only as the fallback) and
+Newton-Raphson (``lstsq``).
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
 step, or the iteration cap.  The public steps and selections ignore NumPy's
@@ -124,30 +125,37 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     delta = (max_i (f_i^2/||grad f_i||^2) / ||f||^2 + 1/||f'||_F^2) / 2.
     A zero-gradient row with nonzero residual has ratio +inf and dominates.
     Zero-gradient rows are looked for only when the largest ratio is not
-    finite: a zero row norm always makes it inf, or nan for 0/0.
+    finite: a zero row norm always makes it inf, or nan for 0/0.  Inside
+    ``run()`` the same selection reads row norms that the solve keeps from
+    one step to the next.
     """
     fx = state.fx
+    if not fx.any():  # tiny f_i can square to zero, so ||f||^2 cannot tell
+        raise ValueError("selection from a zero residual: solver should have terminated")
     with _quiet():
-        a2 = fx * fx
-        r2 = a2.sum()
-        if r2 == 0.0 and not fx.any():  # tiny f_i can square to zero
-            raise ValueError("selection from a zero residual: solver should have terminated")
-        w = sys.row_norms_sq(state.x)
-        if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
-            raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=state.k)
-        top = np.maximum.reduce(a2 / w)
-        if not math.isfinite(top):
-            zero_grad = (w == 0.0) & (a2 > 0.0)
-            if zero_grad.any():
-                return BlockSelection(indices=zero_grad.nonzero()[0], threshold=float("inf"))
-            if not w.any():
-                raise BreakdownError("all row gradients are zero", iteration=state.k)
-            top = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0).max()
-        delta = 0.5 * (top / r2 + 1.0 / w.sum())
-        idx = ((a2 >= delta * r2 * w) & (a2 > 0.0)).nonzero()[0]
-        if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
-            raise BreakdownError("capped selection is empty", iteration=state.k)
-        return BlockSelection(indices=idx, threshold=float(delta))
+        return _capped(fx, sys.row_norms_sq(state.x), state.k)
+
+
+def _capped(fx, w, k):
+    """``select_rdcnk``'s set at iteration k, from the residual fx != 0 and
+    the squared row norms w."""
+    a2 = fx * fx
+    r2 = a2.sum()
+    if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
+        raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=k)
+    top = np.maximum.reduce(a2 / w)
+    if not math.isfinite(top):
+        zero_grad = (w == 0.0) & (a2 > 0.0)
+        if zero_grad.any():
+            return BlockSelection(indices=zero_grad.nonzero()[0], threshold=float("inf"))
+        if not w.any():
+            raise BreakdownError("all row gradients are zero", iteration=k)
+        top = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0).max()
+    delta = 0.5 * (top / r2 + 1.0 / w.sum())
+    idx = ((a2 >= delta * r2 * w) & (a2 > 0.0)).nonzero()[0]
+    if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
+        raise BreakdownError("capped selection is empty", iteration=k)
+    return BlockSelection(indices=idx, threshold=float(delta))
 
 
 # -- single steps: one per method, for the public steps and run() ------
@@ -203,11 +211,12 @@ def _sample_row(fx, r2, rng, k) -> int:
 
 
 def _projected(sys, x, fx, i, k):
-    """(x - (f_i / ||grad f_i||^2) grad f_i, its residual, 1).  The residual
-    is refreshed on the rows that read row i's columns alone when the step
-    length c is finite: only then is c * 0 = 0 off the support.  (A -0.0
-    there can still turn into +0.0, which may flip the sign of a zero
-    residual component; no step reads one, as a selected row has f_i != 0.)"""
+    """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual, whether c
+    is finite).  The residual is refreshed on the rows that read row i's
+    columns alone when c is finite: only then is c * 0 = 0 off the support.
+    (A -0.0 there can still turn into +0.0, which may flip the sign of a
+    zero residual component; no step reads one, as a selected row has
+    f_i != 0.)"""
     g = sys.row_gradient(i, x)
     w = g.dot(g)
     if not math.isfinite(w):  # inside run() the only check that g is finite
@@ -216,7 +225,8 @@ def _projected(sys, x, fx, i, k):
         raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
     c = fx[i] / w
     x = x - c * g
-    return x, sys.residual_after_row(i, x, fx) if math.isfinite(c) else sys.residual(x), 1
+    local = math.isfinite(c)
+    return x, sys.residual_after_row(i, x, fx) if local else sys.residual(x), local
 
 
 def rbcnk_step(sys: NonlinearSystem, state: IterateState,
@@ -275,10 +285,29 @@ def _lstsq(A, b, k):
 # block size); selections and steps are module attributes looked up at call time.
 
 
-def _rdcnk(sys, x, fx, r2, k, rng, rho):
-    rows = select_rdcnk(sys, IterateState(x, fx, k)).indices
-    # the same draw and stream as rng.integers(len(rows)), at half the call cost
-    return _projected(sys, x, fx, int(rows[rng.integers(0, len(rows))]), k)
+def _nrk(sys, x, fx, r2, k, rng, rho):
+    x, fx, _ = _projected(sys, x, fx, _sample_row(fx, r2, rng, k), k)
+    return x, fx, 1
+
+
+def _rdcnk_step():
+    """A new RD-CNK step for one solve, which keeps the row norms of its
+    iterate: the first step computes them all, and a later one refreshes the
+    rows that read the columns of the row projected last, when that
+    projection refreshed its residual in the same way (c finite)."""
+    w = last = None
+
+    def step(sys, x, fx, r2, k, rng, rho):
+        nonlocal w, last
+        w = sys.row_norms_sq(x) if last is None else sys.row_norms_after_row(last, x, w)
+        rows = _capped(fx, w, k).indices
+        # the same draw and stream as rng.integers(len(rows)), at half the call cost
+        i = int(rows[rng.integers(0, len(rows))])
+        x, fx, local = _projected(sys, x, fx, i, k)
+        last = i if local else None
+        return x, fx, 1
+
+    return step
 
 
 def _rbcnk(sys, x, fx, r2, k, rng, rho):
@@ -301,9 +330,7 @@ _STEPS = {
         _averaged(sys, x, fx, select_ngabk(fx).indices, k),
     Method.MRNABK: lambda sys, x, fx, r2, k, rng, rho:
         _averaged(sys, x, fx, select_mrnabk(fx, rho).indices, k),
-    Method.NRK: lambda sys, x, fx, r2, k, rng, rho:
-        _projected(sys, x, fx, _sample_row(fx, r2, rng, k), k),
-    Method.RDCNK: _rdcnk,
+    Method.NRK: _nrk,
     Method.RBCNK: _rbcnk,
     Method.NEWTON: _newton,
 }
@@ -325,7 +352,9 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
     rng = np.random.default_rng(cfg.seed)
-    step, rho, tol_sq, max_iters = _STEPS[cfg.method], cfg.rho, cfg.tol_sq, cfg.max_iters
+    # RD-CNK's step keeps state, so each solve builds its own
+    step = _rdcnk_step() if cfg.method is Method.RDCNK else _STEPS[cfg.method]
+    rho, tol_sq, max_iters = cfg.rho, cfg.tol_sq, cfg.max_iters
     stall_ends = cfg.method not in RANDOM_ROW
 
     history: List[Tuple[int, float, int, float]] = []

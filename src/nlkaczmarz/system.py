@@ -7,9 +7,9 @@ rows; a full-Jacobian view exists for the baselines and diagnostics that
 genuinely need it, and its use is counted separately so per-iteration cost
 differences stay visible.  Two structured views, the block vector-Jacobian
 product and the row norms, let a problem with sparse rows serve the
-averaged step and the capped selection without forming dense rows; a third,
-the residual after a single-row step, lets it recompute only the residual
-rows that the step's columns reach.
+averaged step and the capped selection without forming dense rows.  Two
+more, the residual and the row norms after a single-row step, let it
+recompute only the rows that read the step's columns.
 
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
 result is reported as a :class:`DomainError` instead.  Called directly, an
@@ -130,6 +130,10 @@ class NonlinearSystem:
         from ``x`` only in the columns of row i's gradient: only the rows
         that read those columns are recomputed, the rest are copied from
         ``fx``, which is not written.
+    row_norms_after_row
+        Optional ``(i, x, w) -> (m,) array`` returning ``row_norms_sq(x)``
+        bit for bit, given the row norms ``w`` at a point that differs from
+        ``x`` only in the columns of row i's gradient, in the same way.
     known_solution
         Optional root, when analytically available.
 
@@ -149,6 +153,7 @@ class NonlinearSystem:
         block_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
         row_norms_sq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         residual_after_row: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None,
+        row_norms_after_row: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None,
         known_solution: Optional[np.ndarray] = None,
     ):
         if m < 1 or n < 1:
@@ -162,6 +167,7 @@ class NonlinearSystem:
         self._block_vjp = block_vjp
         self._row_norms_sq = row_norms_sq
         self._residual_after_row = residual_after_row
+        self._row_norms_after_row = row_norms_after_row
         self.known_solution = None if known_solution is None else np.asarray(known_solution, dtype=float)
         self.counters = EvalCounters()
 
@@ -188,12 +194,7 @@ class NonlinearSystem:
         ``residual`` is."""
         if self._residual_after_row is None:
             return self.residual(x)
-        if not 0 <= i < self.m:
-            raise IndexError(f"row index {i} out of range [0, {self.m})")
-        x = self._check_point(x)
-        fx = np.asarray(fx, dtype=float)
-        if fx.shape != (self.m,):
-            raise ValueError(f"residual has shape {fx.shape}, expected ({self.m},)")
+        x, fx = self._check_after_row(i, x, fx, "residual")
         self.counters.residual_evals += 1
         if _SOLVING.get() is self:
             return _shaped("residual_after_row", self._residual_after_row(i, x, fx), (self.m,))
@@ -253,10 +254,26 @@ class NonlinearSystem:
     def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared norm of every Jacobian row (counted as one full Jacobian)."""
         x = self._check_point(x)
+        return self._row_norms("row_norms_sq", self._row_norms_sq, (x,), x)
+
+    def row_norms_after_row(self, i: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``row_norms_sq(x)``, from the row norms ``w`` at a point that
+        differs from x only in the columns of row i's gradient: the
+        ``row_norms_after_row`` hook, or ``row_norms_sq(x)`` without one.
+        Counted, and falling back to the dense Jacobian, as ``row_norms_sq``
+        is."""
+        if self._row_norms_after_row is None:
+            return self.row_norms_sq(x)
+        x, w = self._check_after_row(i, x, w, "row norms")
+        return self._row_norms("row_norms_after_row", self._row_norms_after_row, (i, x, w), x)
+
+    def _row_norms(self, what: str, hook, args: tuple, x: np.ndarray) -> np.ndarray:
+        """The row norms at x as ``hook(*args)`` computes them, counted as one
+        full Jacobian."""
         self.counters.jacobian_evals += 1
-        if self._row_norms_sq is not None:
+        if hook is not None:
             with _quiet():
-                w = _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,))
+                w = _shaped(what, hook(*args), (self.m,))
                 # a finite sum rules out inf and nan; scan only when it is not
                 if math.isfinite(w.sum()) or np.isfinite(w).all():
                     return w
@@ -285,6 +302,17 @@ class NonlinearSystem:
         if not np.isfinite(J).all():
             raise DomainError("non-finite entry in Jacobian")
         return J
+
+    def _check_after_row(self, i: int, x, values, what: str) -> tuple:
+        """(x, values) as float arrays, for a refresh after a step along row
+        i: a row index, a point and an (m,) array of ``what``."""
+        if not 0 <= i < self.m:
+            raise IndexError(f"row index {i} out of range [0, {self.m})")
+        x = self._check_point(x)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.m,):
+            raise ValueError(f"{what} of shape {values.shape}, expected ({self.m},)")
+        return x, values
 
     def _check_rows(self, indices) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.intp)

@@ -343,3 +343,39 @@ def test_residual_after_row_is_bitwise_the_residual(name, data):
         refreshed = sys.residual_after_row(i, x_new, fx)
         assert refreshed.tobytes() == sys.residual(x_new).tobytes()
     assert fx.tobytes() == before
+
+
+# ANY_FLOAT, with the moderate values where a regrouped quotient rounds
+# differently drawn more often too
+ENTRY = st.one_of(ANY_FLOAT, st.floats(-4.0, 4.0))
+
+
+@pytest.mark.parametrize("name", ["broyden", "overdetermined"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_norms_after_row_is_bitwise_the_row_norms(name, data):
+    n = data.draw(st.integers(2, 60), label="n")
+    sys = get_problem(name, n).system
+    x_old = np.array(data.draw(st.lists(ENTRY, min_size=n, max_size=n), label="x"))
+    i = data.draw(st.integers(0, sys.m - 1), label="row")
+    cols = _support(name, n, i)
+    x_new = x_old.copy()
+    x_new[cols] = data.draw(st.lists(ENTRY, min_size=len(cols), max_size=len(cols)),
+                            label="support")
+    # the hooks themselves, as the wrappers' dense fallback hides a non-finite row
+    with np.errstate(all="ignore"):
+        w = sys._row_norms_sq(x_old)
+        before = w.tobytes()
+        refreshed = sys._row_norms_after_row(i, x_new, w)
+        assert refreshed.tobytes() == sys._row_norms_sq(x_new).tobytes()
+    assert w.tobytes() == before
+    # and the wrappers: the same norms, or the same DomainError
+    outcomes = []
+    for evaluate in (lambda: sys.row_norms_after_row(i, x_new, w),
+                     lambda: sys.row_norms_sq(x_new)):
+        try:
+            outcomes.append(evaluate().tobytes())
+        except DomainError as exc:
+            outcomes.append((str(exc), exc.index))
+    assert outcomes[0] == outcomes[1]
+    assert w.tobytes() == before

@@ -325,6 +325,40 @@ def test_refreshed_residual_leaves_the_report_unchanged(method, problem, n, star
         assert _report_bits(prob.system, report) == _report_bits(plain, run(plain, x0, cfg))
 
 
+def _without_norm_refresh(sys):
+    """``sys`` built again from the same callables, without its
+    ``row_norms_after_row`` hook."""
+    return NonlinearSystem(sys.m, sys.n, sys._residual, sys._row_gradient,
+                           gradient_rows=sys._gradient_rows, jacobian=sys._jacobian,
+                           block_vjp=sys._block_vjp, row_norms_sq=sys._row_norms_sq,
+                           residual_after_row=sys._residual_after_row,
+                           known_solution=sys.known_solution)
+
+
+@pytest.mark.parametrize("start", ["default", "const:1e100", "const:-7", "const:1e30"])
+@pytest.mark.parametrize("problem,n", [("broyden", 30), ("overdetermined", 100)])
+def test_refreshed_row_norms_leave_the_report_unchanged(problem, n, start):
+    for seed in range(4):
+        prob = get_problem(problem, n)
+        sys = prob.system
+        x0 = prob.x0 if start == "default" else float(start[6:]) * np.ones(n)
+        cfg = SolverConfig(method=Method.RDCNK, seed=seed, max_iters=5000)
+        plain = _without_norm_refresh(sys)
+        projected, refreshed = [], []
+        row_gradient, hook = sys._row_gradient, sys._row_norms_after_row
+        sys._row_gradient = lambda i, x: projected.append(i) or row_gradient(i, x)
+        sys._row_norms_after_row = lambda i, x, w: refreshed.append(i) or hook(i, x, w)
+        report = run(sys, x0, cfg)
+        # every step after the first refreshed the norms after the row projected last
+        assert len(refreshed) >= report.iters - 1
+        assert refreshed == projected[:len(refreshed)]
+        bits = _report_bits(sys, report)
+        assert bits == _report_bits(plain, run(plain, x0, cfg))
+        # a second solve of the same system starts from norms of its own
+        sys.counters.reset()
+        assert _report_bits(sys, run(sys, x0, cfg)) == bits
+
+
 def test_nrk_step_with_an_infinite_step_length_evaluates_the_full_residual():
     # g_2 = 1 - x_1 = 1e-9 makes ||grad f_2||^2 about 6e-17, so a huge f_2
     # overflows the step length c; inf * 0 then puts NaN off row 2's columns

@@ -179,6 +179,56 @@ def test_residual_after_row_without_a_hook_is_the_residual():
     assert sys.counters.residual_evals == 2
 
 
+def test_row_norms_after_row_is_counted_and_checked_as_the_row_norms():
+    sys = make_singular_broyden(8)
+    x = np.full(8, -0.5)
+    w = sys.row_norms_sq(x)
+    y = x.copy()
+    y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
+    sys.counters.reset()
+    assert np.array_equal(sys.row_norms_after_row(3, y, w), sys.row_norms_sq(y))
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 2)
+    with pytest.raises(IndexError):
+        sys.row_norms_after_row(8, y, w)
+    with pytest.raises(ValueError):
+        sys.row_norms_after_row(3, y[:7], w)
+    with pytest.raises(ValueError):
+        sys.row_norms_after_row(3, y, w[:7])
+    wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
+                           row_norms_after_row=lambda i, x, w: np.zeros(3))
+    with pytest.raises(ValueError):
+        wide.row_norms_after_row(0, np.zeros(2), np.zeros(2))
+
+
+def test_row_norms_after_row_without_a_hook_is_the_row_norms():
+    sys = make_brown(4)
+    x = np.array([0.5, 1.0, 2.0, -1.0])
+    w = sys.row_norms_sq(np.ones(4))
+    sys.counters.reset()
+    assert np.array_equal(sys.row_norms_after_row(1, x, w), sys.row_norms_sq(x))
+    assert sys.counters.jacobian_evals == 2
+
+
+def test_non_finite_row_norms_after_row_raise_the_dense_domain_error():
+    # overdetermined row 2p's norm is NaN once x_p^2 overflows, and so is its
+    # dense gradient; the refresh falls back to the dense rows, without a warning
+    sys = make_overdetermined_rational(6)
+    x = np.full(6, 0.5)
+    w = sys.row_norms_sq(x)
+    x[2] = 1e200  # row 4's column p = 2
+    with pytest.raises(DomainError) as full:
+        sys.row_norms_sq(x)
+    sys.counters.reset()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as refreshed:
+            sys.row_norms_after_row(4, x, w)
+    assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
+    assert refreshed.value.index == 4
+    assert sys.counters.jacobian_evals == 1
+
+
 def _system_with_bad_row(bad_row, block_vjp, row_norms_sq):
     """4x3 linear rows whose gradient in ``bad_row`` is NaN."""
     A = np.arange(12.0).reshape(4, 3)
