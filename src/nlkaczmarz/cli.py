@@ -24,8 +24,7 @@ import numpy as np
 
 from . import diagnostics
 from .problems import PROBLEM_NAMES, get_problem
-from .solvers import RANDOM_ROW, Method, SolverConfig, Status, run, select_mrnabk, select_ngabk
-from .system import IterateState
+from .solvers import RANDOM_ROW, Method, SolverConfig, Status, run
 
 CSV_HEADER = ["method", "problem", "n", "m", "rho", "iters",
               "final_residual_sq", "wall_ms", "seed", "repeats", "status"]
@@ -283,17 +282,12 @@ def cmd_diagnose(args) -> int:
     # prefer the run's own limit point: convergence may pick a different
     # root than the analytically known one
     x_star = report.iterates[-1] if report.status is Status.CONVERGED else system.known_solution
-    if x_star is not None:
-        pairs += [(x, x_star) for x in report.iterates[:-1]]
-    cone = diagnostics.estimate_cone(system, pairs)
+    # the pairs (x_k, x*) join the sampled ones, with one Jacobian per iterate
+    cone, bounds = diagnostics._cone_and_bounds(system, report, pairs, x_star, method, args.rho)
 
     ratios = diagnostics.per_step_contraction(report, x_star) if x_star is not None else []
     steps = []
-    for k, (x, hist) in enumerate(zip(report.iterates, report.history)):
-        state = IterateState(x=x, fx=system.residual(x), k=k)
-        sel = (select_ngabk(state.fx) if method is Method.NGABK
-               else select_mrnabk(state.fx, args.rho))
-        bound = diagnostics.theorem_bound(system, state, sel, cone.xi, method, args.rho)
+    for k, ((state, bound), hist) in enumerate(zip(bounds, report.history)):
         ordering = diagnostics.remark2_compare(bound, system, state, cone.xi)
         steps.append({
             "k": k,

@@ -8,7 +8,7 @@ diagnostic use only), and compares against the single-row bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,13 +83,21 @@ def estimate_cone(sys: NonlinearSystem,
     """Estimate xi_i = max over pairs of
     |f_i(x1) - f_i(x2) - grad f_i(x1)^T (x1 - x2)| / |f_i(x1) - f_i(x2)|,
     skipping pairs whose denominator is below ``SKIP_BELOW`` per row."""
-    xi_per_row = np.full(sys.m, np.nan)
+    return _cone(sys.m, (_pair_terms(sys, x1, x2) for x1, x2 in x_pairs))
+
+
+def _pair_terms(sys: NonlinearSystem, x1, x2) -> Tuple[np.ndarray, np.ndarray]:
+    """(f(x1) - f(x2), f'(x1)(x1 - x2)) for the pair (x1, x2)."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    return sys.residual(x1) - sys.residual(x2), sys.jacobian(x1) @ (x1 - x2)
+
+
+def _cone(m: int, terms: Iterable[Tuple[np.ndarray, np.ndarray]]) -> ConeEstimate:
+    """``estimate_cone`` from each pair's ``_pair_terms``."""
+    xi_per_row = np.full(m, np.nan)
     used = 0
-    for x1, x2 in x_pairs:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        df = sys.residual(x1) - sys.residual(x2)
-        lin = sys.jacobian(x1) @ (x1 - x2)
+    for df, lin in terms:
         usable = np.abs(df) >= SKIP_BELOW
         if not usable.any():
             continue
@@ -128,11 +136,23 @@ def theorem_bound(sys: NonlinearSystem, state: IterateState, sel: BlockSelection
     method = Method(method)
     if method not in (Method.NGABK, Method.MRNABK):
         raise ValueError("bounds exist for the averaged block methods only")
-    J = sys.jacobian(state.x)
+    return _bound(_spectra(sys.jacobian(state.x), sel), sel, xi, method, rho, sys.m)
+
+
+def _spectra(J: np.ndarray, sel: BlockSelection) -> tuple:
+    """What a bound needs of the Jacobian J at its iterate: (the singular
+    values of J, the largest one of its selected rows, ||J||_F^2)."""
     sv = np.linalg.svd(J, compute_uv=False)
-    sigma_min = float(sv[min(sys.m, sys.n) - 1])
     sigma_max_block = float(np.linalg.svd(J[np.asarray(sel.indices, dtype=np.intp)],
                                           compute_uv=False)[0])
+    return sv, sigma_max_block, float((J * J).sum())
+
+
+def _bound(spectra: tuple, sel: BlockSelection, xi: float, method: Method, rho: float,
+           m: int) -> StepBound:
+    """``theorem_bound`` from the ``_spectra`` of the iterate's Jacobian."""
+    sv, sigma_max_block, fro_sq = spectra
+    sigma_min = float(sv[-1])
     applicable = sigma_min > DEGENERATE_SV_RTOL * float(sv[0]) and xi < 0.5
     size = len(sel.indices)
     if method is Method.NGABK:
@@ -140,7 +160,7 @@ def theorem_bound(sys: NonlinearSystem, state: IterateState, sel: BlockSelection
         factor = delta_or_rho * size * sigma_min**2 / sigma_max_block**2
     else:
         delta_or_rho = rho
-        factor = rho * size * sigma_min**2 / (sys.m * sigma_max_block**2)
+        factor = rho * size * sigma_min**2 / (m * sigma_max_block**2)
     if applicable:
         rho_bound = 1.0 - (1.0 - 2.0 * xi) / (1.0 + xi * xi) * factor
     else:
@@ -148,7 +168,34 @@ def theorem_bound(sys: NonlinearSystem, state: IterateState, sel: BlockSelection
     return StepBound(rho_bound=rho_bound, sigma_min_full=sigma_min,
                      sigma_max_block=sigma_max_block, block_size=size,
                      delta_or_rho=delta_or_rho, applicable=applicable,
-                     jacobian_fro_sq=float((J * J).sum()))
+                     jacobian_fro_sq=fro_sq)
+
+
+def _select(fx: np.ndarray, method: Method, rho: float) -> BlockSelection:
+    return select_ngabk(fx) if method is Method.NGABK else select_mrnabk(fx, rho)
+
+
+def _cone_and_bounds(sys: NonlinearSystem, report: SolverReport,
+                     pairs: List[Tuple[np.ndarray, np.ndarray]],
+                     x_star: Optional[np.ndarray], method: Method,
+                     rho: float) -> Tuple[ConeEstimate, List[Tuple[IterateState, StepBound]]]:
+    """The cone estimate from ``pairs`` and, when x* is given, the pairs
+    (x_k, x*) of the run's iterates, and each step's (state, theorem_bound)
+    under it.  Each iterate's residual and Jacobian are evaluated once, for
+    its pair and its bound, and f(x*) once for all pairs."""
+    terms = [_pair_terms(sys, x1, x2) for x1, x2 in pairs]
+    f_star = None if x_star is None else sys.residual(x_star)
+    steps = []
+    for k, x in enumerate(report.iterates[:len(report.history)]):
+        state = IterateState(x=x, fx=sys.residual(x), k=k)
+        sel = _select(state.fx, method, rho)
+        J = sys.jacobian(x)
+        steps.append((state, sel, _spectra(J, sel)))
+        if f_star is not None:
+            terms.append((state.fx - f_star, J @ (x - x_star)))
+    cone = _cone(sys.m, terms)
+    return cone, [(state, _bound(spectra, sel, cone.xi, method, rho, sys.m))
+                  for state, sel, spectra in steps]
 
 
 def _nrk_rate(sigma_min: float, fro2: float, m: int, xi: float) -> float:
@@ -210,15 +257,14 @@ def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
         df = fx - f_star
         if not (np.abs(df) >= SKIP_BELOW).all():
             continue
-        lin = sys.jacobian(x) @ (x - x_star)
-        xi = float((np.abs(df - lin) / np.abs(df)).max())
+        J = sys.jacobian(x)
+        xi = float((np.abs(df - J @ (x - x_star)) / np.abs(df)).max())
         if xi >= 0.5:
             continue
         if not check_lemma1(sys, np.arange(sys.m), x, x_star, xi, rel_slack=0.0).holds:
             continue
-        state = IterateState(x=x, fx=fx, k=k)
-        sel = select_ngabk(fx) if method is Method.NGABK else select_mrnabk(fx, rho)
-        bound = theorem_bound(sys, state, sel, xi, method, rho)
+        sel = _select(fx, method, rho)
+        bound = _bound(_spectra(J, sel), sel, xi, method, rho, sys.m)
         if not bound.applicable:
             continue
         out.append(VerifiedStep(k=k, xi=xi, measured_ratio=float(ratios[k]),

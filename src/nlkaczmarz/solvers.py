@@ -26,8 +26,8 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import (IterateState, NonlinearSystem, _check_gradient, _check_residual, _quiet,
-                     solve_scope)
+from .system import (IterateState, NonlinearSystem, _check_gradient, _check_residual,
+                     _check_row_norms, _quiet, solve_scope)
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -98,9 +98,7 @@ def select_ngabk(fx: np.ndarray) -> BlockSelection:
     nonempty for any nonzero residual.
     """
     fx = np.asarray(fx, dtype=float)
-    if not fx.any():
-        raise ValueError("selection from a zero residual: solver should have terminated")
-    with _quiet():
+    with _quiet():  # the kernel raises the zero-residual ValueError
         idx, delta = kernels.ngabk_select(fx)
     return BlockSelection(indices=idx, threshold=float(delta))
 
@@ -108,10 +106,13 @@ def select_ngabk(fx: np.ndarray) -> BlockSelection:
 def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
     """Relaxed max-residual block: tau = { i : f_i^2 >= rho * max_j f_j^2 }."""
     fx = np.asarray(fx, dtype=float)
-    if not fx.any():
-        raise ValueError("selection from a zero residual: solver should have terminated")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    # the kernel raises the zero-residual ValueError; a zero residual is
+    # reported before a bad rho, so only a bad rho scans fx here
+    if not (isinstance(rho, float) and 0.0 < rho <= 1.0):
+        if not fx.any():
+            raise ValueError(kernels.ZERO_RESIDUAL)
+        if not 0.0 < rho <= 1.0:
+            raise ValueError(f"rho must lie in (0, 1], got {rho}")
     with _quiet():  # rho * max f_i^2 may overflow
         idx, threshold = kernels.mrnabk_select(fx, float(rho))
     return BlockSelection(indices=idx, threshold=float(threshold))
@@ -131,16 +132,16 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     """
     fx = state.fx
     if not fx.any():  # tiny f_i can square to zero, so ||f||^2 cannot tell
-        raise ValueError("selection from a zero residual: solver should have terminated")
+        raise ValueError(kernels.ZERO_RESIDUAL)
     with _quiet():
-        return _capped(fx, sys.row_norms_sq(state.x), state.k)
+        return _capped(fx, *_check_row_norms(sys, state.x, sys.row_norms_sq(state.x)), state.k)
 
 
-def _capped(fx, w, k):
-    """``select_rdcnk``'s set at iteration k, from the residual fx != 0 and
-    the squared row norms w."""
+def _capped(fx, w, w_sum, k):
+    """``select_rdcnk``'s set at iteration k, from the residual fx != 0, the
+    squared row norms w and their sum."""
     a2 = fx * fx
-    r2 = a2.sum()
+    r2 = np.add.reduce(a2)
     if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
         raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=k)
     top = np.maximum.reduce(a2 / w)
@@ -151,8 +152,9 @@ def _capped(fx, w, k):
         if not w.any():
             raise BreakdownError("all row gradients are zero", iteration=k)
         top = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0).max()
-    delta = 0.5 * (top / r2 + 1.0 / w.sum())
-    idx = ((a2 >= delta * r2 * w) & (a2 > 0.0)).nonzero()[0]
+    delta = 0.5 * (top / r2 + 1.0 / w_sum)
+    # a2 is >= 0 or nan, so a2 >= max(t, 5e-324) is a2 >= t and a2 > 0
+    idx = (a2 >= np.maximum(delta * r2 * w, 5e-324)).nonzero()[0]
     if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
         raise BreakdownError("capped selection is empty", iteration=k)
     return BlockSelection(indices=idx, threshold=float(delta))
@@ -175,6 +177,11 @@ def _averaged(sys, x, fx, idx, k):
     f_tau = fx[idx]
     d = -sys.block_vjp(idx, f_tau, x)
     nd2 = d.dot(d)
+    # inside run() the only check of the block product: a non-finite entry
+    # takes the dense rows, which raise gradient_rows' DomainError
+    if not math.isfinite(nd2) and not np.isfinite(d).all():
+        d = -sys._dense_vjp(idx, f_tau, x)
+        nd2 = d.dot(d)
     s2 = float(f_tau.dot(f_tau))
     if not (math.isfinite(s2) and math.isfinite(nd2)):  # finite entries, overflowing squares
         raise BreakdownError(f"||f_tau||^2 = {s2}, ||d||^2 = {nd2}: the step length is undefined",
@@ -202,12 +209,23 @@ def nrk_step(sys: NonlinearSystem, state: IterateState,
 
 def _sample_row(fx, r2, rng, k) -> int:
     """NumPy's ``rng.choice(len(fx), p=fx*fx/r2)`` done inline: the same row
-    from the same stream, with a finite r2 in place of its validation of p."""
+    from the same stream, with a finite r2 in place of its validation of p.
+    That row is the first j with cdf[j] / t > u, for the cumulative weights
+    cdf, their total t and the uniform draw u.  It is searched for at u * t,
+    without dividing all of cdf by t, and then stepped to: a rounded u * t
+    can land a row off, and cdf[j] / t is monotone in cdf[j]."""
     if not math.isfinite(r2):
         raise BreakdownError(f"||f||^2 = {r2}: the row weights are undefined", iteration=k)
-    cdf = (fx * fx / r2).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = np.add.accumulate(fx * fx / r2)
+    last = len(cdf) - 1
+    t = cdf[last]
+    u = rng.random()
+    j = int(cdf.searchsorted(u * t, side="right"))
+    while j and cdf[j - 1] / t > u:
+        j -= 1
+    while j < last and cdf[j] / t <= u:
+        j += 1
+    return j
 
 
 def _projected(sys, x, fx, i, k):
@@ -300,7 +318,9 @@ def _rdcnk_step():
     def step(sys, x, fx, r2, k, rng, rho):
         nonlocal w, last
         w = sys.row_norms_sq(x) if last is None else sys.row_norms_after_row(last, x, w)
-        rows = _capped(fx, w, k).indices
+        # inside run() the sum of the norms is their only check
+        w, w_sum = _check_row_norms(sys, x, w)
+        rows = _capped(fx, w, w_sum, k).indices
         # the same draw and stream as rng.integers(len(rows)), at half the call cost
         i = int(rows[rng.integers(0, len(rows))])
         x, fx, local = _projected(sys, x, fx, i, k)

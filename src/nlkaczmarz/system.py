@@ -14,10 +14,11 @@ recompute only the rows that read the step's columns.
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
 result is reported as a :class:`DomainError` instead.  Called directly, an
 evaluation enters its own ``np.errstate``; inside :func:`solve_scope`, which
-``run()`` enters once per solve, it relies on that scope's.  There the
-residuals and row gradients of the system being solved skip their finiteness
-scan: the solver's ||f||^2 and ||grad f_i||^2 are the check, and a
-non-finite norm raises the same :class:`DomainError`.
+``run()`` enters once per solve, it relies on that scope's.  There each
+evaluation of the system being solved is checked once, by the solver's own
+reduction of it (||f||^2, ||grad f_i||^2, ||d||^2 of the block product, the
+sum of the row norms), and a non-finite reduction takes the same
+:class:`DomainError` or dense fallback as the evaluation's own check.
 """
 from __future__ import annotations
 
@@ -43,10 +44,15 @@ _NO_SCOPE = contextlib.nullcontext()
 def solve_scope(system: "NonlinearSystem"):
     """Ignore every NumPy floating-point warning until exit, once for all the
     evaluations made inside, which then skip their own ``np.errstate``.
-    ``system``'s ``residual``, ``residual_after_row`` and ``row_gradient``
-    also skip their finiteness checks, which the solver makes on its norms
-    (``_check_residual``, ``_check_gradient``); every other system keeps
-    them."""
+    Each evaluation of ``system`` is then checked once, by the solver's own
+    reduction of it: ``residual`` and ``residual_after_row`` by ||f||^2
+    (``_check_residual``), ``row_gradient`` by ||grad f_i||^2
+    (``_check_gradient``), a ``block_vjp`` hook by the averaged step's
+    ||d||^2 (``_dense_vjp``) and the ``row_norms_sq`` and
+    ``row_norms_after_row`` hooks by the sum the capped selection takes
+    (``_check_row_norms``).  A non-finite reduction takes the evaluation's
+    own check: the same DomainError, or the same dense fallback.  Every
+    other system keeps its own checks."""
     token = _SOLVING.set(system)
     try:
         with np.errstate(all="ignore"):
@@ -72,6 +78,18 @@ def _check_gradient(g: np.ndarray, i: int) -> None:
     """Raise the DomainError of row i when its gradient g is not finite."""
     if not np.isfinite(g).all():
         raise DomainError(f"non-finite gradient in row {i}", index=i)
+
+
+def _check_row_norms(system: "NonlinearSystem", x: np.ndarray, w: np.ndarray) -> tuple:
+    """(w, w's sum) for the row norms w at x, or, when an entry of w is not
+    finite, the same for the dense Jacobian's norms, which raise jacobian's
+    DomainError: the check ``row_norms_sq`` skips inside a solve."""
+    s = np.add.reduce(w)
+    # a finite sum rules out inf and nan; scan only when it is not
+    if math.isfinite(s) or np.isfinite(w).all():
+        return w, s
+    w = system._dense_row_norms(x)
+    return w, np.add.reduce(w)
 
 
 def _shaped(what: str, value, shape: tuple) -> np.ndarray:
@@ -243,13 +261,13 @@ class NonlinearSystem:
             raise ValueError(f"weights have shape {w.shape}, expected {indices.shape}")
         self.counters.row_gradient_evals += len(indices)
         if self._block_vjp is not None:
+            if _SOLVING.get() is self:  # the averaged step checks its ||d||^2
+                return _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
             with _quiet():
                 v = _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
             if np.isfinite(v).all():
                 return v
-        # no hook, or a non-finite result: the dense rows raise
-        # gradient_rows' DomainError, with its row index
-        return w @ self._rows(indices, x)
+        return self._dense_vjp(indices, w, x)
 
     def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared norm of every Jacobian row (counted as one full Jacobian)."""
@@ -272,13 +290,22 @@ class NonlinearSystem:
         full Jacobian."""
         self.counters.jacobian_evals += 1
         if hook is not None:
+            if _SOLVING.get() is self:  # the capped selection checks their sum
+                return _shaped(what, hook(*args), (self.m,))
             with _quiet():
-                w = _shaped(what, hook(*args), (self.m,))
-                # a finite sum rules out inf and nan; scan only when it is not
-                if math.isfinite(w.sum()) or np.isfinite(w).all():
-                    return w
-        # no hook, or a non-finite result: the dense Jacobian raises
-        # jacobian's DomainError, with its row index when it is built from rows
+                return _check_row_norms(self, x, _shaped(what, hook(*args), (self.m,)))[0]
+        return self._dense_row_norms(x)
+
+    def _dense_vjp(self, indices: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``w @ gradient_rows(indices, x)`` from the dense rows, uncounted: the
+        product without a hook, or in place of a non-finite one, whose
+        DomainError (with its row index) is gradient_rows'."""
+        return w @ self._rows(indices, x)
+
+    def _dense_row_norms(self, x: np.ndarray) -> np.ndarray:
+        """The row norms from the dense Jacobian, uncounted: the norms without
+        a hook, or in place of a non-finite one, whose DomainError is
+        jacobian's, with its row index when it is built from rows."""
         J = self._full_jacobian(x)
         return np.einsum("ij,ij->i", J, J)
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,28 @@ def test_diagnose_payload(tmp_path, capsys):
     for step in payload["steps"]:
         assert step["rho_bound"] <= 1.0
         assert step["measured_ratio"] is not None
+
+
+@pytest.mark.parametrize("method", ["ngabk", "mrnabk"])
+def test_diagnose_evaluates_each_point_once(method, monkeypatch, capsys):
+    # one Jacobian per distinct point: each sampled pair's first point and
+    # each iterate, whose pair (x_k, x*) and bound share it; f(x*) is
+    # evaluated once for the cone beside the solve's own evaluation of it
+    jacobians, residuals = [], []
+    system = nlkaczmarz.system.NonlinearSystem
+    jacobian, residual = system.jacobian, system.residual
+    monkeypatch.setattr(system, "jacobian",
+                        lambda self, x: jacobians.append(x.tobytes()) or jacobian(self, x))
+    monkeypatch.setattr(system, "residual",
+                        lambda self, x: residuals.append(x.tobytes()) or residual(self, x))
+    code = run_cli("diagnose", "--problem", "h-equation", "--n", "20",
+                   "--method", method, "--pairs", "7")
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["status"] == "converged"
+    assert len(jacobians) == len(set(jacobians)) == 7 + payload["iters"]
+    # f(x_k) once in the solve and once for the pair and the bound; f(x*)
+    # once in the solve (its last iterate) and once for the cone
+    assert sorted(Counter(residuals).values()) == [1] * 14 + [2] * (payload["iters"] + 1)
 
 
 def test_bench_csv_shape(tmp_path, capsys):

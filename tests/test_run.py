@@ -381,3 +381,67 @@ def test_nrk_step_with_an_infinite_step_length_evaluates_the_full_residual():
         outcomes.append((str(exc.value), new.x.tobytes(), new.fx.tobytes(), new.k,
                          vars(system.counters)))
     assert outcomes[0] == outcomes[1]
+
+
+# -- the checks the solver's own sums make inside run() ----------------------
+
+_A = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [1.0, 0.0, 4.0], [1.0, 1.0, 1.0]])
+_B = _A @ np.array([1.0, -1.0, 0.5])
+
+
+def _glitching(kind, at=5):
+    """The affine system f(x) = A x - b with a ``block_vjp`` and a
+    ``row_norms_sq`` hook whose ``at``-th call goes wrong: "nan" puts a NaN
+    in its result while the dense rows stay finite, "row" does so and makes
+    every gradient row non-finite from then on, and "huge" returns a finite
+    result whose squares overflow."""
+    calls, bad = [0], [False]
+
+    def rows(idx, x):
+        G = _A[idx]
+        return np.full_like(G, math.inf) if bad[0] else G.copy()
+
+    def glitch(v):
+        calls[0] += 1
+        if calls[0] == at:
+            if kind == "huge":
+                return np.full_like(v, 1e200)
+            bad[0] = kind == "row"
+            v[-1] = math.nan
+        return v
+
+    return NonlinearSystem(
+        4, 3, lambda x: _A @ x - _B, lambda i, x: rows(np.array([i]), x)[0],
+        gradient_rows=rows, block_vjp=lambda idx, w, x: glitch(w @ _A[idx]),
+        row_norms_sq=lambda x: glitch(np.einsum("ij,ij->i", _A, _A)))
+
+
+@pytest.mark.parametrize("method,iters", [
+    (Method.RDCNK, 22), (Method.NGABK, 21), (Method.MRNABK, 29)])
+def test_a_non_finite_hook_result_with_finite_rows_takes_the_dense_rows(method, iters):
+    # the dense rows' product or norms replace the hook's, which then equal
+    # what the hook gives on every other call: the run is the clean one
+    cfg = SolverConfig(method=method, seed=1)
+    clean, glitched = _glitching(None), _glitching("nan")
+    report = run(clean, np.zeros(3), cfg)
+    assert (report.status, report.iters) == (Status.CONVERGED, iters)
+    assert _report_bits(glitched, run(glitched, np.zeros(3), cfg)) == _report_bits(clean, report)
+
+
+@pytest.mark.parametrize("method,kind,message,counters", [
+    (Method.RDCNK, "row", "non-finite gradient in row 0", (5, 4, 5)),
+    (Method.NGABK, "row", "non-finite gradient in row 2", (5, 5, 0)),
+    (Method.MRNABK, "row", "non-finite gradient in row 0", (5, 15, 0)),
+    (Method.NGABK, "huge",
+     "||f_tau||^2 = 1.304009430762044, ||d||^2 = inf: the step length is undefined", (5, 5, 0)),
+    (Method.MRNABK, "huge",
+     "||f_tau||^2 = 1.014572174150666, ||d||^2 = inf: the step length is undefined", (5, 15, 0)),
+])
+def test_a_bad_hook_result_ends_the_solve_as_its_check_does(method, kind, message, counters):
+    # the outcome the hooks' own checks gave before the solver's sums made
+    # them: a non-finite row raises the dense path's DomainError in the
+    # fifth step, and an overflowing but finite product is a breakdown
+    sys = _glitching(kind)
+    report = run(sys, np.zeros(3), SolverConfig(method=method, seed=1))
+    assert (report.status, report.iters, report.message) == (Status.BREAKDOWN, 4, message)
+    assert tuple(vars(sys.counters).values()) == counters

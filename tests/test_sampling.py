@@ -85,3 +85,44 @@ def test_integers_from_zero_equals_integers_up_to_k():
         for _ in range(3):
             assert ours.integers(0, k) == ref.integers(k)
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_row(fx, r2, u):
+    """Generator.choice's row for the uniform draw u: the normalized
+    cumulative weights searched for u."""
+    cdf = (fx * fx / r2).cumsum()
+    return int(np.searchsorted(cdf / cdf[-1], u, "right"))
+
+
+def _boundary_cases():
+    # (fx, r2): leading and trailing zero weights, m = 1, totals so small
+    # (a few 5e-324) that u * t rounds up to the total t itself, and r2
+    # scaled away from ||f||^2, so that the total is far from 1 and a
+    # rounded u * t lands on either side of the row
+    tiny = 2.0 ** -100  # tiny**2 / 2**874 = 5e-324
+    yield np.array([3.0]), 9.0
+    yield np.array([0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0]), 14.0
+    yield np.array([tiny, tiny, tiny]), 2.0 ** 874
+    yield np.array([tiny, 0.0, tiny, tiny, 0.0, 0.0]), 2.0 ** 874
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m = int(rng.integers(1, 60))
+        fx = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
+        fx[rng.random(m) < 0.3] = 0.0
+        if fx.any():
+            yield fx, float(fx.dot(fx)) * float(rng.choice([1.0, 3.0, 0.7, 10.0]))
+
+
+def test_draw_at_each_cumulative_weight_and_its_neighbours_is_choices_row():
+    rounded_up = 0
+    for fx, r2 in _boundary_cases():
+        cdf = (fx * fx / r2).cumsum()
+        t = cdf[-1]
+        for c in cdf / t:
+            for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)):
+                if not 0.0 <= u < 1.0:
+                    continue
+                u = float(u)
+                rounded_up += u * t == t
+                assert _sample_row(fx, r2, _Fixed(u), 0) == _reference_row(fx, r2, u), (fx, u)
+    assert rounded_up  # the search for u * t did land past the last row

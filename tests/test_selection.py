@@ -239,3 +239,76 @@ def test_rdcnk_selection_kinds_are_reached():
     for fx, w, raises in cases:
         outcome = _outcome(select_rdcnk, _norms_system(w), IterateState(one, fx, 0))
         assert outcome[0] is (raises or np.dtype(np.intp))
+
+
+# -- greedy selections against their earlier form ---------------------------
+
+
+_ZERO = "selection from a zero residual: solver should have terminated"
+
+
+def _scaled_reference(fx):
+    with np.errstate(all="ignore"):
+        scale = np.abs(fx).max()
+        w = fx / scale
+        return scale, w * w
+
+
+def _select_ngabk_reference(fx):
+    """NGABK's selection as written before it used that the largest scaled
+    square is 1.0: a full ``fx.any()`` and ``a2.max()`` on every call."""
+    fx = np.asarray(fx, dtype=float)
+    if not fx.any():
+        raise ValueError(_ZERO)
+    _, a2 = _scaled_reference(fx)
+    with np.errstate(all="ignore"):
+        r2 = a2.sum()
+        delta = 0.5 * (a2.max() / r2 + 1.0 / len(fx))
+        return BlockSelection(indices=np.flatnonzero(a2 >= delta * r2), threshold=float(delta))
+
+
+def _select_mrnabk_reference(fx, rho):
+    """MRNABK's selection as written before, in the same way."""
+    fx = np.asarray(fx, dtype=float)
+    if not fx.any():
+        raise ValueError(_ZERO)
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    scale, a2 = _scaled_reference(fx)
+    with np.errstate(all="ignore"):
+        indices = np.flatnonzero(a2 >= rho * a2.max())
+        return BlockSelection(indices=indices, threshold=float(rho * (scale * scale)))
+
+
+# residual entries: zeros of either sign, the smallest subnormal, 1e+-200,
+# non-finite values
+_G = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, 1e-200, -1e-200,
+                                math.inf, -math.inf, math.nan, 1.0, -0.7]),
+               st.floats(-1e3, 1e3))
+_RHO = st.one_of(st.sampled_from([0.1, 1.0, 5e-324, 0.0, -0.5, 1.5, math.nan, math.inf, 1]),
+                 st.floats(1e-6, 1.0))
+
+
+@st.composite
+def _greedy_cases(draw):
+    m = draw(st.integers(1, 12))
+    fx = np.array(draw(st.lists(_G, min_size=m, max_size=m)))
+    if draw(st.sampled_from(["any", "any", "zero"])) == "zero":
+        fx[:] = draw(st.sampled_from([0.0, -0.0]))
+    return fx, draw(_RHO)
+
+
+def _selected(select, *args):
+    try:
+        sel = select(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (sel.indices.dtype, sel.indices.tolist(), struct.pack("<d", sel.threshold))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=_greedy_cases())
+def test_greedy_selections_match_the_reference(case):
+    fx, rho = case
+    assert _selected(select_ngabk, fx) == _selected(_select_ngabk_reference, fx)
+    assert _selected(select_mrnabk, fx, rho) == _selected(_select_mrnabk_reference, fx, rho)
