@@ -117,7 +117,11 @@ def check_lemma1(sys: NonlinearSystem, tau: np.ndarray, x1: np.ndarray,
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     df = (sys.residual(x1) - sys.residual(x2))[tau]
-    lin = sys.gradient_rows(tau, x1) @ (x1 - x2)
+    return _lemma1(df, sys.gradient_rows(tau, x1) @ (x1 - x2), xi, rel_slack)
+
+
+def _lemma1(df: np.ndarray, lin: np.ndarray, xi: float, rel_slack: float) -> Lemma1Check:
+    """``check_lemma1`` from f_tau(x1) - f_tau(x2) and f'_tau(x1)(x1 - x2)."""
     lhs = float(df @ df)
     rhs = float(lin @ lin) / (1.0 + xi * xi)
     return Lemma1Check(lhs=lhs, rhs=rhs, holds=lhs >= rhs * (1.0 - rel_slack))
@@ -258,10 +262,10 @@ def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
         if not (np.abs(df) >= SKIP_BELOW).all():
             continue
         J = sys.jacobian(x)
-        xi = float((np.abs(df - J @ (x - x_star)) / np.abs(df)).max())
-        if xi >= 0.5:
-            continue
-        if not check_lemma1(sys, np.arange(sys.m), x, x_star, xi, rel_slack=0.0).holds:
+        lin = J @ (x - x_star)
+        xi = float((np.abs(df - lin) / np.abs(df)).max())
+        # the lemma on all rows, from the residuals and the Jacobian at hand
+        if xi >= 0.5 or not _lemma1(df, lin, xi, 0.0).holds:
             continue
         sel = _select(fx, method, rho)
         bound = _bound(_spectra(J, sel), sel, xi, method, rho, sys.m)

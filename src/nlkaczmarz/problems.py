@@ -8,9 +8,9 @@ norms, computed from the nonzeros alone with index arithmetic and
 gather of its kernel rows, without forming the gradient rows, and the row
 norms in closed form from one matrix-vector product and the kernel's row
 norms and diagonal, computed once.  Broyden and the overdetermined system,
-whose rows read at most three neighbouring columns, also recompute the
-residual and the row norms after a single-row step on the rows that read
-that row's columns alone.
+whose rows read at most three neighbouring columns, also refresh the
+residual and the row norms after a single-row step in one pass over the
+rows that read that row's columns.
 ``get_problem`` adds the conventional initial point and a per-coordinate
 sampling box used for finite-difference validation and cone-constant
 estimation.
@@ -205,48 +205,41 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
         out[:-1] += (2.0 * s[:-1]) ** 2
         return out
 
-    def _g_near(i, x):
-        # (k, x_k, g_k) for the rows i-2..i+2, clipped to the system, that
-        # read row i's columns i-1..i+1, with _g's operations in its order,
-        # on Python floats; the refreshes below square by a product, because
-        # a Python float's ** raises OverflowError where NumPy's returns inf
+    def refresh_after_row(i, x, fx, w):
+        # rows i-2..i+2, clipped to the system, read row i's columns
+        # i-1..i+1; each g_k is recomputed with _g's operations in its order
+        # and each norm with row_norms_sq's, on Python floats, squared by a
+        # product, because a Python float's ** raises OverflowError where
+        # NumPy's returns inf
         lo, hi = max(i - 2, 0), min(i + 3, n)
         start = max(lo - 1, 0)
         xs = x[start:hi + 1].tolist()
+        fx = fx.copy()
+        w = None if w is None else w.copy()
         for k in range(lo, hi):
             j = k - start
-            gk = (3.0 - 2.0 * xs[j]) * xs[j] + 1.0
+            xk = xs[j]
+            gk = (3.0 - 2.0 * xk) * xk + 1.0
             if k > 0:
                 gk -= xs[j - 1]
             if k < n - 1:
                 gk -= 2.0 * xs[j + 1]
-            yield k, xs[j], gk
-
-    def residual_after_row(i, x, fx):
-        out = fx.copy()
-        for k, _, gk in _g_near(i, x):
-            out[k] = gk * gk
-        return out
-
-    def row_norms_after_row(i, x, w):
-        # row_norms_sq's operations in its order
-        out = w.copy()
-        for k, xk, gk in _g_near(i, x):
-            sk = 2.0 * gk
-            a = sk * (3.0 - 4.0 * xk)
-            v = a * a
-            if k > 0:
-                v += sk * sk
-            if k < n - 1:
-                b = 2.0 * sk
-                v += b * b
-            out[k] = v
-        return out
+            fx[k] = gk * gk
+            if w is not None:
+                sk = 2.0 * gk
+                a = sk * (3.0 - 4.0 * xk)
+                v = a * a
+                if k > 0:
+                    v += sk * sk
+                if k < n - 1:
+                    b = 2.0 * sk
+                    v += b * b
+                w[k] = v
+        return fx, w
 
     return NonlinearSystem(n, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
-                           residual_after_row=residual_after_row,
-                           row_norms_after_row=row_norms_after_row)
+                           refresh_after_row=refresh_after_row)
 
 
 def make_overdetermined_rational(n: int) -> NonlinearSystem:
@@ -307,40 +300,32 @@ def make_overdetermined_rational(n: int) -> NonlinearSystem:
         out[0::2] = a * a + 100.0
         return out
 
-    def residual_after_row(k, x, fx):
+    def refresh_after_row(k, x, fx, w):
         # row k moves columns p and p+1 (p = k // 2), which the pairs p-1..p+1
-        # read; each is recomputed with residual's operations in its order,
-        # on Python floats, squared by a product because ** raises
-        # OverflowError on them; 1 + x^2 is never 0
-        lo, hi = max(k // 2 - 1, 0), min(k // 2 + 2, n - 1)
-        out = fx.copy()
-        xs = x[lo:hi + 1].tolist()
-        for p in range(lo, hi):
-            xp = xs[p - lo]
-            out[2 * p] = 10.0 * (2.0 * xp / (1.0 + xp * xp) - xs[p + 1 - lo])
-            out[2 * p + 1] = xp - 1.0
-        return out
-
-    def row_norms_after_row(k, x, w):
-        # only the even row 2p's norm reads a column, x_p, and row k moves
-        # columns p and p+1 (p = k // 2): rows 2p and 2p+2 are recomputed
-        # with row_norms_sq's operations in its order, on Python floats,
-        # squared by a product as in residual_after_row
+        # read; an odd row's norm is the constant 1 and row 2q's reads x_q
+        # alone, so rows 2p and 2p+2 are the norms to recompute.  Each uses
+        # residual's or row_norms_sq's operations in its order, on Python
+        # floats, squared by a product because ** raises OverflowError on
+        # them; 1 + x^2 is never 0
         p = k // 2
-        out = w.copy()
-        for q in range(p, min(p + 2, n - 1)):
-            xq = float(x[q])
+        lo, hi = max(p - 1, 0), min(p + 2, n - 1)
+        fx = fx.copy()
+        w = None if w is None else w.copy()
+        xs = x[lo:hi + 1].tolist()
+        for q in range(lo, hi):
+            xq = xs[q - lo]
             xq2 = xq * xq
             d = 1.0 + xq2
-            a = 10.0 * ((2.0 - 2.0 * xq2) / (d * d))
-            out[2 * q] = a * a + 100.0
-        return out
+            fx[2 * q] = 10.0 * (2.0 * xq / d - xs[q + 1 - lo])
+            fx[2 * q + 1] = xq - 1.0
+            if w is not None and q >= p:
+                a = 10.0 * ((2.0 - 2.0 * xq2) / (d * d))
+                w[2 * q] = a * a + 100.0
+        return fx, w
 
     return NonlinearSystem(m, n, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq,
-                           residual_after_row=residual_after_row,
-                           row_norms_after_row=row_norms_after_row,
-                           known_solution=np.ones(n))
+                           refresh_after_row=refresh_after_row, known_solution=np.ones(n))
 
 
 @dataclass

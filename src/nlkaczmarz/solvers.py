@@ -6,10 +6,10 @@ NGABK and MRNABK take pseudoinverse-free averaged block steps
 touching only the Jacobian rows in the selected block.  Baselines: NRK
 (single random row projection; its sampler is NumPy's ``Generator.choice``
 done inline, same rows from the same stream), RD-CNK (capped selection,
-single draw; a solve keeps its row norms and refreshes them), RB-CNK
-(minimum-norm least-squares block step, from a projection or a
-residual-checked Gram solve, with ``lstsq`` only as the fallback) and
-Newton-Raphson (``lstsq``).
+single draw; a solve keeps its row norms and refreshes them with the
+residual after each projection), RB-CNK (minimum-norm least-squares block
+step, from a projection or a residual-checked Gram solve, with ``lstsq``
+only as the fallback) and Newton-Raphson (``lstsq``).
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
 step, or the iteration cap.  The public steps and selections ignore NumPy's
@@ -228,23 +228,25 @@ def _sample_row(fx, r2, rng, k) -> int:
     return j
 
 
-def _projected(sys, x, fx, i, k):
-    """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual, whether c
-    is finite).  The residual is refreshed on the rows that read row i's
-    columns alone when c is finite: only then is c * 0 = 0 off the support.
-    (A -0.0 there can still turn into +0.0, which may flip the sign of a
-    zero residual component; no step reads one, as a selected row has
-    f_i != 0.)"""
+def _projected(sys, x, fx, i, k, w=None):
+    """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual, its row
+    norms or None).  When c is finite, the residual and, given the row norms
+    w at x, the norms are refreshed on the rows that read row i's columns
+    alone: only then is c * 0 = 0 off the support.  Otherwise the residual
+    is evaluated in full and the norms are None.  (A -0.0 off the support
+    can still turn into +0.0, which may flip the sign of a zero residual
+    component; no step reads one, as a selected row has f_i != 0.)"""
     g = sys.row_gradient(i, x)
-    w = g.dot(g)
-    if not math.isfinite(w):  # inside run() the only check that g is finite
+    g2 = g.dot(g)
+    if not math.isfinite(g2):  # inside run() the only check that g is finite
         _check_gradient(g, i)
-    if w < BREAKDOWN_EPS:
+    if g2 < BREAKDOWN_EPS:
         raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
-    c = fx[i] / w
+    c = fx[i] / g2
     x = x - c * g
-    local = math.isfinite(c)
-    return x, sys.residual_after_row(i, x, fx) if local else sys.residual(x), local
+    if math.isfinite(c):
+        return (x, *sys.refresh_after_row(i, x, fx, w))
+    return x, sys.residual(x), None
 
 
 def rbcnk_step(sys: NonlinearSystem, state: IterateState,
@@ -310,21 +312,18 @@ def _nrk(sys, x, fx, r2, k, rng, rho):
 
 def _rdcnk_step():
     """A new RD-CNK step for one solve, which keeps the row norms of its
-    iterate: the first step computes them all, and a later one refreshes the
-    rows that read the columns of the row projected last, when that
-    projection refreshed its residual in the same way (c finite)."""
-    w = last = None
+    iterate: the projection refreshes them with the residual when it can
+    (``_projected``), and a step computes them all only when it could not."""
+    w = None
 
     def step(sys, x, fx, r2, k, rng, rho):
-        nonlocal w, last
-        w = sys.row_norms_sq(x) if last is None else sys.row_norms_after_row(last, x, w)
+        nonlocal w
         # inside run() the sum of the norms is their only check
-        w, w_sum = _check_row_norms(sys, x, w)
+        w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x) if w is None else w)
         rows = _capped(fx, w, w_sum, k).indices
         # the same draw and stream as rng.integers(len(rows)), at half the call cost
         i = int(rows[rng.integers(0, len(rows))])
-        x, fx, local = _projected(sys, x, fx, i, k)
-        last = i if local else None
+        x, fx, w = _projected(sys, x, fx, i, k, w)
         return x, fx, 1
 
     return step

@@ -7,9 +7,9 @@ rows; a full-Jacobian view exists for the baselines and diagnostics that
 genuinely need it, and its use is counted separately so per-iteration cost
 differences stay visible.  Two structured views, the block vector-Jacobian
 product and the row norms, let a problem with sparse rows serve the
-averaged step and the capped selection without forming dense rows.  Two
-more, the residual and the row norms after a single-row step, let it
-recompute only the rows that read the step's columns.
+averaged step and the capped selection without forming dense rows.  One
+more, the refresh after a single-row step, lets it recompute the residual
+and the row norms on the rows that read the step's columns alone.
 
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
 result is reported as a :class:`DomainError` instead.  Called directly, an
@@ -45,14 +45,14 @@ def solve_scope(system: "NonlinearSystem"):
     """Ignore every NumPy floating-point warning until exit, once for all the
     evaluations made inside, which then skip their own ``np.errstate``.
     Each evaluation of ``system`` is then checked once, by the solver's own
-    reduction of it: ``residual`` and ``residual_after_row`` by ||f||^2
-    (``_check_residual``), ``row_gradient`` by ||grad f_i||^2
-    (``_check_gradient``), a ``block_vjp`` hook by the averaged step's
-    ||d||^2 (``_dense_vjp``) and the ``row_norms_sq`` and
-    ``row_norms_after_row`` hooks by the sum the capped selection takes
-    (``_check_row_norms``).  A non-finite reduction takes the evaluation's
-    own check: the same DomainError, or the same dense fallback.  Every
-    other system keeps its own checks."""
+    reduction of it: ``residual`` and the residual ``refresh_after_row``
+    returns by ||f||^2 (``_check_residual``), ``row_gradient`` by
+    ||grad f_i||^2 (``_check_gradient``), a ``block_vjp`` hook by the
+    averaged step's ||d||^2 (``_dense_vjp``) and the row norms of the
+    ``row_norms_sq`` and ``refresh_after_row`` hooks by the sum the capped
+    selection takes (``_check_row_norms``).  A non-finite reduction takes
+    the evaluation's own check: the same DomainError, or the same dense
+    fallback.  Every other system keeps its own checks."""
     token = _SOLVING.set(system)
     try:
         with np.errstate(all="ignore"):
@@ -96,7 +96,7 @@ def _shaped(what: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a float array, which must have ``shape``."""
     value = np.asarray(value, dtype=float)
     if value.shape != shape:
-        raise ValueError(f"{what} returned shape {value.shape}, expected {shape}")
+        raise ValueError(f"{what} has shape {value.shape}, expected {shape}")
     return value
 
 
@@ -142,16 +142,14 @@ class NonlinearSystem:
     row_norms_sq
         Optional ``x -> (m,) array`` of squared Jacobian row norms,
         without forming the Jacobian.
-    residual_after_row
-        Optional ``(i, x, fx) -> (m,) array`` returning ``residual(x)``
-        bit for bit, given the residual ``fx`` at a point that differs
-        from ``x`` only in the columns of row i's gradient: only the rows
-        that read those columns are recomputed, the rest are copied from
-        ``fx``, which is not written.
-    row_norms_after_row
-        Optional ``(i, x, w) -> (m,) array`` returning ``row_norms_sq(x)``
-        bit for bit, given the row norms ``w`` at a point that differs from
-        ``x`` only in the columns of row i's gradient, in the same way.
+    refresh_after_row
+        Optional ``(i, x, fx, w) -> ((m,) array, (m,) array or None)``
+        returning ``(residual(x), row_norms_sq(x))`` bit for bit, given the
+        residual ``fx`` and the row norms ``w`` at a point that differs from
+        ``x`` only in the columns of row i's gradient: only the rows that
+        read those columns are recomputed, in one pass, and the rest are
+        copied from ``fx`` and ``w``, which are not written.  The second
+        item is None when ``w`` is None.
     known_solution
         Optional root, when analytically available.
 
@@ -170,8 +168,7 @@ class NonlinearSystem:
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         block_vjp: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
         row_norms_sq: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        residual_after_row: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None,
-        row_norms_after_row: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None,
+        refresh_after_row: Optional[Callable[..., tuple]] = None,
         known_solution: Optional[np.ndarray] = None,
     ):
         if m < 1 or n < 1:
@@ -184,8 +181,7 @@ class NonlinearSystem:
         self._jacobian = jacobian
         self._block_vjp = block_vjp
         self._row_norms_sq = row_norms_sq
-        self._residual_after_row = residual_after_row
-        self._row_norms_after_row = row_norms_after_row
+        self._refresh_after_row = refresh_after_row
         self.known_solution = None if known_solution is None else np.asarray(known_solution, dtype=float)
         self.counters = EvalCounters()
 
@@ -205,22 +201,36 @@ class NonlinearSystem:
                 _check_residual(fx)
         return fx
 
-    def residual_after_row(self, i: int, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-        """f(x), from the residual ``fx`` at a point that differs from x only
-        in the columns of row i's gradient: the ``residual_after_row`` hook,
-        or ``residual(x)`` without one.  Counted, checked and silenced as
-        ``residual`` is."""
-        if self._residual_after_row is None:
-            return self.residual(x)
-        x, fx = self._check_after_row(i, x, fx, "residual")
+    def refresh_after_row(self, i: int, x: np.ndarray, fx: np.ndarray,
+                          w: Optional[np.ndarray] = None) -> tuple:
+        """(f(x), the row norms at x or None when ``w`` is None), from the
+        residual ``fx`` and the row norms ``w`` at a point that differs from
+        x only in the columns of row i's gradient: the ``refresh_after_row``
+        hook, or ``(residual(x), None)`` without one.  Counted, checked and
+        silenced as ``residual`` and, with ``w``, ``row_norms_sq`` are."""
+        if self._refresh_after_row is None:
+            return self.residual(x), None
+        if not 0 <= i < self.m:
+            raise IndexError(f"row index {i} out of range [0, {self.m})")
+        x = self._check_point(x)
+        fx = _shaped("fx", fx, (self.m,))
         self.counters.residual_evals += 1
-        if _SOLVING.get() is self:
-            return _shaped("residual_after_row", self._residual_after_row(i, x, fx), (self.m,))
+        if w is not None:
+            w = _shaped("w", w, (self.m,))
+            self.counters.jacobian_evals += 1
+        if _SOLVING.get() is self:  # run() and the capped selection check their sums
+            return self._refreshed(i, x, fx, w)
         with _quiet():
-            fx = _shaped("residual_after_row", self._residual_after_row(i, x, fx), (self.m,))
+            fx, w = self._refreshed(i, x, fx, w)
             if not math.isfinite(fx.dot(fx)):
                 _check_residual(fx)
-        return fx
+            return fx, None if w is None else _check_row_norms(self, x, w)[0]
+
+    def _refreshed(self, i, x, fx, w) -> tuple:
+        """The ``refresh_after_row`` hook's (f(x), the row norms or None)."""
+        fx, v = self._refresh_after_row(i, x, fx, w)
+        return (_shaped("refresh_after_row", fx, (self.m,)),
+                None if w is None else _shaped("refresh_after_row", v, (self.m,)))
 
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Evaluate the i-th Jacobian row at x. Raises DomainError on
@@ -272,29 +282,13 @@ class NonlinearSystem:
     def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared norm of every Jacobian row (counted as one full Jacobian)."""
         x = self._check_point(x)
-        return self._row_norms("row_norms_sq", self._row_norms_sq, (x,), x)
-
-    def row_norms_after_row(self, i: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``row_norms_sq(x)``, from the row norms ``w`` at a point that
-        differs from x only in the columns of row i's gradient: the
-        ``row_norms_after_row`` hook, or ``row_norms_sq(x)`` without one.
-        Counted, and falling back to the dense Jacobian, as ``row_norms_sq``
-        is."""
-        if self._row_norms_after_row is None:
-            return self.row_norms_sq(x)
-        x, w = self._check_after_row(i, x, w, "row norms")
-        return self._row_norms("row_norms_after_row", self._row_norms_after_row, (i, x, w), x)
-
-    def _row_norms(self, what: str, hook, args: tuple, x: np.ndarray) -> np.ndarray:
-        """The row norms at x as ``hook(*args)`` computes them, counted as one
-        full Jacobian."""
         self.counters.jacobian_evals += 1
-        if hook is not None:
-            if _SOLVING.get() is self:  # the capped selection checks their sum
-                return _shaped(what, hook(*args), (self.m,))
-            with _quiet():
-                return _check_row_norms(self, x, _shaped(what, hook(*args), (self.m,)))[0]
-        return self._dense_row_norms(x)
+        if self._row_norms_sq is None:
+            return self._dense_row_norms(x)
+        with _quiet():
+            w = _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,))
+            # inside the solve of this system the capped selection checks their sum
+            return w if _SOLVING.get() is self else _check_row_norms(self, x, w)[0]
 
     def _dense_vjp(self, indices: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``w @ gradient_rows(indices, x)`` from the dense rows, uncounted: the
@@ -330,17 +324,6 @@ class NonlinearSystem:
             raise DomainError("non-finite entry in Jacobian")
         return J
 
-    def _check_after_row(self, i: int, x, values, what: str) -> tuple:
-        """(x, values) as float arrays, for a refresh after a step along row
-        i: a row index, a point and an (m,) array of ``what``."""
-        if not 0 <= i < self.m:
-            raise IndexError(f"row index {i} out of range [0, {self.m})")
-        x = self._check_point(x)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.m,):
-            raise ValueError(f"{what} of shape {values.shape}, expected ({self.m},)")
-        return x, values
-
     def _check_rows(self, indices) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size and (indices.min() < 0 or indices.max() >= self.m):
@@ -348,10 +331,7 @@ class NonlinearSystem:
         return indices
 
     def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        return x
+        return _shaped("point", x, (self.n,))
 
 
 @dataclass

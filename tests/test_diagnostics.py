@@ -195,3 +195,21 @@ def test_verified_contraction_steps_brown(method):
     for s in steps:
         assert s.xi < 0.5
         assert s.measured_ratio <= s.rho_bound * (1.0 + 1e-10)
+
+
+def test_verified_contraction_steps_evaluate_each_iterate_once():
+    # f(x*) once, f(x_k) once per step and the Jacobian once per step whose
+    # residual differences are all usable: the lemma check reuses them
+    prob = get_problem("brown", 10)
+    sys = prob.system
+    report = run(sys, prob.x0, SolverConfig(method=Method.NGABK, store_iterates=True))
+    x_star = report.iterates[-1]
+    sys.counters.reset()
+    steps = verified_contraction_steps(sys, report, x_star)
+    assert (report.iters, len(steps)) == (2453, 1048)
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2454, 0, 1227)
+    # and each verified step passes the public lemma check on all rows
+    for s in steps[::50]:
+        assert check_lemma1(sys, np.arange(sys.m), report.iterates[s.k], x_star, s.xi,
+                            rel_slack=0.0).holds

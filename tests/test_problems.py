@@ -15,7 +15,7 @@ from nlkaczmarz import (
     newton_step,
 )
 from nlkaczmarz.problems import PROBLEM_NAMES
-from nlkaczmarz.system import NonlinearSystem, solve_scope
+from nlkaczmarz.system import NonlinearSystem
 
 
 @pytest.mark.parametrize("name,n", [("h-equation", 12), ("brown", 8), ("broyden", 9),
@@ -324,36 +324,24 @@ def _support(name, n, i):
     return [p, p + 1] if i % 2 == 0 else [p]
 
 
-@pytest.mark.parametrize("name", ["broyden", "overdetermined"])
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_residual_after_row_is_bitwise_the_residual(name, data):
-    n = data.draw(st.integers(2, 60), label="n")
-    sys = get_problem(name, n).system
-    x_old = np.array(data.draw(st.lists(ANY_FLOAT, min_size=n, max_size=n), label="x"))
-    i = data.draw(st.integers(0, sys.m - 1), label="row")
-    cols = _support(name, n, i)
-    x_new = x_old.copy()
-    x_new[cols] = data.draw(st.lists(ANY_FLOAT, min_size=len(cols), max_size=len(cols)),
-                            label="support")
-    # inside the solve scope the wrapper leaves non-finite values to the caller
-    with solve_scope(sys):
-        fx = sys.residual(x_old)
-        before = fx.tobytes()
-        refreshed = sys.residual_after_row(i, x_new, fx)
-        assert refreshed.tobytes() == sys.residual(x_new).tobytes()
-    assert fx.tobytes() == before
-
-
 # ANY_FLOAT, with the moderate values where a regrouped quotient rounds
 # differently drawn more often too
 ENTRY = st.one_of(ANY_FLOAT, st.floats(-4.0, 4.0))
 
 
+def _outcome(evaluate):
+    """The bytes of each array ``evaluate()`` returns (None as None), or the
+    message and row index of its DomainError."""
+    try:
+        return tuple(None if v is None else v.tobytes() for v in evaluate())
+    except DomainError as exc:
+        return str(exc), exc.index
+
+
 @pytest.mark.parametrize("name", ["broyden", "overdetermined"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_row_norms_after_row_is_bitwise_the_row_norms(name, data):
+def test_refresh_after_row_is_bitwise_the_residual_and_row_norms(name, data):
     n = data.draw(st.integers(2, 60), label="n")
     sys = get_problem(name, n).system
     x_old = np.array(data.draw(st.lists(ENTRY, min_size=n, max_size=n), label="x"))
@@ -362,20 +350,18 @@ def test_row_norms_after_row_is_bitwise_the_row_norms(name, data):
     x_new = x_old.copy()
     x_new[cols] = data.draw(st.lists(ENTRY, min_size=len(cols), max_size=len(cols)),
                             label="support")
-    # the hooks themselves, as the wrappers' dense fallback hides a non-finite row
+    # the hook itself, as the wrapper's dense fallback hides a non-finite row
     with np.errstate(all="ignore"):
-        w = sys._row_norms_sq(x_old)
-        before = w.tobytes()
-        refreshed = sys._row_norms_after_row(i, x_new, w)
-        assert refreshed.tobytes() == sys._row_norms_sq(x_new).tobytes()
-    assert w.tobytes() == before
-    # and the wrappers: the same norms, or the same DomainError
-    outcomes = []
-    for evaluate in (lambda: sys.row_norms_after_row(i, x_new, w),
-                     lambda: sys.row_norms_sq(x_new)):
-        try:
-            outcomes.append(evaluate().tobytes())
-        except DomainError as exc:
-            outcomes.append((str(exc), exc.index))
-    assert outcomes[0] == outcomes[1]
-    assert w.tobytes() == before
+        fx, w = sys._residual(x_old), sys._row_norms_sq(x_old)
+        before = fx.tobytes(), w.tobytes()
+        want = sys._residual(x_new).tobytes(), sys._row_norms_sq(x_new).tobytes()
+        assert _outcome(lambda: sys._refresh_after_row(i, x_new, fx, w)) == want
+        assert _outcome(lambda: sys._refresh_after_row(i, x_new, fx, None)) == (want[0], None)
+    assert (fx.tobytes(), w.tobytes()) == before
+    # and the wrapper: the same values, or the same DomainError, as the full
+    # residual and then the full row norms
+    assert (_outcome(lambda: sys.refresh_after_row(i, x_new, fx, w))
+            == _outcome(lambda: (sys.residual(x_new), sys.row_norms_sq(x_new))))
+    assert (_outcome(lambda: sys.refresh_after_row(i, x_new, fx))
+            == _outcome(lambda: (sys.residual(x_new), None)))
+    assert (fx.tobytes(), w.tobytes()) == before

@@ -139,22 +139,30 @@ def test_counters_tally_work():
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 0)
 
 
-def test_residual_after_row_is_counted_and_checked_as_the_residual():
+def test_refresh_after_row_is_counted_and_checked_as_the_residual_and_row_norms():
     sys = make_singular_broyden(8)
     x = np.full(8, -0.5)
-    fx = sys.residual(x)
+    fx, w = sys.residual(x), sys.row_norms_sq(x)
     y = x.copy()
     y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
     sys.counters.reset()
-    assert np.array_equal(sys.residual_after_row(3, y, fx), sys.residual(y))
+    f_new, w_new = sys.refresh_after_row(3, y, fx, w)
+    assert np.array_equal(f_new, sys.residual(y))
+    assert np.array_equal(w_new, sys.row_norms_sq(y))
     c = sys.counters
-    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 2)
+    # without norms to refresh, it is one residual evaluation and no norms
+    f_new, w_new = sys.refresh_after_row(3, y, fx)
+    assert np.array_equal(f_new, sys.residual(y)) and w_new is None
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (4, 0, 2)
     with pytest.raises(IndexError):
-        sys.residual_after_row(8, y, fx)
+        sys.refresh_after_row(8, y, fx, w)
     with pytest.raises(ValueError):
-        sys.residual_after_row(3, y[:7], fx)
+        sys.refresh_after_row(3, y[:7], fx, w)
     with pytest.raises(ValueError):
-        sys.residual_after_row(3, y, fx[:7])
+        sys.refresh_after_row(3, y, fx[:7], w)
+    with pytest.raises(ValueError):
+        sys.refresh_after_row(3, y, fx, w[:7])
     # a non-finite row raises the residual's DomainError, without a warning
     y[4] = np.inf
     with pytest.raises(DomainError) as full:
@@ -162,60 +170,33 @@ def test_residual_after_row_is_counted_and_checked_as_the_residual():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as refreshed:
-            sys.residual_after_row(3, y, fx)
+            sys.refresh_after_row(3, y, fx, w)
     assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
-    wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
-                           residual_after_row=lambda i, x, fx: np.zeros(3))
-    with pytest.raises(ValueError):
-        wide.residual_after_row(0, np.zeros(2), np.zeros(2))
+    for bad in (lambda i, x, fx, w: (np.zeros(3), w), lambda i, x, fx, w: (fx, np.zeros(3))):
+        wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
+                               refresh_after_row=bad)
+        with pytest.raises(ValueError):
+            wide.refresh_after_row(0, np.zeros(2), np.zeros(2), np.ones(2))
 
 
-def test_residual_after_row_without_a_hook_is_the_residual():
+def test_refresh_after_row_without_a_hook_is_the_residual():
     sys = make_brown(4)
     x = np.array([0.5, 1.0, 2.0, -1.0])
-    fx = sys.residual(np.ones(4))
+    fx, w = sys.residual(np.ones(4)), sys.row_norms_sq(np.ones(4))
     sys.counters.reset()
-    assert np.array_equal(sys.residual_after_row(1, x, fx), sys.residual(x))
-    assert sys.counters.residual_evals == 2
-
-
-def test_row_norms_after_row_is_counted_and_checked_as_the_row_norms():
-    sys = make_singular_broyden(8)
-    x = np.full(8, -0.5)
-    w = sys.row_norms_sq(x)
-    y = x.copy()
-    y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
-    sys.counters.reset()
-    assert np.array_equal(sys.row_norms_after_row(3, y, w), sys.row_norms_sq(y))
+    f_new, w_new = sys.refresh_after_row(1, x, fx, w)
+    assert np.array_equal(f_new, sys.residual(x)) and w_new is None
     c = sys.counters
-    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 2)
-    with pytest.raises(IndexError):
-        sys.row_norms_after_row(8, y, w)
-    with pytest.raises(ValueError):
-        sys.row_norms_after_row(3, y[:7], w)
-    with pytest.raises(ValueError):
-        sys.row_norms_after_row(3, y, w[:7])
-    wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
-                           row_norms_after_row=lambda i, x, w: np.zeros(3))
-    with pytest.raises(ValueError):
-        wide.row_norms_after_row(0, np.zeros(2), np.zeros(2))
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
 
 
-def test_row_norms_after_row_without_a_hook_is_the_row_norms():
-    sys = make_brown(4)
-    x = np.array([0.5, 1.0, 2.0, -1.0])
-    w = sys.row_norms_sq(np.ones(4))
-    sys.counters.reset()
-    assert np.array_equal(sys.row_norms_after_row(1, x, w), sys.row_norms_sq(x))
-    assert sys.counters.jacobian_evals == 2
-
-
-def test_non_finite_row_norms_after_row_raise_the_dense_domain_error():
+def test_non_finite_refreshed_row_norms_raise_the_dense_domain_error():
     # overdetermined row 2p's norm is NaN once x_p^2 overflows, and so is its
-    # dense gradient; the refresh falls back to the dense rows, without a warning
+    # dense gradient, while every residual stays finite; the refresh falls
+    # back to the dense rows, without a warning
     sys = make_overdetermined_rational(6)
     x = np.full(6, 0.5)
-    w = sys.row_norms_sq(x)
+    fx, w = sys.residual(x), sys.row_norms_sq(x)
     x[2] = 1e200  # row 4's column p = 2
     with pytest.raises(DomainError) as full:
         sys.row_norms_sq(x)
@@ -223,10 +204,11 @@ def test_non_finite_row_norms_after_row_raise_the_dense_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as refreshed:
-            sys.row_norms_after_row(4, x, w)
+            sys.refresh_after_row(4, x, fx, w)
     assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
     assert refreshed.value.index == 4
-    assert sys.counters.jacobian_evals == 1
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (1, 0, 1)
 
 
 def _system_with_bad_row(bad_row, block_vjp, row_norms_sq):
