@@ -15,7 +15,7 @@ from nlkaczmarz import (
     newton_step,
 )
 from nlkaczmarz.problems import PROBLEM_NAMES
-from nlkaczmarz.system import NonlinearSystem
+from nlkaczmarz.system import NonlinearSystem, solve_scope
 
 
 @pytest.mark.parametrize("name,n", [("h-equation", 12), ("brown", 8), ("broyden", 9),
@@ -338,10 +338,8 @@ def _outcome(evaluate):
         return str(exc), exc.index
 
 
-@pytest.mark.parametrize("name", ["broyden", "overdetermined"])
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_refresh_after_row_is_bitwise_the_residual_and_row_norms(name, data):
+def _after_row_case(name, data):
+    """A problem, a row i, and two points that differ only in row i's columns."""
     n = data.draw(st.integers(2, 60), label="n")
     sys = get_problem(name, n).system
     x_old = np.array(data.draw(st.lists(ENTRY, min_size=n, max_size=n), label="x"))
@@ -350,18 +348,44 @@ def test_refresh_after_row_is_bitwise_the_residual_and_row_norms(name, data):
     x_new = x_old.copy()
     x_new[cols] = data.draw(st.lists(ENTRY, min_size=len(cols), max_size=len(cols)),
                             label="support")
+    return sys, i, x_old, x_new
+
+
+@pytest.mark.parametrize("name", ["broyden", "overdetermined"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_residual_after_row_is_bitwise_the_residual(name, data):
+    sys, i, x_old, x_new = _after_row_case(name, data)
+    # the hook itself, without norms to refresh
+    with np.errstate(all="ignore"):
+        fx = sys._residual(x_old)
+        before = fx.tobytes()
+        want = sys._residual(x_new).tobytes(), None
+        assert _outcome(lambda: sys._refresh_after_row(i, x_new, fx, None)) == want
+    assert fx.tobytes() == before
+    # inside the solve scope the wrapper leaves non-finite values to the caller
+    with solve_scope(sys):
+        assert _outcome(lambda: sys.refresh_after_row(i, x_new, fx)) == want
+    # outside it: the same residual, or the same DomainError
+    assert (_outcome(lambda: sys.refresh_after_row(i, x_new, fx))
+            == _outcome(lambda: (sys.residual(x_new), None)))
+    assert fx.tobytes() == before
+
+
+@pytest.mark.parametrize("name", ["broyden", "overdetermined"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_norms_after_row_is_bitwise_the_row_norms(name, data):
+    sys, i, x_old, x_new = _after_row_case(name, data)
     # the hook itself, as the wrapper's dense fallback hides a non-finite row
     with np.errstate(all="ignore"):
         fx, w = sys._residual(x_old), sys._row_norms_sq(x_old)
         before = fx.tobytes(), w.tobytes()
         want = sys._residual(x_new).tobytes(), sys._row_norms_sq(x_new).tobytes()
         assert _outcome(lambda: sys._refresh_after_row(i, x_new, fx, w)) == want
-        assert _outcome(lambda: sys._refresh_after_row(i, x_new, fx, None)) == (want[0], None)
     assert (fx.tobytes(), w.tobytes()) == before
     # and the wrapper: the same values, or the same DomainError, as the full
     # residual and then the full row norms
     assert (_outcome(lambda: sys.refresh_after_row(i, x_new, fx, w))
             == _outcome(lambda: (sys.residual(x_new), sys.row_norms_sq(x_new))))
-    assert (_outcome(lambda: sys.refresh_after_row(i, x_new, fx))
-            == _outcome(lambda: (sys.residual(x_new), None)))
     assert (fx.tobytes(), w.tobytes()) == before

@@ -6,12 +6,15 @@ import pytest
 from nlkaczmarz import (
     DomainError,
     IterateState,
+    Method,
     NonlinearSystem,
+    SolverConfig,
     fd_check,
     make_brown,
     make_h_equation,
     make_overdetermined_rational,
     make_singular_broyden,
+    run,
 )
 
 from conftest import make_affine
@@ -139,7 +142,51 @@ def test_counters_tally_work():
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 0)
 
 
-def test_refresh_after_row_is_counted_and_checked_as_the_residual_and_row_norms():
+def test_residual_after_row_is_counted_and_checked_as_the_residual():
+    sys = make_singular_broyden(8)
+    x = np.full(8, -0.5)
+    fx = sys.residual(x)
+    y = x.copy()
+    y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
+    sys.counters.reset()
+    # without norms to refresh, it is one residual evaluation and no norms
+    f_new, w_new = sys.refresh_after_row(3, y, fx)
+    assert np.array_equal(f_new, sys.residual(y)) and w_new is None
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
+    with pytest.raises(IndexError):
+        sys.refresh_after_row(8, y, fx)
+    with pytest.raises(ValueError):
+        sys.refresh_after_row(3, y[:7], fx)
+    with pytest.raises(ValueError):
+        sys.refresh_after_row(3, y, fx[:7])
+    # a non-finite row raises the residual's DomainError, without a warning
+    y[4] = np.inf
+    with pytest.raises(DomainError) as full:
+        sys.residual(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as refreshed:
+            sys.refresh_after_row(3, y, fx)
+    assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
+    wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
+                           refresh_after_row=lambda i, x, fx, w: (np.zeros(3), w))
+    with pytest.raises(ValueError):
+        wide.refresh_after_row(0, np.zeros(2), np.zeros(2))
+
+
+def test_residual_after_row_without_a_hook_is_the_residual():
+    sys = make_brown(4)
+    x = np.array([0.5, 1.0, 2.0, -1.0])
+    fx = sys.residual(np.ones(4))
+    sys.counters.reset()
+    f_new, w_new = sys.refresh_after_row(1, x, fx)
+    assert np.array_equal(f_new, sys.residual(x)) and w_new is None
+    c = sys.counters
+    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
+
+
+def test_row_norms_after_row_is_counted_and_checked_as_the_row_norms():
     sys = make_singular_broyden(8)
     x = np.full(8, -0.5)
     fx, w = sys.residual(x), sys.row_norms_sq(x)
@@ -151,27 +198,12 @@ def test_refresh_after_row_is_counted_and_checked_as_the_residual_and_row_norms(
     assert np.array_equal(w_new, sys.row_norms_sq(y))
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 2)
-    # without norms to refresh, it is one residual evaluation and no norms
-    f_new, w_new = sys.refresh_after_row(3, y, fx)
-    assert np.array_equal(f_new, sys.residual(y)) and w_new is None
-    assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (4, 0, 2)
     with pytest.raises(IndexError):
         sys.refresh_after_row(8, y, fx, w)
     with pytest.raises(ValueError):
         sys.refresh_after_row(3, y[:7], fx, w)
     with pytest.raises(ValueError):
-        sys.refresh_after_row(3, y, fx[:7], w)
-    with pytest.raises(ValueError):
         sys.refresh_after_row(3, y, fx, w[:7])
-    # a non-finite row raises the residual's DomainError, without a warning
-    y[4] = np.inf
-    with pytest.raises(DomainError) as full:
-        sys.residual(y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError) as refreshed:
-            sys.refresh_after_row(3, y, fx, w)
-    assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
     for bad in (lambda i, x, fx, w: (np.zeros(3), w), lambda i, x, fx, w: (fx, np.zeros(3))):
         wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
                                refresh_after_row=bad)
@@ -179,7 +211,9 @@ def test_refresh_after_row_is_counted_and_checked_as_the_residual_and_row_norms(
             wide.refresh_after_row(0, np.zeros(2), np.zeros(2), np.ones(2))
 
 
-def test_refresh_after_row_without_a_hook_is_the_residual():
+def test_row_norms_after_row_without_a_hook_is_the_row_norms():
+    # without a hook the refresh hands back no norms and counts no Jacobian;
+    # RD-CNK then evaluates the row norms itself, once at every iterate it steps from
     sys = make_brown(4)
     x = np.array([0.5, 1.0, 2.0, -1.0])
     fx, w = sys.residual(np.ones(4)), sys.row_norms_sq(np.ones(4))
@@ -188,6 +222,10 @@ def test_refresh_after_row_without_a_hook_is_the_residual():
     assert np.array_equal(f_new, sys.residual(x)) and w_new is None
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
+    c.reset()
+    report = run(sys, x, SolverConfig(method=Method.RDCNK, seed=1, max_iters=200))
+    assert report.iters > 0
+    assert (c.residual_evals, c.jacobian_evals) == (report.iters + 1, report.iters)
 
 
 def test_non_finite_refreshed_row_norms_raise_the_dense_domain_error():
