@@ -114,6 +114,15 @@ def _parse_params(items: Optional[List[str]]) -> Dict[str, float]:
     return params
 
 
+def _parse_list(text: str, flag: str, kind) -> list:
+    """``flag``'s comma-separated values read by ``kind``; an empty or
+    malformed entry is a usage error that names the flag and the text."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+
+
 def _initial_point(spec: str, problem) -> np.ndarray:
     if spec == "default":
         return problem.x0
@@ -217,7 +226,7 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be positive, got {args.repeats}")
     suites = list(SUITE_SIZES) if args.suite == "all" else [args.suite]
-    sizes_override = [int(s) for s in args.sizes.split(",")] if args.sizes else None
+    sizes_override = None if args.sizes is None else _parse_list(args.sizes, "--sizes", int)
     out, json_out = _output(args.out), _output(args.json)
     rows = []
     for suite in suites:
@@ -236,8 +245,8 @@ def cmd_bench(args) -> int:
 
 def cmd_rho_sweep(args) -> int:
     params = _parse_params(args.param)
-    rhos = [float(v) for v in args.rhos.split(",")]
-    sizes = [int(v) for v in args.sizes.split(",")]
+    rhos = _parse_list(args.rhos, "--rhos", float)
+    sizes = _parse_list(args.sizes, "--sizes", int)
     out, json_out = _output(args.out), _output(args.json)
     rows = []
     for n in sizes:

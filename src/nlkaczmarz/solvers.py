@@ -6,10 +6,11 @@ NGABK and MRNABK take pseudoinverse-free averaged block steps
 touching only the Jacobian rows in the selected block.  Baselines: NRK
 (single random row projection; its sampler is NumPy's ``Generator.choice``
 done inline, same rows from the same stream), RD-CNK (capped selection,
-single draw; a solve keeps its row norms and refreshes them with the
-residual after each projection), RB-CNK (minimum-norm least-squares block
-step, from a projection or a residual-checked Gram solve, with ``lstsq``
-only as the fallback) and Newton-Raphson (``lstsq``).
+single draw), RB-CNK (minimum-norm least-squares block step, from a
+projection or a residual-checked Gram solve, with ``lstsq`` only as the
+fallback) and Newton-Raphson (``lstsq``).  ``run()`` builds each method's
+step for one solve as a closure; RD-CNK's keeps its row norms and refreshes
+them with the residual after each projection.
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
 step, or the iteration cap.  The public steps and selections ignore NumPy's
@@ -301,58 +302,49 @@ def _lstsq(A, b, k):
         raise BreakdownError(f"least-squares factorization failed: {exc}", iteration=k) from exc
 
 
-# run()'s step per method: (sys, x, fx, ||fx||^2, k, rng, rho) -> (x_{k+1}, f(x_{k+1}),
-# block size); selections and steps are module attributes looked up at call time.
-
-
-def _nrk(sys, x, fx, r2, k, rng, rho):
-    x, fx, _ = _projected(sys, x, fx, _sample_row(fx, r2, rng, k), k)
-    return x, fx, 1
-
-
-def _rdcnk_step():
-    """A new RD-CNK step for one solve, which keeps the row norms of its
-    iterate: the projection refreshes them with the residual when it can
-    (``_projected``), and a step computes them all only when it could not."""
-    w = None
-
-    def step(sys, x, fx, r2, k, rng, rho):
-        nonlocal w
-        # inside run() the sum of the norms is their only check
-        w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x) if w is None else w)
-        rows = _capped(fx, w, w_sum, k).indices
-        # the same draw and stream as rng.integers(len(rows)), at half the call cost
-        i = int(rows[rng.integers(0, len(rows))])
-        x, fx, w = _projected(sys, x, fx, i, k, w)
-        return x, fx, 1
-
-    return step
-
-
-def _rbcnk(sys, x, fx, r2, k, rng, rho):
-    sel = select_ngabk(fx)
-    state = rbcnk_step(sys, IterateState(x, fx, k), sel)
-    return state.x, state.fx, len(sel.indices)
-
-
-def _newton(sys, x, fx, r2, k, rng, rho):
-    state = newton_step(sys, IterateState(x, fx, k))
-    return state.x, state.fx, sys.m
-
-
 # methods that draw their rows at random: the only ones a seed changes, and
 # the only ones whose next step draws a new row, so one zero step need not repeat
 RANDOM_ROW = (Method.NRK, Method.RDCNK)
 
-_STEPS = {
-    Method.NGABK: lambda sys, x, fx, r2, k, rng, rho:
-        _averaged(sys, x, fx, select_ngabk(fx).indices, k),
-    Method.MRNABK: lambda sys, x, fx, r2, k, rng, rho:
-        _averaged(sys, x, fx, select_mrnabk(fx, rho).indices, k),
-    Method.NRK: _nrk,
-    Method.RBCNK: _rbcnk,
-    Method.NEWTON: _newton,
-}
+
+def _step(sys, method, rho, rng):
+    """``run()``'s step for one solve: (x, fx, ||fx||^2, k) -> (x_{k+1},
+    f(x_{k+1}), block size), calling the selections and steps by module
+    lookup, so that a wrapper set on the module sees each call.  RD-CNK's
+    step keeps its iterate's row norms: the projection refreshes them when
+    it can (``_projected``), and a step computes them all only when not."""
+    if method is Method.NGABK:
+        def step(x, fx, r2, k):
+            return _averaged(sys, x, fx, select_ngabk(fx).indices, k)
+    elif method is Method.MRNABK:
+        def step(x, fx, r2, k):
+            return _averaged(sys, x, fx, select_mrnabk(fx, rho).indices, k)
+    elif method is Method.NRK:
+        def step(x, fx, r2, k):
+            x, fx, _ = _projected(sys, x, fx, _sample_row(fx, r2, rng, k), k)
+            return x, fx, 1
+    elif method is Method.RDCNK:
+        w = None
+
+        def step(x, fx, r2, k):
+            nonlocal w
+            # inside run() the sum of the norms is their only check
+            w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x) if w is None else w)
+            rows = _capped(fx, w, w_sum, k).indices
+            # the same draw and stream as rng.integers(len(rows)), at half the call cost
+            i = int(rows[rng.integers(0, len(rows))])
+            x, fx, w = _projected(sys, x, fx, i, k, w)
+            return x, fx, 1
+    elif method is Method.RBCNK:
+        def step(x, fx, r2, k):
+            sel = select_ngabk(fx)
+            state = rbcnk_step(sys, IterateState(x, fx, k), sel)
+            return state.x, state.fx, len(sel.indices)
+    else:
+        def step(x, fx, r2, k):
+            state = newton_step(sys, IterateState(x, fx, k))
+            return state.x, state.fx, sys.m
+    return step
 
 
 # -- run loop ----------------------------------------------------------
@@ -370,10 +362,8 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
-    rng = np.random.default_rng(cfg.seed)
-    # RD-CNK's step keeps state, so each solve builds its own
-    step = _rdcnk_step() if cfg.method is Method.RDCNK else _STEPS[cfg.method]
-    rho, tol_sq, max_iters = cfg.rho, cfg.tol_sq, cfg.max_iters
+    step = _step(sys, cfg.method, cfg.rho, np.random.default_rng(cfg.seed))
+    tol_sq, max_iters = cfg.tol_sq, cfg.max_iters
     stall_ends = cfg.method not in RANDOM_ROW
 
     history: List[Tuple[int, float, int, float]] = []
@@ -399,7 +389,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
             if k >= max_iters:
                 return SolverReport(Status.MAX_ITERS, k, r2, history, iterates)
             try:
-                x_new, fx, block_size = step(sys, x, fx, r2, k, rng, rho)
+                x_new, fx, block_size = step(x, fx, r2, k)
                 r2_new = float(fx.dot(fx))
                 if not math.isfinite(r2_new):
                     _check_residual(fx)

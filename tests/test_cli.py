@@ -288,6 +288,23 @@ def test_bench_bad_arguments_are_usage_errors(flags, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,flag,text", [
+    (("bench", "--suite", "overdetermined", "--sizes=", "--repeats", "1", "--max-iters", "1"),
+     "--sizes", "''"),
+    (("bench", "--suite", "h-equation", "--sizes", "x", "--repeats", "1"), "--sizes", "'x'"),
+    (("rho-sweep", "--sizes", "x"), "--sizes", "'x'"),
+    (("rho-sweep", "--sizes="), "--sizes", "''"),
+    (("rho-sweep", "--sizes", "6", "--rhos", "x"), "--rhos", "'x'"),
+    (("rho-sweep", "--sizes", "6", "--rhos", "0.1,,0.5"), "--rhos", "'0.1,,0.5'"),
+], ids=["bench-sizes-empty", "bench-sizes-x", "rho-sweep-sizes-x", "rho-sweep-sizes-empty",
+        "rho-sweep-rhos-x", "rho-sweep-rhos-empty-entry"])
+def test_bad_comma_list_is_usage_error_naming_its_flag(argv, flag, text, capsys):
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err and text in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     # ||f||^2 overflows after one step, at the start, and an empty capped set
     ("--problem", "brown", "--n", "30", "--method", "rdcnk"),

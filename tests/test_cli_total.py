@@ -59,9 +59,8 @@ def _argv(command, required, **options):
 ARGV = st.one_of(
     _argv("solve", [_flag("problem", PROBLEM), _flag("n", SIZE), _flag("method", METHOD)],
           seed=COUNT, x0=X0, history=OUT, tol_sq=REAL, out=OUT, rho=REAL, param=PARAM),
-    # an empty --sizes runs the suite's own sizes, up to n = 2000
     _argv("bench", [_flag("suite", _mix(list(SUITE_SIZES) + ["all"], ["nope"])),
-                    _flag("sizes", _list(SIZE).filter(bool)),
+                    _flag("sizes", _list(SIZE)),
                     _flag("repeats", _mix(["1", "2"], ["0", "-1", "x"]))],
           seed_base=COUNT, json=OUT, tol_sq=REAL, out=OUT, rho=REAL),
     _argv("rho-sweep", [_flag("sizes", _list(SIZE))],

@@ -50,3 +50,20 @@ def test_the_tracer_enters_and_leaves_every_problems_system(spans):
     for s, callables in zip(systems, raw):
         assert not set(spans.SYSTEM_METHODS) & set(vars(s))
         assert all(getattr(s, "_" + m) is fn for m, fn in callables.items())
+
+
+@pytest.mark.parametrize("method,names", [
+    (Method.NGABK, ("solvers.select_ngabk", "kernels.ngabk_select")),
+    (Method.MRNABK, ("kernels.mrnabk_select",)),
+    (Method.RBCNK, ("solvers.select_ngabk", "kernels.ngabk_select", "solvers.rbcnk_step")),
+])
+def test_each_step_calls_the_traced_functions(spans, method, names):
+    # a step holding these functions from import time would bypass the
+    # wrappers and leave their spans empty
+    problem = get_problem("h-equation", 20)
+    tracer = spans.Tracer()
+    with spans.installed(tracer, [problem.system]):
+        report = run(problem.system, problem.x0, SolverConfig(method=method))
+    calls = {name: count for name, (_, count) in spans.layer_totals(tracer).items()}
+    assert report.iters > 0
+    assert {name: calls.get(name, 0) for name in names} == dict.fromkeys(names, report.iters)
