@@ -114,13 +114,23 @@ def _parse_params(items: Optional[List[str]]) -> Dict[str, float]:
     return params
 
 
-def _parse_list(text: str, flag: str, kind) -> list:
-    """``flag``'s comma-separated values read by ``kind``; an empty or
-    malformed entry is a usage error that names the flag and the text."""
+def _parse_list(text: str, flag: str, kind, check) -> list:
+    """``flag``'s comma-separated values read by ``kind``, each passed to
+    ``check`` before anything is solved.  An empty or malformed entry is a
+    usage error that names the flag and the text, and an entry that
+    ``check`` refuses with a ValueError one that names the flag and the
+    entry."""
+    entries = text.split(",")
     try:
-        return [kind(v) for v in text.split(",")]
+        values = [kind(v) for v in entries]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+    for entry, value in zip(entries, values):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ValueError(f"{flag} entry {entry!r} is out of range: {exc}") from None
+    return values
 
 
 def _initial_point(spec: str, problem) -> np.ndarray:
@@ -226,7 +236,9 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be positive, got {args.repeats}")
     suites = list(SUITE_SIZES) if args.suite == "all" else [args.suite]
-    sizes_override = None if args.sizes is None else _parse_list(args.sizes, "--sizes", int)
+    # a size is checked by building each suite's problem at it
+    sizes_override = None if args.sizes is None else _parse_list(
+        args.sizes, "--sizes", int, lambda n: [get_problem(suite, n) for suite in suites])
     out, json_out = _output(args.out), _output(args.json)
     rows = []
     for suite in suites:
@@ -245,8 +257,9 @@ def cmd_bench(args) -> int:
 
 def cmd_rho_sweep(args) -> int:
     params = _parse_params(args.param)
-    rhos = _parse_list(args.rhos, "--rhos", float)
-    sizes = _parse_list(args.sizes, "--sizes", int)
+    rhos = _parse_list(args.rhos, "--rhos", float, lambda rho: SolverConfig(Method.MRNABK, rho))
+    # the size alone, at the problem's default parameters: --param's errors are its own
+    sizes = _parse_list(args.sizes, "--sizes", int, lambda n: get_problem(args.problem, n))
     out, json_out = _output(args.out), _output(args.json)
     rows = []
     for n in sizes:

@@ -4,13 +4,14 @@ Each maker returns a :class:`NonlinearSystem` with vectorized row-block
 gradient access.  The problems with sparse rows (Brown, Broyden,
 overdetermined) also supply the block vector-Jacobian product and the row
 norms, computed from the nonzeros alone with index arithmetic and
-``np.bincount``.  The dense H-equation supplies the block product from one
-gather of its kernel rows, without forming the gradient rows, and the row
-norms in closed form from one matrix-vector product and the kernel's row
-norms and diagonal, computed once.  Broyden and the overdetermined system,
-whose rows read at most three neighbouring columns, also refresh the
-residual and the row norms after a single-row step in one pass over the
-rows that read that row's columns.
+``np.bincount``.  The dense H-equation supplies the block product without
+forming the gradient rows, and the row norms in closed form from one product
+K x and the kernel's row norms and diagonal, computed once.  Its products
+with the kernel over all rows, in the residual, the row norms and the block
+product, are real-FFT convolutions from N = ``FFT_MIN_N`` on, and dense
+below.  Broyden and the overdetermined system, whose rows read at most three
+neighbouring columns, also refresh the residual and the row norms after a
+single-row step in one pass over the rows that read that row's columns.
 ``get_problem`` adds the conventional initial point and a per-coordinate
 sampling box used for finite-difference validation and cone-constant
 estimation.
@@ -25,12 +26,28 @@ import numpy as np
 from .system import NonlinearSystem
 
 
+# the H-equation size from which a product with the kernel over all its rows
+# is a real-FFT convolution instead of the dense K @ y (make_h_equation): the
+# first measured size at which the transform was the faster in every run, on
+# a 2-vCPU x86-64 VM with one BLAS thread (at N = 400 they tied near 22 us,
+# at N = 450 the dense product took 24-26 us and the transform 21-23 us)
+FFT_MIN_N = 450
+
+
 def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     """Discretized Chandrasekhar H-equation with N collocation points.
 
     F_i(x) = x_i - (1 - (c/2N) * sum_j mu_i x_j / (mu_i + mu_j))^-1,
     mu_i = (i - 1/2)/N.  Requires 0 < c < 1; the denominator hitting zero
     raises DomainError through the evaluation layer.
+
+    The kernel K_pq = mu_p / (mu_p + mu_q) = (p + 1/2) / (p + q + 1) is a
+    diagonal times a Hankel matrix.  From N = ``FFT_MIN_N`` on, the
+    residual, the row norms and the block product multiply by it over all
+    rows with one real-FFT convolution, O(N log N), whose relative error is
+    about 1e-15 of the norms in place of the dense product's rounding; an
+    input too large for the transform takes ``K @ y``.  The single and
+    block gradient rows are always rows of K.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -42,8 +59,35 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     K_norms_sq = np.einsum("ij,ij->i", K, K)
     K_diag = K.diagonal().copy()
 
+    if N < FFT_MIN_N:
+        def kernel_product(y):
+            return K @ y
+    else:
+        from numpy.fft import irfft, rfft
+
+        # K = diag(p + 1/2) H with H_pq = h_{p+q}, h_k = 1/(k + 1) for
+        # k < 2N - 1, so H y is entries N-1 .. 2N-2 of the convolution of h
+        # with y reversed, which a cyclic one of length L >= 2N - 1 holds
+        h = 1.0 / np.arange(1.0, 2 * N)
+        L = 1 << (2 * N - 2).bit_length()
+        h_hat = rfft(h, L)
+        half = np.arange(N) + 0.5
+        # every value the transforms form is at most L N sum(h) max|y|: rfft's
+        # are at most sum|y| <= N max|y|, |h_hat| <= sum(h), and irfft's are
+        # sums of L products before its 1/L.  Half the largest float over that
+        # leaves room for the rounding, so a smaller max|y| overflows nothing.
+        y_max = np.finfo(float).max / (2.0 * L * N * h.sum())
+
+        def hankel(y):
+            return irfft(rfft(y[::-1], L) * h_hat, L)[N - 1:2 * N - 1]
+
+        def kernel_product(y):
+            if not np.abs(y).max() <= y_max:  # also a nan or an inf
+                return K @ y
+            return half * hankel(y)
+
     def residual(x):
-        s = coef * (K @ x)
+        s = coef * kernel_product(x)
         return x - 1.0 / (1.0 - s)
 
     def row_gradient(i, x):
@@ -52,24 +96,31 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         g[i] += 1.0
         return g
 
-    def _row_scale(Kt, x):
+    def _row_scale(kx):
         # row i of the Jacobian is a_i K_i + e_i, with a_i = -coef (1 - s_i)^-2
-        return -((1.0 - coef * (Kt @ x)) ** -2) * coef
+        # and s_i = coef (K x)_i
+        return -((1.0 - coef * kx) ** -2) * coef
 
     def gradient_rows(idx, x):
         Kt = K[idx]
-        G = _row_scale(Kt, x)[:, None] * Kt
+        G = _row_scale(Kt @ x)[:, None] * Kt
         G[np.arange(len(idx)), idx] += 1.0
         return G
 
     def block_vjp(idx, w, x):
-        # sum_i w_i (a_i K_i + e_i), from one gather of the rows of K
-        Kt = K[idx]
-        return np.bincount(idx, w, minlength=N) + (w * _row_scale(Kt, x)) @ Kt
+        # sum_i w_i (a_i K_i + e_i)
+        v = np.bincount(idx, w, minlength=N)
+        if N < FFT_MIN_N:  # from one gather of the rows of K
+            Kt = K[idx]
+            return v + (w * _row_scale(Kt @ x)) @ Kt
+        # sum_i w_i a_i K_i = H u, u = sum_i w_i a_i (i + 1/2) e_i: no row of K
+        a = _row_scale(kernel_product(x)[idx])
+        return v + hankel(np.bincount(idx, w * a * (idx + 0.5), minlength=N))
 
     def row_norms_sq(x):
-        # ||a_i K_i + e_i||^2 = a_i^2 ||K_i||^2 + 2 a_i K_ii + 1, from one gemv
-        a = _row_scale(K, x)
+        # ||a_i K_i + e_i||^2 = a_i^2 ||K_i||^2 + 2 a_i K_ii + 1, from one
+        # product K x
+        a = _row_scale(kernel_product(x))
         return a * a * K_norms_sq + 2.0 * a * K_diag + 1.0
 
     return NonlinearSystem(N, N, residual, row_gradient, gradient_rows=gradient_rows,

@@ -296,8 +296,13 @@ def test_bench_bad_arguments_are_usage_errors(flags, capsys):
     (("rho-sweep", "--sizes="), "--sizes", "''"),
     (("rho-sweep", "--sizes", "6", "--rhos", "x"), "--rhos", "'x'"),
     (("rho-sweep", "--sizes", "6", "--rhos", "0.1,,0.5"), "--rhos", "'0.1,,0.5'"),
+    # an entry out of range is refused before the first solve, here n = 500
+    (("bench", "--suite", "broyden", "--sizes", "500,1", "--repeats", "1"), "--sizes", "'1'"),
+    (("rho-sweep", "--sizes=0"), "--sizes", "'0'"),
+    (("rho-sweep", "--rhos=2"), "--rhos", "'2'"),
 ], ids=["bench-sizes-empty", "bench-sizes-x", "rho-sweep-sizes-x", "rho-sweep-sizes-empty",
-        "rho-sweep-rhos-x", "rho-sweep-rhos-empty-entry"])
+        "rho-sweep-rhos-x", "rho-sweep-rhos-empty-entry", "bench-sizes-out-of-range",
+        "rho-sweep-sizes-out-of-range", "rho-sweep-rhos-out-of-range"])
 def test_bad_comma_list_is_usage_error_naming_its_flag(argv, flag, text, capsys):
     code = run_cli(*argv)
     captured = capsys.readouterr()

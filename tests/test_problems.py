@@ -14,7 +14,7 @@ from nlkaczmarz import (
     make_singular_broyden,
     newton_step,
 )
-from nlkaczmarz.problems import PROBLEM_NAMES
+from nlkaczmarz.problems import FFT_MIN_N, PROBLEM_NAMES
 from nlkaczmarz.system import NonlinearSystem, solve_scope
 
 
@@ -142,8 +142,15 @@ def _sparse_row_points(problem, rng):
     return points
 
 
-@pytest.mark.parametrize("n", [9, 40])
-@pytest.mark.parametrize("name,params", STRUCTURED_PROBLEMS)
+# every structured problem at n = 9 and 40, and the H-equation at both c at
+# a size whose products with the kernel are transforms (FFT_MIN_N <= 500)
+VJP_CASES = [pytest.param(name, params, n, id=f"{name}-params{j}-{n}")
+             for n in (9, 40) for j, (name, params) in enumerate(STRUCTURED_PROBLEMS)]
+VJP_CASES += [pytest.param(name, params, 500, id=f"{name}-params{j}-500")
+              for j, (name, params) in enumerate(STRUCTURED_PROBLEMS) if name == "h-equation"]
+
+
+@pytest.mark.parametrize("name,params,n", VJP_CASES)
 def test_block_vjp_matches_dense_rows(name, params, n, rng):
     problem = get_problem(name, n, dict(params))
     sys = problem.system
@@ -268,11 +275,13 @@ def test_broyden_gradient_rows_bitwise_equal_to_the_full_g(n, rng):
             assert G.tobytes() == np.stack([sys._row_gradient(int(i), x) for i in idx]).tobytes()
 
 
-@pytest.mark.parametrize("n", [9, 40, 300])
-def test_h_equation_row_norms_match_the_dense_default(n, rng):
+@pytest.mark.parametrize("n,c", [(9, 0.9), (40, 0.9), (300, 0.9), (500, 0.9), (500, 0.5)],
+                         ids=["9", "40", "300", "500", "500-c0.5"])
+def test_h_equation_row_norms_match_the_dense_default(n, c, rng):
     # the closed form a_i^2 ||K_i||^2 + 2 a_i K_ii + 1 against the sum of
-    # squares of the dense rows, inside and outside the sampling box
-    sys = make_h_equation(n)
+    # squares of the dense rows, inside and outside the sampling box; at
+    # n = 500 its K x is a transform (FFT_MIN_N <= 500)
+    sys = make_h_equation(n, c)
     dense = NonlinearSystem(n, n, sys.residual, sys.row_gradient, gradient_rows=sys.gradient_rows)
     eps = np.finfo(float).eps
     for scale in (1.0, 1.0, 3.0, -5.0):
@@ -280,6 +289,37 @@ def test_h_equation_row_norms_match_the_dense_default(n, rng):
         w, ref = sys.row_norms_sq(x), dense.row_norms_sq(x)
         # the rounding bound of the dense sum over n squares
         assert (np.abs(w - ref) <= 4 * n * eps * ref).all()
+
+
+def test_h_equation_residual_by_transform_matches_the_dense_product(rng):
+    # At N >= FFT_MIN_N, K x = (p + 1/2) (H x)_p, H_pq = h_{p+q} with
+    # h_k = 1/(k + 1), from real FFTs of length L = 2^t.  By Higham's bound
+    # (Accuracy and Stability of Numerical Algorithms, Thm 24.2) a computed
+    # FFT errs by at most r = t eta times the 2-norm of the exact one, with
+    # eta = u + gamma_4 (sqrt(2) + u) <= 4 eps for accurate twiddles.  With
+    # |h_hat| <= S = sum(h) and |x_hat| <= ||x||_1, the transforms of x and
+    # h, their product (1.5 eps) and the inverse leave
+    #   ||H x - fl(H x)||_2 <= E = r (2 S ||x||_2 + ||x||_1 ||h||_2) + 1.5 eps S ||x||_2.
+    # The dense K x errs by at most N eps |K| |x|, each of the two scalings
+    # by eps, and g = 1/(1 - s) moves by |ds| g^2 to first order (1.01 covers
+    # the rest); rounding g and x - g adds at most 4 eps (|x| + |g|).
+    N = 500
+    assert FFT_MIN_N <= N
+    K, coef = _h_kernel(N)
+    eps = np.finfo(float).eps
+    L = 1 << (2 * N - 2).bit_length()
+    h = 1.0 / np.arange(1.0, 2 * N)
+    r = np.log2(L) * 4 * eps
+    sys = make_h_equation(N)
+    for scale in (1.0, 1.0, 3.0, -5.0):
+        x = scale * rng.uniform(0.0, 1.0, size=N)
+        s = coef * (K @ x)
+        g = 1.0 / (1.0 - s)
+        E = r * (2 * h.sum() * np.linalg.norm(x) + np.abs(x).sum() * np.linalg.norm(h)) \
+            + 1.5 * eps * h.sum() * np.linalg.norm(x)
+        ds = coef * ((np.arange(N) + 0.5) * E + N * eps * (K @ np.abs(x))) + 2 * eps * np.abs(s)
+        bound = 1.01 * ds * g * g + 4 * eps * (np.abs(x) + np.abs(g))
+        assert (np.abs(sys.residual(x) - (x - g)) <= bound).all()
 
 
 def test_h_equation_row_norms_at_a_singular_point_raise_the_jacobian_error():

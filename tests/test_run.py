@@ -137,6 +137,28 @@ def test_bad_start_is_breakdown(x0):
     assert report.message
 
 
+_UNDEFINED_STEP = "||f_tau||^2 = inf, ||d||^2 = inf: the step length is undefined"
+
+
+@pytest.mark.parametrize("start", [1e307, -1e307, 1e200, -1e200],
+                         ids=["1e307", "-1e307", "1e200", "-1e200"])
+@pytest.mark.parametrize("method,status,message", [
+    (Method.NGABK, Status.BREAKDOWN, _UNDEFINED_STEP),
+    (Method.MRNABK, Status.BREAKDOWN, _UNDEFINED_STEP),
+    (Method.NRK, Status.BREAKDOWN, "||f||^2 = inf: the row weights are undefined"),
+    (Method.RDCNK, Status.BREAKDOWN, "||f||^2 = inf: the threshold is undefined"),
+    (Method.RBCNK, Status.MAX_ITERS, ""),
+], ids=["ngabk", "mrnabk", "nrk", "rdcnk", "rbcnk"])
+def test_an_extreme_start_ends_as_with_the_dense_kernel_product(method, status, message, start):
+    # at N = 500 the kernel products are transforms (FFT_MIN_N <= 500), but
+    # the transform of x = +-1e307 would overflow, so K x is the dense
+    # product there, and the solve ends as it does without the transform
+    prob = get_problem("h-equation", 500)
+    report = run(prob.system, np.full(500, start), SolverConfig(method=method, max_iters=50))
+    assert (report.status, report.message) == (status, message)
+    assert report.iters == (50 if status is Status.MAX_ITERS else 0)
+
+
 def test_newton_stalled_step_is_breakdown():
     # from iteration 451 on, Newton's step on Brown n = 30 rounds to x itself
     _, report = _solve("brown", 30, Method.NEWTON)
