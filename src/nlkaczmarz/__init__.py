@@ -30,10 +30,6 @@ from .solvers import (
     SolverConfig,
     SolverReport,
     Status,
-    average_block_step,
-    newton_step,
-    nrk_step,
-    rbcnk_step,
     run,
     select_mrnabk,
     select_ngabk,
@@ -46,12 +42,11 @@ __all__ = [
     "IterateState", "Lemma1Check", "Method",
     "NonlinearSystem", "OrderingReport", "Problem", "SolverConfig",
     "SolverReport", "StepBound", "Status", "VerifiedStep",
-    "average_block_step", "check_lemma1", "estimate_cone", "fd_check",
-    "get_problem", "make_brown", "make_h_equation",
-    "make_overdetermined_rational", "make_singular_broyden", "newton_step",
-    "nrk_bound", "nrk_step", "per_step_contraction", "rbcnk_step",
-    "remark2_compare", "run", "sample_pairs", "select_mrnabk", "select_ngabk",
-    "select_rdcnk", "theorem_bound", "verified_contraction_steps",
+    "check_lemma1", "estimate_cone", "fd_check", "get_problem", "make_brown",
+    "make_h_equation", "make_overdetermined_rational", "make_singular_broyden",
+    "nrk_bound", "per_step_contraction", "remark2_compare", "run",
+    "sample_pairs", "select_mrnabk", "select_ngabk", "select_rdcnk",
+    "theorem_bound", "verified_contraction_steps",
 ]
 
 __version__ = "0.1.0"

@@ -110,7 +110,10 @@ def _parse_params(items: Optional[List[str]]) -> Dict[str, float]:
             raise ValueError(f"--param expects key=value, got {item!r}")
         if key in params:
             raise ValueError(f"--param {key} is given more than once")
-        params[key] = float(value)
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ValueError(f"--param {key} expects a number, got {value!r}") from None
     return params
 
 
@@ -139,8 +142,11 @@ def _initial_point(spec: str, problem) -> np.ndarray:
     if spec == "zeros":
         return np.zeros(problem.system.n)
     if spec.startswith("const:"):
-        return float(spec[6:]) * np.ones(problem.system.n)
-    raise ValueError(f"unknown --x0 spec {spec!r} (use default, zeros, or const:<v>)")
+        try:
+            return float(spec[6:]) * np.ones(problem.system.n)
+        except ValueError:
+            pass
+    raise ValueError(f"--x0 expects default, zeros or const:<number>, got {spec!r}")
 
 
 def _timed_run(system, x0, cfg):
@@ -281,16 +287,12 @@ def cmd_diagnose(args) -> int:
         return EXIT_SIZE_GUARD
     problem = get_problem(args.problem, args.n, _parse_params(args.param))
     system = problem.system
-    method = Method(args.method)
-    if method not in (Method.NGABK, Method.MRNABK):
-        print("diagnose: bounds exist for ngabk and mrnabk only", file=_sys.stderr)
-        return EXIT_USAGE
     if args.pairs < 0:
         raise ValueError(f"--pairs must be 0 or more, got {args.pairs}")
     if args.pair_radius is not None and not 0.0 < args.pair_radius < math.inf:
         raise ValueError(f"--pair-radius must be finite and positive, got {args.pair_radius}")
 
-    cfg = SolverConfig(method=method, rho=args.rho, max_iters=args.max_iters,
+    cfg = SolverConfig(method=args.method, rho=args.rho, max_iters=args.max_iters,
                        tol_sq=args.tol_sq, store_iterates=True)
     out = _output(args.out)
     report, _ = _timed_run(system, problem.x0, cfg)
@@ -305,7 +307,8 @@ def cmd_diagnose(args) -> int:
     # root than the analytically known one
     x_star = report.iterates[-1] if report.status is Status.CONVERGED else system.known_solution
     # the pairs (x_k, x*) join the sampled ones, with one Jacobian per iterate
-    cone, bounds = diagnostics._cone_and_bounds(system, report, pairs, x_star, method, args.rho)
+    cone, bounds = diagnostics._cone_and_bounds(system, report, pairs, x_star, cfg.method,
+                                                args.rho)
 
     ratios = diagnostics.per_step_contraction(report, x_star) if x_star is not None else []
     steps = []
@@ -328,7 +331,7 @@ def cmd_diagnose(args) -> int:
         "problem": problem.name,
         "n": system.n,
         "m": system.m,
-        "method": method.value,
+        "method": cfg.method.value,
         "rho": args.rho,
         "status": report.status.value,
         "iters": report.iters,
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="cone estimate, contraction bounds, ordering report")
     p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", default="ngabk")
+    p.add_argument("--method", default="ngabk", choices=("ngabk", "mrnabk"))
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--pair-radius", type=float, default=None,
                    help="absolute pair radius (default: 5%% of box extent)")
@@ -413,7 +416,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (KeyError, ValueError) as exc:
-        print(f"nlkaczmarz: {exc}", file=_sys.stderr)
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"nlkaczmarz: {message}", file=_sys.stderr)
         return EXIT_USAGE
 
 

@@ -13,7 +13,7 @@ step for one solve as a closure; RD-CNK's keeps its row norms and refreshes
 them with the residual after each projection.
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
-step, or the iteration cap.  The public steps and selections ignore NumPy's
+step, or the iteration cap.  The public selections ignore NumPy's
 floating-point warnings, as ``run()`` does for a whole solve.
 """
 from __future__ import annotations
@@ -161,16 +161,7 @@ def _capped(fx, w, w_sum, k):
     return BlockSelection(indices=idx, threshold=float(delta))
 
 
-# -- single steps: one per method, for the public steps and run() ------
-
-
-def average_block_step(sys: NonlinearSystem, state: IterateState, sel: BlockSelection) -> IterateState:
-    """One pseudoinverse-free averaged step over the selected block."""
-    idx = np.asarray(sel.indices, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("empty block selection")
-    with _quiet():
-        return IterateState(*_averaged(sys, state.x, state.fx, idx, state.k)[:2], state.k + 1)
+# -- single steps: one per method, called by run()'s step closures -----
 
 
 def _averaged(sys, x, fx, idx, k):
@@ -192,20 +183,6 @@ def _averaged(sys, x, fx, idx, k):
                              iteration=k)
     x = x + (s2 / nd2) * d
     return x, sys.residual(x), len(idx)
-
-
-def nrk_step(sys: NonlinearSystem, state: IterateState,
-             rng: np.random.Generator, index: Optional[int] = None) -> IterateState:
-    """One single-row projection; the row is sampled with probability
-    f_i^2 / ||f||^2 (``rng.choice``'s draw) unless ``index`` forces it."""
-    fx = state.fx
-    with _quiet():
-        r2 = fx @ fx
-        if r2 == 0.0:
-            raise ValueError("step from a zero residual: solver should have terminated")
-        if index is None:
-            index = _sample_row(fx, r2, rng, state.k)
-        return IterateState(*_projected(sys, state.x, fx, index, state.k)[:2], state.k + 1)
 
 
 def _sample_row(fx, r2, rng, k) -> int:
@@ -231,10 +208,10 @@ def _sample_row(fx, r2, rng, k) -> int:
 
 def _projected(sys, x, fx, i, k, w=None):
     """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual, its row
-    norms or None).  When c is finite, the residual and, given the row norms
-    w at x, the norms are refreshed on the rows that read row i's columns
-    alone: only then is c * 0 = 0 off the support.  Otherwise the residual
-    is evaluated in full and the norms are None.  (A -0.0 off the support
+    norms or None), refreshed on the rows that read row i's columns from fx
+    and, when given, the row norms w at x.  Inside run() c is finite, so
+    c * 0 = 0 off those columns: a non-finite ||f||^2 breaks down before a
+    row is picked, and ||grad f_i||^2 >= BREAKDOWN_EPS.  (A -0.0 off them
     can still turn into +0.0, which may flip the sign of a zero residual
     component; no step reads one, as a selected row has f_i != 0.)"""
     g = sys.row_gradient(i, x)
@@ -243,25 +220,19 @@ def _projected(sys, x, fx, i, k, w=None):
         _check_gradient(g, i)
     if g2 < BREAKDOWN_EPS:
         raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
-    c = fx[i] / g2
-    x = x - c * g
-    if math.isfinite(c):
-        return (x, *sys.refresh_after_row(i, x, fx, w))
-    return x, sys.residual(x), None
+    x = x - (fx[i] / g2) * g
+    return (x, *sys.refresh_after_row(i, x, fx, w))
 
 
-def rbcnk_step(sys: NonlinearSystem, state: IterateState,
-               sel: Optional[BlockSelection] = None) -> IterateState:
-    """One minimum-norm least-squares step on the selected block: the
-    pseudoinverse of the row submatrix applied to -f_tau (``_min_norm``)."""
-    with _quiet():
-        if sel is None:
-            sel = select_ngabk(state.fx)
-        idx = np.asarray(sel.indices, dtype=np.intp)
-        G = sys.gradient_rows(idx, state.x)
-        if not G.any():
-            raise BreakdownError("selected block has all-zero gradients", iteration=state.k)
-        return IterateState.at(sys, state.x + _min_norm(G, -state.fx[idx], state.k), state.k + 1)
+def rbcnk_step(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, idx: np.ndarray,
+               k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(x + G^+ (-f_tau), its residual): the minimum-norm least-squares step
+    on the block idx, G its gradient rows (``_min_norm``)."""
+    G = sys.gradient_rows(idx, x)
+    if not G.any():
+        raise BreakdownError("selected block has all-zero gradients", iteration=k)
+    x = x + _min_norm(G, -fx[idx], k)
+    return x, sys.residual(x)
 
 
 def _min_norm(G, b, k):
@@ -288,13 +259,6 @@ def _min_norm(G, b, k):
     return _lstsq(G, b, k)
 
 
-def newton_step(sys: NonlinearSystem, state: IterateState) -> IterateState:
-    """One full Newton-Raphson step via minimum-norm least squares."""
-    with _quiet():
-        d = _lstsq(sys.jacobian(state.x), -state.fx, state.k)
-        return IterateState.at(sys, state.x + d, state.k + 1)
-
-
 def _lstsq(A, b, k):
     try:
         return np.linalg.lstsq(A, b, rcond=None)[0]
@@ -309,10 +273,10 @@ RANDOM_ROW = (Method.NRK, Method.RDCNK)
 
 def _step(sys, method, rho, rng):
     """``run()``'s step for one solve: (x, fx, ||fx||^2, k) -> (x_{k+1},
-    f(x_{k+1}), block size), calling the selections and steps by module
-    lookup, so that a wrapper set on the module sees each call.  RD-CNK's
-    step keeps its iterate's row norms: the projection refreshes them when
-    it can (``_projected``), and a step computes them all only when not."""
+    f(x_{k+1}), block size), calling the selections and ``rbcnk_step`` by
+    module lookup, so that a wrapper set on the module sees each call.
+    RD-CNK's step keeps its iterate's row norms, which the projection
+    refreshes; it computes them all at its first step or without a hook."""
     if method is Method.NGABK:
         def step(x, fx, r2, k):
             return _averaged(sys, x, fx, select_ngabk(fx).indices, k)
@@ -337,13 +301,12 @@ def _step(sys, method, rho, rng):
             return x, fx, 1
     elif method is Method.RBCNK:
         def step(x, fx, r2, k):
-            sel = select_ngabk(fx)
-            state = rbcnk_step(sys, IterateState(x, fx, k), sel)
-            return state.x, state.fx, len(sel.indices)
+            idx = select_ngabk(fx).indices
+            return (*rbcnk_step(sys, x, fx, idx, k), len(idx))
     else:
         def step(x, fx, r2, k):
-            state = newton_step(sys, IterateState(x, fx, k))
-            return state.x, state.fx, sys.m
+            x = x + _lstsq(sys.jacobian(x), -fx, k)
+            return x, sys.residual(x), sys.m
     return step
 
 

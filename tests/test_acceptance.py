@@ -10,17 +10,14 @@ import numpy as np
 import pytest
 
 from nlkaczmarz import (
-    BlockSelection,
     IterateState,
     Method,
     SolverConfig,
     Status,
-    average_block_step,
     check_lemma1,
     estimate_cone,
     get_problem,
     make_brown,
-    nrk_step,
     per_step_contraction,
     remark2_compare,
     run,
@@ -29,6 +26,7 @@ from nlkaczmarz import (
     theorem_bound,
     verified_contraction_steps,
 )
+from nlkaczmarz.solvers import _averaged, _projected
 
 from conftest import make_affine
 
@@ -164,12 +162,12 @@ def test_criterion_8_property_suite():
     # singleton-block step coincides with the single-row projection
     sys5 = make_brown(5)
     for _ in range(20):
-        state = IterateState.at(sys5, rng.uniform(0.3, 1.4, size=5))
+        x = rng.uniform(0.3, 1.4, size=5)
+        fx = sys5.residual(x)
         i = int(rng.integers(5))
-        blk = average_block_step(
-            sys5, state, BlockSelection(np.array([i], dtype=np.intp), 0.0))
-        single = nrk_step(sys5, state, rng, index=i)
-        assert np.allclose(blk.x, single.x, rtol=1e-12)
+        blk = _averaged(sys5, x, fx, np.array([i], dtype=np.intp), 0)[0]
+        single = _projected(sys5, x, fx, i, 0)[0]
+        assert np.allclose(blk, single, rtol=1e-12)
 
     # greedy threshold never below the uniform share 1/m
     for _ in range(1000):

@@ -106,7 +106,8 @@ def _exit_code(*argv):
 ], ids=["param-without-value", "unknown-param", "bench-param", "rho-sweep-rho"])
 def test_unread_or_malformed_flags_are_usage_errors(argv, capsys):
     assert _exit_code(*argv) == 2
-    capsys.readouterr()
+    # a KeyError's message is printed as it is, not as its repr
+    assert '"' not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags,named", [
@@ -114,9 +115,11 @@ def test_unread_or_malformed_flags_are_usage_errors(argv, capsys):
     (("--pair-radius", "inf"), "--pair-radius"),
     (("--pair-radius", "0"), "--pair-radius"),
     (("--pairs", "-3", "--pair-radius", "-1"), "--pairs"),
+    (("--method", "nrk"), "--method"),  # bounds exist for ngabk and mrnabk only
+    (("--method", "foo"), "--method"),
 ])
 def test_diagnose_bad_pair_spec_is_usage_error(flags, named, capsys):
-    code = run_cli("diagnose", "--problem", "h-equation", "--n", "20", *flags)
+    code = _exit_code("diagnose", "--problem", "h-equation", "--n", "20", *flags)
     captured = capsys.readouterr()
     assert code == 2
     assert named in captured.err and captured.out == ""
@@ -147,8 +150,7 @@ def test_diagnose_size_guard(capsys):
 
 
 def test_diagnose_rejects_single_row_method(capsys):
-    code = run_cli("diagnose", "--problem", "broyden", "--n", "20",
-                   "--method", "nrk")
+    code = _exit_code("diagnose", "--problem", "broyden", "--n", "20", "--method", "nrk")
     capsys.readouterr()
     assert code == 2
 
@@ -300,9 +302,16 @@ def test_bench_bad_arguments_are_usage_errors(flags, capsys):
     (("bench", "--suite", "broyden", "--sizes", "500,1", "--repeats", "1"), "--sizes", "'1'"),
     (("rho-sweep", "--sizes=0"), "--sizes", "'0'"),
     (("rho-sweep", "--rhos=2"), "--rhos", "'2'"),
+    # a malformed --param or --x0 value, in the same way
+    (("solve", "--problem", "h-equation", "--n", "6", "--method", "ngabk", "--param", "c=abc"),
+     "--param c", "'abc'"),
+    (("rho-sweep", "--sizes", "6", "--param", "c=abc"), "--param c", "'abc'"),
+    (("solve", "--problem", "brown", "--n", "6", "--method", "ngabk", "--x0", "const:abc"),
+     "--x0", "'const:abc'"),
 ], ids=["bench-sizes-empty", "bench-sizes-x", "rho-sweep-sizes-x", "rho-sweep-sizes-empty",
         "rho-sweep-rhos-x", "rho-sweep-rhos-empty-entry", "bench-sizes-out-of-range",
-        "rho-sweep-sizes-out-of-range", "rho-sweep-rhos-out-of-range"])
+        "rho-sweep-sizes-out-of-range", "rho-sweep-rhos-out-of-range", "solve-param-x",
+        "rho-sweep-param-x", "solve-x0-const-x"])
 def test_bad_comma_list_is_usage_error_naming_its_flag(argv, flag, text, capsys):
     code = run_cli(*argv)
     captured = capsys.readouterr()

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 from nlkaczmarz import (
     DomainError,
-    IterateState,
+    Method,
+    SolverConfig,
+    Status,
     fd_check,
     get_problem,
     make_brown,
     make_h_equation,
     make_overdetermined_rational,
     make_singular_broyden,
-    newton_step,
+    run,
 )
 from nlkaczmarz.problems import FFT_MIN_N, PROBLEM_NAMES
 from nlkaczmarz.system import NonlinearSystem, solve_scope
@@ -74,13 +76,12 @@ def test_broyden_jacobian_zero_where_all_g_vanish():
         return J
 
     plain = NonlinearSystem(n, n, g, lambda i, x: g_jac(x)[i], jacobian=g_jac)
-    state = IterateState.at(plain, -0.5 * np.ones(n))
-    for _ in range(30):
-        state = newton_step(plain, state)
-    assert state.fx @ state.fx < 1e-26
+    report = run(plain, -0.5 * np.ones(n),
+                 SolverConfig(Method.NEWTON, max_iters=30, tol_sq=1e-26, store_iterates=True))
+    assert report.status is Status.CONVERGED
 
     squared = make_singular_broyden(n)
-    assert np.abs(squared.jacobian(state.x)).max() < 1e-9
+    assert np.abs(squared.jacobian(report.iterates[-1])).max() < 1e-9
 
 
 def test_overdetermined_shape_and_row_pattern():

@@ -4,56 +4,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkaczmarz import (
-    BlockSelection,
     BreakdownError,
-    IterateState,
     Method,
     NonlinearSystem,
     SolverConfig,
-    average_block_step,
     make_brown,
     make_h_equation,
-    newton_step,
-    nrk_step,
-    rbcnk_step,
     run,
     select_ngabk,
 )
+from nlkaczmarz.solvers import _averaged, _projected, _step, rbcnk_step
 
 from conftest import make_affine
 
 EPS = np.finfo(float).eps
 
 
+def _iterates(sys, x0, method, steps):
+    """The iterates of a run of ``method`` capped at ``steps`` steps."""
+    return run(sys, x0, SolverConfig(method, max_iters=steps, store_iterates=True)).iterates
+
+
+def _rows(*indices):
+    return np.array(indices, dtype=np.intp)
+
+
+def _block_step(A, b):
+    """RB-CNK's step over every row of f(x) = A x - b from x = 0."""
+    sys = make_affine(A, b)
+    x = np.zeros(A.shape[1])
+    # a Gram that overflows or underflows warns outside run()'s floating-point scope
+    with np.errstate(all="ignore"):
+        return rbcnk_step(sys, x, sys.residual(x), np.arange(len(A)), 0)[0]
+
+
 def test_single_affine_equation_one_projection():
     sys = make_affine(np.array([[1.0]]), np.array([5.0]))
-    state = IterateState.at(sys, np.zeros(1))
-    out = average_block_step(sys, state, select_ngabk(state.fx))
-    assert out.x == pytest.approx([5.0])
-    assert out.k == 1
+    report = run(sys, np.zeros(1), SolverConfig(Method.NGABK, store_iterates=True))
+    assert report.iterates[1] == pytest.approx([5.0])
+    assert report.iters == 1
 
 
 def test_diagonal_affine_hand_example():
     # fx = (-1, -2) at the origin; the greedy rule keeps only row 1,
     # and the single-row projection solves that coordinate exactly
     sys = make_affine(np.eye(2), np.array([1.0, 2.0]))
-    state = IterateState.at(sys, np.zeros(2))
-    sel = select_ngabk(state.fx)
+    sel = select_ngabk(sys.residual(np.zeros(2)))
     assert list(sel.indices) == [1]
     assert sel.threshold == pytest.approx(13.0 / 20.0)
-    out = average_block_step(sys, state, sel)
-    assert out.x == pytest.approx([0.0, 2.0])
+    assert _iterates(sys, np.zeros(2), Method.NGABK, 1)[1] == pytest.approx([0.0, 2.0])
 
 
 @pytest.mark.parametrize("index", [0, 2, 4])
 def test_singleton_block_reduces_to_nrk(index, rng):
     sys = make_brown(5)
     x = rng.uniform(0.3, 1.4, size=5)
-    state = IterateState.at(sys, x)
-    sel = BlockSelection(indices=np.array([index], dtype=np.intp), threshold=0.0)
-    blocked = average_block_step(sys, state, sel)
-    single = nrk_step(sys, state, rng, index=index)
-    assert np.allclose(blocked.x, single.x, rtol=1e-14, atol=0.0)
+    fx = sys.residual(x)
+    blocked = _averaged(sys, x, fx, _rows(index), 0)[0]
+    single = _projected(sys, x, fx, index, 0)[0]
+    assert np.allclose(blocked, single, rtol=1e-14, atol=0.0)
 
 
 def test_eta_identity(rng):
@@ -68,20 +77,11 @@ def test_eta_identity(rng):
         assert eta @ eta == pytest.approx(s2, rel=1e-12)
 
 
-def test_average_block_step_rejects_empty_selection():
-    sys = make_brown(3)
-    state = IterateState.at(sys, 0.5 * np.ones(3))
-    with pytest.raises(ValueError):
-        average_block_step(sys, state, BlockSelection(np.array([], dtype=np.intp), 0.0))
-
-
 def test_breakdown_on_annihilated_direction():
     # f(x) = x^2 - 1 has zero gradient at x = 0 with residual -1
     sys = NonlinearSystem(1, 1, lambda x: x * x - 1.0, lambda i, x: 2.0 * x)
-    state = IterateState.at(sys, np.zeros(1))
-    sel = BlockSelection(np.array([0], dtype=np.intp), 0.0)
     with pytest.raises(BreakdownError):
-        average_block_step(sys, state, sel)
+        _averaged(sys, np.zeros(1), sys.residual(np.zeros(1)), _rows(0), 0)
     report = run(sys, np.zeros(1), SolverConfig(method=Method.NGABK))
     assert report.status.value == "breakdown"
     assert report.iters == 0
@@ -90,9 +90,8 @@ def test_breakdown_on_annihilated_direction():
 def test_nrk_affine_row_zeroed_after_step(rng):
     A = rng.normal(size=(4, 3))
     sys = make_affine(A, rng.normal(size=4))
-    state = IterateState.at(sys, np.zeros(3))
-    out = nrk_step(sys, state, rng, index=2)
-    assert out.fx[2] == pytest.approx(0.0, abs=1e-12)
+    _, fx, _ = _projected(sys, np.zeros(3), sys.residual(np.zeros(3)), 2, 0)
+    assert fx[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nrk_deterministic_under_seed():
@@ -108,39 +107,24 @@ def test_nrk_deterministic_under_seed():
 def test_rbcnk_singleton_reduces_to_nrk(rng):
     sys = make_brown(5)
     x = rng.uniform(0.3, 1.4, size=5)
-    state = IterateState.at(sys, x)
-    sel = BlockSelection(indices=np.array([3], dtype=np.intp), threshold=0.0)
-    assert np.allclose(rbcnk_step(sys, state, sel).x,
-                       nrk_step(sys, state, rng, index=3).x, rtol=1e-12)
+    fx = sys.residual(x)
+    assert np.allclose(rbcnk_step(sys, x, fx, _rows(3), 0)[0],
+                       _projected(sys, x, fx, 3, 0)[0], rtol=1e-12)
 
 
 def test_rbcnk_full_affine_block_is_newton(rng):
     A = rng.normal(size=(4, 4))
     b = rng.normal(size=4)
-    sys = make_affine(A, b)
-    state = IterateState.at(sys, np.zeros(4))
-    sel = BlockSelection(indices=np.arange(4, dtype=np.intp), threshold=0.0)
-    out = rbcnk_step(sys, state, sel)
-    assert np.allclose(out.x, np.linalg.solve(A, b), rtol=1e-10)
+    assert np.allclose(_block_step(A, b), np.linalg.solve(A, b), rtol=1e-10)
 
 
 def test_rbcnk_rank_deficient_block_minimum_norm():
     A = np.array([[1.0, 0.0], [1.0, 0.0]])  # duplicated row
-    sys = make_affine(A, np.array([2.0, 2.0]))
-    state = IterateState.at(sys, np.zeros(2))
-    sel = BlockSelection(indices=np.arange(2, dtype=np.intp), threshold=0.0)
-    out = rbcnk_step(sys, state, sel)
-    assert out.x == pytest.approx([2.0, 0.0])
+    assert _block_step(A, np.array([2.0, 2.0])) == pytest.approx([2.0, 0.0])
 
 
 # The RB-CNK block solve against lstsq: on f(x) = A x - b from x = 0, the step
 # over every row is the minimum-norm solution of A d = b.
-
-
-def _block_step(A, b):
-    sys = make_affine(A, b)
-    sel = BlockSelection(indices=np.arange(len(A), dtype=np.intp), threshold=0.0)
-    return rbcnk_step(sys, IterateState.at(sys, np.zeros(A.shape[1])), sel).x
 
 
 def _err_to_lstsq(d, A, b):
@@ -224,23 +208,24 @@ def test_newton_affine_one_step(rng):
     A = rng.normal(size=(3, 3))
     b = rng.normal(size=3)
     sys = make_affine(A, b)
-    out = newton_step(sys, IterateState.at(sys, np.zeros(3)))
-    assert np.allclose(out.x, np.linalg.solve(A, b), rtol=1e-10)
+    x = _iterates(sys, np.zeros(3), Method.NEWTON, 1)[1]
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-10)
 
 
 def test_newton_step_is_zero_at_root():
+    # run() stops before a step at a root, so the step is called directly
     sys = make_brown(4)
-    out = newton_step(sys, IterateState.at(sys, np.ones(4)))
-    assert np.allclose(out.x, np.ones(4), atol=1e-12)
+    step = _step(sys, Method.NEWTON, 0.1, None)
+    x, _, size = step(np.ones(4), sys.residual(np.ones(4)), 0.0, 0)
+    assert np.allclose(x, np.ones(4), atol=1e-12)
+    assert size == 4
 
 
 def test_newton_quadratic_residual_decrease():
     sys = make_h_equation(10, c=0.9)
-    state = IterateState.at(sys, np.zeros(10))
-    r = [float(state.fx @ state.fx)]
-    for _ in range(3):
-        state = newton_step(sys, state)
-        r.append(float(state.fx @ state.fx))
+    report = run(sys, np.zeros(10), SolverConfig(Method.NEWTON, max_iters=3, tol_sq=1e-300))
+    r = [h[1] for h in report.history] + [report.final_residual_sq]
+    assert len(r) == 4
     # squared residual should square (plus constant) each step
     assert r[1] < 0.1 * r[0]
     assert r[2] < 10.0 * r[1] ** 2
