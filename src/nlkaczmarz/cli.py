@@ -221,11 +221,22 @@ def _bench_cell(problem, method: Method, rho: float, repeats: int,
         "iters_max": max(iters),
         "final_residual_sq": statistics.median_low(r["final_residual_sq"] for r in runs),
         "wall_ms": statistics.fmean(r["wall_ms"] for r in runs),
+        "wall_ms_median": statistics.median(r["wall_ms"] for r in runs),
+        "wall_ms_min": min(r["wall_ms"] for r in runs),
         "seed": seed_base if stochastic else None,
         "repeats": repeats,
         "status": status,
         "runs": runs,
     }
+
+
+def _warm_up() -> None:
+    """One small untimed solve, so that the first timed cell of a process
+    does not pay its one-time costs, chiefly NumPy loading ``numpy.random``
+    on first use.  On a 2-vCPU x86-64 VM this solve took 12-17 ms the first
+    time and about 1 ms when repeated."""
+    problem = get_problem("h-equation", 10)
+    run(problem.system, problem.x0, SolverConfig(BENCH_METHODS[0]))
 
 
 def _write_table(rows: List[Dict], out: Optional[Path], json_out: Optional[Path]) -> None:
@@ -246,6 +257,7 @@ def cmd_bench(args) -> int:
     sizes_override = None if args.sizes is None else _parse_list(
         args.sizes, "--sizes", int, lambda n: [get_problem(suite, n) for suite in suites])
     out, json_out = _output(args.out), _output(args.json)
+    _warm_up()
     rows = []
     for suite in suites:
         for n in sizes_override or SUITE_SIZES[suite]:
@@ -267,6 +279,7 @@ def cmd_rho_sweep(args) -> int:
     # the size alone, at the problem's default parameters: --param's errors are its own
     sizes = _parse_list(args.sizes, "--sizes", int, lambda n: get_problem(args.problem, n))
     out, json_out = _output(args.out), _output(args.json)
+    _warm_up()
     rows = []
     for n in sizes:
         problem = get_problem(args.problem, n, params)

@@ -9,9 +9,12 @@ forming the gradient rows, and the row norms in closed form from one product
 K x and the kernel's row norms and diagonal, computed once.  Its products
 with the kernel over all rows, in the residual, the row norms and the block
 product, are real-FFT convolutions from N = ``FFT_MIN_N`` on, and dense
-below.  Broyden and the overdetermined system, whose rows read at most three
-neighbouring columns, also refresh the residual and the row norms after a
-single-row step in one pass over the rows that read that row's columns.
+below.  From ``FFT_MIN_N`` on the three share the last product K x, kept
+with the bytes of its x, so an averaged step reads the K x_k that the
+residual at x_k computed.  Broyden and the overdetermined system, whose
+rows read at most three neighbouring columns, also refresh the residual and
+the row norms after a single-row step in one pass over the rows that read
+that row's columns.
 ``get_problem`` adds the conventional initial point and a per-coordinate
 sampling box used for finite-difference validation and cone-constant
 estimation.
@@ -46,8 +49,10 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     residual, the row norms and the block product multiply by it over all
     rows with one real-FFT convolution, O(N log N), whose relative error is
     about 1e-15 of the norms in place of the dense product's rounding; an
-    input too large for the transform takes ``K @ y``.  The single and
-    block gradient rows are always rows of K.
+    input too large for the transform takes ``K @ y``.  That product is
+    kept, read-only, with the bytes of its input until the next different
+    input, so the three evaluations at one point compute it once.  The
+    single and block gradient rows are always rows of K.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -81,10 +86,22 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         def hankel(y):
             return irfft(rfft(y[::-1], L) * h_hat, L)[N - 1:2 * N - 1]
 
+        # the last (y.tobytes(), K y), so that the residual at x_k and the
+        # next step's block product share K x_k.  Equal bytes are an equal
+        # point (-0.0 and +0.0 differ), and a thread reads the tuple once, so
+        # its key and product always match.
+        last = (None, None)
+
         def kernel_product(y):
-            if not np.abs(y).max() <= y_max:  # also a nan or an inf
-                return K @ y
-            return half * hankel(y)
+            nonlocal last
+            key = y.tobytes()
+            seen, ky = last
+            if key != seen:
+                # an entry above y_max, a nan or an inf takes the dense product
+                ky = K @ y if not np.abs(y).max() <= y_max else half * hankel(y)
+                ky.flags.writeable = False
+                last = (key, ky)
+            return ky
 
     def residual(x):
         s = coef * kernel_product(x)

@@ -154,7 +154,9 @@ class NonlinearSystem:
         Optional root, when analytically available.
 
     Instances are immutable apart from the evaluation counters, and all
-    evaluation functions must be pure.
+    evaluation functions must be pure.  A problem may keep a cache keyed on
+    the exact bytes of x, so that each evaluation is still a pure function
+    of x.
     """
 
     def __init__(

@@ -210,6 +210,23 @@ def test_bench_csv_shape(tmp_path, capsys):
         assert len(row["runs"]) == 3
         iters = sorted(r["iters"] for r in row["runs"])
         assert row["iters"] == iters[1]  # low median of three
+        walls = sorted(r["wall_ms"] for r in row["runs"])
+        assert (row["wall_ms_median"], row["wall_ms_min"]) == (walls[1], walls[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--suite", "h-equation", "--sizes", "20,30"),
+    ("rho-sweep", "--problem", "h-equation", "--sizes", "20", "--rhos", "0.1,0.5"),
+])
+def test_timed_cells_follow_one_untimed_warm_up(argv, monkeypatch, capsys):
+    calls = []
+    warm_up, timed_run = cli._warm_up, cli._timed_run
+    monkeypatch.setattr(cli, "_warm_up", lambda: calls.append("warm-up") or warm_up())
+    monkeypatch.setattr(cli, "_timed_run",
+                        lambda *a: calls.append("timed") or timed_run(*a))
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    assert calls[0] == "warm-up" and calls.count("warm-up") == 1 and len(calls) > 1
 
 
 def test_bench_csv_stable_modulo_timing(tmp_path, capsys):
@@ -251,7 +268,7 @@ def test_rho_sweep_rows_are_bench_cells(tmp_path, capsys):
     assert code == 0
 
     def without_wall(row):
-        row = dict(row, wall_ms=None)
+        row = dict(row, wall_ms=None, wall_ms_median=None, wall_ms_min=None)
         row["runs"] = [dict(r, wall_ms=None) for r in row["runs"]]
         return row
 

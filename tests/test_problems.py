@@ -1,3 +1,6 @@
+import threading
+from sys import getswitchinterval, setswitchinterval
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,6 +348,129 @@ def test_h_equation_row_norms_charge_one_jacobian_without_forming_it(monkeypatch
         sys.row_norms_sq(rng.uniform(0.0, 1.0, size=40))
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 3)
+
+
+def _h_evaluations(sys, x):
+    """The bytes of the three H-equation evaluations that read K x."""
+    idx = np.array([0, 7, 8, 200, sys.m - 1])
+    return (sys.residual(x).tobytes(), sys.row_norms_sq(x).tobytes(),
+            sys.block_vjp(idx, np.linspace(-1.0, 2.0, len(idx)), x).tobytes())
+
+
+def _counting_irfft(monkeypatch):
+    """A counter of numpy.fft.irfft calls, for the problems built after it."""
+    calls = [0]
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return calls
+
+
+def _cached_product(sys):
+    """The H-equation's kernel_product closure, read from its residual."""
+    f = sys._residual
+    return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))[
+        "kernel_product"]
+
+
+@pytest.mark.parametrize("N", [FFT_MIN_N, 500])
+def test_h_equation_kernel_product_cache_is_bitwise_a_fresh_system(N, monkeypatch, rng):
+    # the residual, the row norms and the block product share one stored
+    # K x, keyed on the bytes of x: whatever point the cache holds, each
+    # evaluation equals a freshly built system's bit for bit
+    calls = _counting_irfft(monkeypatch)
+    sys = make_h_equation(N)
+    x = rng.uniform(0.0, 1.0, size=N)
+    x[::5] = 0.0
+    negative_zeros = x.copy()
+    negative_zeros[::5] = -0.0
+    huge = np.full(N, 1e303)  # above the transform's y_max: the dense K @ y
+    written = x.copy()
+    cases = [  # (the point the cache holds, the point evaluated, transforms of K x)
+        (x, x, 0),
+        (x, x.copy(), 0),
+        (x, rng.uniform(0.0, 1.0, size=N), 1),
+        (x, negative_zeros, 1),
+        (x, huge, 0),
+        (huge, huge, 0),
+        (huge, x, 1),
+    ]
+    for held, point, transforms in cases:
+        sys.residual(held)
+        calls[0] = 0
+        sys.residual(point)
+        assert calls[0] == transforms
+        assert _h_evaluations(sys, point) == _h_evaluations(make_h_equation(N), point)
+    # the same array, written in place after its product was stored
+    sys.residual(written)
+    written[3] += 0.25
+    calls[0] = 0
+    sys.residual(written)
+    assert calls[0] == 1
+    assert _h_evaluations(sys, written) == _h_evaluations(make_h_equation(N), written)
+    # the stored product cannot be written, and what the evaluations return
+    # can be without reaching it
+    kx = _cached_product(sys)(x)
+    assert not kx.flags.writeable
+    with pytest.raises(ValueError):
+        kx[0] = 1.0
+    before = _h_evaluations(sys, x)
+    sys.residual(x)[:] = 0.0
+    sys.row_norms_sq(x)[:] = 0.0
+    assert _h_evaluations(sys, x) == before
+
+
+@pytest.mark.parametrize("method", ["ngabk", "mrnabk"])
+def test_h_equation_averaged_solve_makes_two_transforms_per_step(method, monkeypatch):
+    # a step at x_k reads the K x_k its residual computed: one inverse
+    # transform for the block product and one for the residual at x_{k+1},
+    # after one for the residual at x_0
+    calls = _counting_irfft(monkeypatch)
+    problem = get_problem("h-equation", 500)
+    report = run(problem.system, problem.x0, SolverConfig(method))
+    assert report.status is Status.CONVERGED and report.iters > 1
+    assert calls[0] == 2 * report.iters + 1
+
+
+def test_h_equation_threads_sharing_a_system_solve_as_alone():
+    # solves of one N = 500 system at once, from two starts, in more threads
+    # than cores and with the interpreter switching threads often: each
+    # history is that of its solve run alone, as the cached K x is read as
+    # one (key, product) pair
+    problem = get_problem("h-equation", 500)
+    starts = (problem.x0, np.full(500, 0.5))
+    cfg = SolverConfig(Method.NGABK)
+
+    def history(x0):
+        report = run(problem.system, x0, cfg)
+        return report.status, np.array(report.history).tobytes()
+
+    alone = [history(x0) for x0 in starts]
+    assert [status for status, _ in alone] == [Status.CONVERGED] * 2
+    threads = 4
+    results = [None] * threads
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def solve(j):
+        barrier.wait()
+        results[j] = history(starts[j % 2])
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=solve, args=(j,)) for j in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+    finally:
+        setswitchinterval(interval)
+    assert results == [alone[j % 2] for j in range(threads)]
 
 
 # any float, with the values where rounding, overflow and NaN propagation are
