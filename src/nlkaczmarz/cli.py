@@ -179,7 +179,7 @@ def cmd_solve(args) -> int:
         "seed": cfg.seed,
         "status": report.status.value,
         "message": report.message,
-        "counters": vars(problem.system.counters),
+        "counters": vars(report.counters),
     }
     text = _json(payload)
     if out:
@@ -204,7 +204,7 @@ def _bench_cell(problem, method: Method, rho: float, repeats: int,
         report, wall_ms = _timed_run(problem.system, problem.x0, cfg)
         runs.append({"seed": seed, "iters": report.iters, "wall_ms": wall_ms,
                      "final_residual_sq": report.final_residual_sq,
-                     "status": report.status.value})
+                     "status": report.status.value, "counters": vars(report.counters)})
     iters = [r["iters"] for r in runs]
     statuses = [r["status"] for r in runs]
     status = next((s for s in statuses if s != Status.CONVERGED.value),

@@ -5,12 +5,12 @@ NGABK and MRNABK take pseudoinverse-free averaged block steps
     eta = sum_{i in tau} (-f_i(x)) e_i,
 touching only the Jacobian rows in the selected block.  Baselines: NRK
 (single random row projection; its sampler is NumPy's ``Generator.choice``
-done inline, same rows from the same stream), RD-CNK (capped selection,
-single draw), RB-CNK (minimum-norm least-squares block step, from a
-projection or a residual-checked Gram solve, with ``lstsq`` only as the
-fallback) and Newton-Raphson (``lstsq``).  ``run()`` builds each method's
-step for one solve as a closure; RD-CNK's keeps its row norms and refreshes
-them with the residual after each projection.
+done inline, same rows from the same stream, its uniforms drawn in blocks),
+RD-CNK (capped selection, single draw), RB-CNK (minimum-norm least-squares
+block step, from a projection or a residual-checked Gram solve, with
+``lstsq`` only as the fallback) and Newton-Raphson (``lstsq``).  ``run()``
+builds each method's step for one solve as a closure; RD-CNK's keeps its row
+norms and refreshes them with the residual after each projection.
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
 step, or the iteration cap.  The public selections ignore NumPy's
@@ -27,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import (IterateState, NonlinearSystem, _check_gradient, _check_residual,
-                     _check_row_norms, _quiet, solve_scope)
+from .system import (EvalCounters, IterateState, NonlinearSystem, _check_gradient,
+                     _check_residual, _check_row_norms, _quiet, solve_scope)
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -86,6 +86,8 @@ class SolverReport:
     history: List[Tuple[int, float, int, float]] = field(default_factory=list)
     iterates: Optional[List[np.ndarray]] = None
     message: str = ""
+    # the evaluations made through the system during this run alone
+    counters: EvalCounters = field(default_factory=EvalCounters)
 
 
 # -- block selection ---------------------------------------------------
@@ -135,12 +137,14 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     if not fx.any():  # tiny f_i can square to zero, so ||f||^2 cannot tell
         raise ValueError(kernels.ZERO_RESIDUAL)
     with _quiet():
-        return _capped(fx, *_check_row_norms(sys, state.x, sys.row_norms_sq(state.x)), state.k)
+        w, w_sum = _check_row_norms(sys, state.x, sys.row_norms_sq(state.x))
+        idx, delta = _capped(fx, w, w_sum, state.k)
+    return BlockSelection(indices=idx, threshold=float(delta))
 
 
 def _capped(fx, w, w_sum, k):
-    """``select_rdcnk``'s set at iteration k, from the residual fx != 0, the
-    squared row norms w and their sum."""
+    """``select_rdcnk``'s (set, threshold) at iteration k, from the residual
+    fx != 0, the squared row norms w and their sum."""
     a2 = fx * fx
     r2 = np.add.reduce(a2)
     if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
@@ -149,7 +153,7 @@ def _capped(fx, w, w_sum, k):
     if not math.isfinite(top):
         zero_grad = (w == 0.0) & (a2 > 0.0)
         if zero_grad.any():
-            return BlockSelection(indices=zero_grad.nonzero()[0], threshold=float("inf"))
+            return zero_grad.nonzero()[0], math.inf
         if not w.any():
             raise BreakdownError("all row gradients are zero", iteration=k)
         top = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0).max()
@@ -158,7 +162,7 @@ def _capped(fx, w, w_sum, k):
     idx = (a2 >= np.maximum(delta * r2 * w, 5e-324)).nonzero()[0]
     if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
         raise BreakdownError("capped selection is empty", iteration=k)
-    return BlockSelection(indices=idx, threshold=float(delta))
+    return idx, delta
 
 
 # -- single steps: one per method, called by run()'s step closures -----
@@ -185,11 +189,14 @@ def _averaged(sys, x, fx, idx, k):
     return x, sys.residual(x), len(idx)
 
 
-def _sample_row(fx, r2, rng, k) -> int:
-    """NumPy's ``rng.choice(len(fx), p=fx*fx/r2)`` done inline: the same row
+def _sample_row(fx, r2, u, k) -> int:
+    """NumPy's ``rng.choice(len(fx), p=fx*fx/r2)`` done inline, for the
+    uniform draw u that ``choice`` takes with ``rng.random()``: the same row
     from the same stream, with a finite r2 in place of its validation of p.
-    That row is the first j with cdf[j] / t > u, for the cumulative weights
-    cdf, their total t and the uniform draw u.  It is searched for at u * t,
+    NRK takes its draws ``_DRAW_BLOCK`` at a time with ``rng.random(size)``,
+    which yields the same values in the same order as repeated
+    ``rng.random()``.  The row is the first j with cdf[j] / t > u, for the
+    cumulative weights cdf and their total t.  It is searched for at u * t,
     without dividing all of cdf by t, and then stepped to: a rounded u * t
     can land a row off, and cdf[j] / t is monotone in cdf[j]."""
     if not math.isfinite(r2):
@@ -197,7 +204,6 @@ def _sample_row(fx, r2, rng, k) -> int:
     cdf = np.add.accumulate(fx * fx / r2)
     last = len(cdf) - 1
     t = cdf[last]
-    u = rng.random()
     j = int(cdf.searchsorted(u * t, side="right"))
     while j and cdf[j - 1] / t > u:
         j -= 1
@@ -220,7 +226,8 @@ def _projected(sys, x, fx, i, k, w=None):
         _check_gradient(g, i)
     if g2 < BREAKDOWN_EPS:
         raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
-    x = x - (fx[i] / g2) * g
+    # Python floats: g2 >= BREAKDOWN_EPS, so the division cannot raise
+    x = x - (fx.item(i) / float(g2)) * g
     return (x, *sys.refresh_after_row(i, x, fx, w))
 
 
@@ -269,6 +276,7 @@ def _lstsq(A, b, k):
 # methods that draw their rows at random: the only ones a seed changes, and
 # the only ones whose next step draws a new row, so one zero step need not repeat
 RANDOM_ROW = (Method.NRK, Method.RDCNK)
+_DRAW_BLOCK = 1024  # NRK's uniform draws taken from the stream per call
 
 
 def _step(sys, method, rho, rng):
@@ -284,8 +292,12 @@ def _step(sys, method, rho, rng):
         def step(x, fx, r2, k):
             return _averaged(sys, x, fx, select_mrnabk(fx, rho).indices, k)
     elif method is Method.NRK:
+        draws = []  # the stream's next uniforms, the next one last
+
         def step(x, fx, r2, k):
-            x, fx, _ = _projected(sys, x, fx, _sample_row(fx, r2, rng, k), k)
+            if not draws:
+                draws.extend(rng.random(_DRAW_BLOCK)[::-1].tolist())
+            x, fx, _ = _projected(sys, x, fx, _sample_row(fx, r2, draws.pop(), k), k)
             return x, fx, 1
     elif method is Method.RDCNK:
         w = None
@@ -294,7 +306,7 @@ def _step(sys, method, rho, rng):
             nonlocal w
             # inside run() the sum of the norms is their only check
             w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x) if w is None else w)
-            rows = _capped(fx, w, w_sum, k).indices
+            rows = _capped(fx, w, w_sum, k)[0]
             # the same draw and stream as rng.integers(len(rows)), at half the call cost
             i = int(rows[rng.integers(0, len(rows))])
             x, fx, w = _projected(sys, x, fx, i, k, w)
@@ -321,7 +333,8 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     unchanged all end in ``Status.BREAKDOWN`` with a message.  NumPy's
     floating-point warnings are ignored for the whole solve.  Each ||f||^2
     doubles as the finiteness check of the residual it sums, which the
-    solved system's evaluations leave to it (``solve_scope``)."""
+    solved system's evaluations leave to it (``solve_scope``).  The report's
+    counters are ``sys.counters`` at the end less those at the start."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
@@ -331,10 +344,14 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
 
     history: List[Tuple[int, float, int, float]] = []
     iterates = [x.copy()] if cfg.store_iterates else None
+    start = vars(sys.counters).copy()
+
+    def report(status, k, r2, message=""):
+        counters = {key: n - start[key] for key, n in vars(sys.counters).items()}
+        return SolverReport(status, k, r2, history, iterates, message, EvalCounters(**counters))
 
     if not np.isfinite(x).all():
-        return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
-                            message="non-finite starting point")
+        return report(Status.BREAKDOWN, 0, float("nan"), "non-finite starting point")
     # no warning for a non-finite intermediate: the report carries the outcome
     with solve_scope(sys):
         try:
@@ -343,27 +360,26 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
             if not math.isfinite(r2):  # finite components can overflow it too
                 _check_residual(fx)
         except DomainError as exc:
-            return SolverReport(Status.BREAKDOWN, 0, float("nan"), history, iterates,
-                                message=f"at the starting point: {exc}")
+            return report(Status.BREAKDOWN, 0, float("nan"), f"at the starting point: {exc}")
         k = 0
         while True:
             if r2 < tol_sq:
-                return SolverReport(Status.CONVERGED, k, r2, history, iterates)
+                return report(Status.CONVERGED, k, r2)
             if k >= max_iters:
-                return SolverReport(Status.MAX_ITERS, k, r2, history, iterates)
+                return report(Status.MAX_ITERS, k, r2)
             try:
                 x_new, fx, block_size = step(x, fx, r2, k)
                 r2_new = float(fx.dot(fx))
                 if not math.isfinite(r2_new):
                     _check_residual(fx)
             except (BreakdownError, DomainError) as exc:
-                return SolverReport(Status.BREAKDOWN, k, r2, history, iterates, message=str(exc))
+                return report(Status.BREAKDOWN, k, r2, str(exc))
             dx = x_new - x
             step_norm = math.sqrt(dx.dot(dx))
             # a deterministic step that moves nothing would repeat until the cap
             if step_norm == 0.0 and stall_ends and not dx.any():
-                return SolverReport(Status.BREAKDOWN, k, r2, history, iterates,
-                                    message=f"the step at iteration {k} left x unchanged")
+                return report(Status.BREAKDOWN, k, r2,
+                              f"the step at iteration {k} left x unchanged")
             history.append((k, r2, block_size, step_norm))
             x, r2 = x_new, r2_new
             k += 1

@@ -19,6 +19,9 @@ evaluation of the system being solved is checked once, by the solver's own
 reduction of it (||f||^2, ||grad f_i||^2, ||d||^2 of the block product, the
 sum of the row norms), and a non-finite reduction takes the same
 :class:`DomainError` or dense fallback as the evaluation's own check.
+``run()``'s own point, row, residual and row norms were checked where they
+were made and are not checked again; the shape of every array a hook
+returns still is.
 """
 from __future__ import annotations
 
@@ -52,7 +55,13 @@ def solve_scope(system: "NonlinearSystem"):
     ``row_norms_sq`` and ``refresh_after_row`` hooks by the sum the capped
     selection takes (``_check_row_norms``).  A non-finite reduction takes
     the evaluation's own check: the same DomainError, or the same dense
-    fallback.  Every other system keeps its own checks."""
+    fallback.  ``run()``'s own point, row, residual and row norms are
+    checked where they are made, and ``residual``, ``row_gradient`` and
+    ``refresh_after_row`` do not check them again: x0's shape is checked in
+    ``run()``, every later point is a point plus a checked (n,) step, and
+    each row comes from the sampler or from the capped set's ``nonzero()``.
+    The shape of every array a hook returns is still checked.  Every other
+    system keeps its own checks."""
     token = _SOLVING.set(system)
     try:
         with np.errstate(all="ignore"):
@@ -191,11 +200,13 @@ class NonlinearSystem:
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f(x). Raises DomainError on non-finite output; inside the
-        solve of this system, ``run()`` checks its ||f||^2 instead."""
+        solve of this system, ``run()`` checks its ||f||^2 instead, and x is
+        the point run() made and checked."""
+        if _SOLVING.get() is self:
+            self.counters.residual_evals += 1
+            return _shaped("residual", self._residual(x), (self.m,))
         x = self._check_point(x)
         self.counters.residual_evals += 1
-        if _SOLVING.get() is self:
-            return _shaped("residual", self._residual(x), (self.m,))
         with _quiet():
             fx = _shaped("residual", self._residual(x), (self.m,))
             # a finite fx.dot(fx) rules out inf and nan; scan only when it is not
@@ -209,9 +220,16 @@ class NonlinearSystem:
         residual ``fx`` and the row norms ``w`` at a point that differs from
         x only in the columns of row i's gradient: the ``refresh_after_row``
         hook, or ``(residual(x), None)`` without one.  Counted, checked and
-        silenced as ``residual`` and, with ``w``, ``row_norms_sq`` are."""
+        silenced as ``residual`` and, with ``w``, ``row_norms_sq`` are; inside
+        the solve of this system i, x, fx and w are run()'s own, made and
+        checked where they were made."""
         if self._refresh_after_row is None:
             return self.residual(x), None
+        if _SOLVING.get() is self:  # run() and the capped selection check their sums
+            self.counters.residual_evals += 1
+            if w is not None:
+                self.counters.jacobian_evals += 1
+            return self._refreshed(i, x, fx, w)
         if not 0 <= i < self.m:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
         x = self._check_point(x)
@@ -220,8 +238,6 @@ class NonlinearSystem:
         if w is not None:
             w = _shaped("w", w, (self.m,))
             self.counters.jacobian_evals += 1
-        if _SOLVING.get() is self:  # run() and the capped selection check their sums
-            return self._refreshed(i, x, fx, w)
         with _quiet():
             fx, w = self._refreshed(i, x, fx, w)
             if not math.isfinite(fx.dot(fx)):
@@ -237,13 +253,14 @@ class NonlinearSystem:
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Evaluate the i-th Jacobian row at x. Raises DomainError on
         non-finite output; inside the solve of this system, the projection
-        checks its ||grad f_i||^2 instead."""
+        checks its ||grad f_i||^2 instead, and i and x are run()'s own."""
+        if _SOLVING.get() is self:
+            self.counters.row_gradient_evals += 1
+            return _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
         if not 0 <= i < self.m:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
         x = self._check_point(x)
         self.counters.row_gradient_evals += 1
-        if _SOLVING.get() is self:
-            return _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
         with _quiet():
             g = _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
             if not math.isfinite(g.dot(g)):

@@ -212,6 +212,12 @@ def test_bench_csv_shape(tmp_path, capsys):
         assert row["iters"] == iters[1]  # low median of three
         walls = sorted(r["wall_ms"] for r in row["runs"])
         assert (row["wall_ms_median"], row["wall_ms_min"]) == (walls[1], walls[0])
+        # the repeats share the cell's system, and each reports its own run's evaluations
+        counters = [r["counters"] for r in row["runs"]]
+        assert set(counters[0]) == {"residual_evals", "row_gradient_evals", "jacobian_evals"}
+        assert counters[0]["residual_evals"] == row["runs"][0]["iters"] + 1
+        if row["method"] not in ("nrk", "rdcnk"):
+            assert counters == [counters[0]] * 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -460,3 +460,84 @@ def test_a_bad_hook_result_ends_the_solve_as_its_check_does(method, kind, messag
     report = run(sys, np.zeros(3), SolverConfig(method=method, seed=1))
     assert (report.status, report.iters, report.message) == (Status.BREAKDOWN, 4, message)
     assert tuple(vars(sys.counters).values()) == counters
+
+
+# -- what the solved system's evaluations still check inside run() -----------
+
+def _short_at_third_call(name):
+    """The affine system f(x) = A x - b with row norm and refresh hooks,
+    whose ``name`` hook returns an array one entry short at its third call:
+    the refresh hook shortens the row norms when it is given some, else the
+    residual."""
+    norms = np.einsum("ij,ij->i", _A, _A)
+    hooks = {"residual": lambda x: _A @ x - _B,
+             "row_gradient": lambda i, x: _A[i].copy(),
+             "refresh_after_row": lambda i, x, fx, w: (_A @ x - _B,
+                                                       None if w is None else norms.copy())}
+    hook, calls = hooks[name], [0]
+
+    def short(*args):
+        out = hook(*args)
+        calls[0] += 1
+        if calls[0] != 3:
+            return out
+        if name != "refresh_after_row":
+            return out[:-1]
+        fx, w = out
+        return (fx[:-1], w) if w is None else (fx, w[:-1])
+
+    hooks[name] = short
+    return NonlinearSystem(4, 3, hooks["residual"], hooks["row_gradient"],
+                           row_norms_sq=lambda x: norms.copy(),
+                           refresh_after_row=hooks["refresh_after_row"])
+
+
+@pytest.mark.parametrize("method,name,with_norms", [
+    (Method.NGABK, "residual", False),
+    (Method.NRK, "row_gradient", False),
+    (Method.NRK, "refresh_after_row", False),
+    (Method.RDCNK, "refresh_after_row", True),
+])
+def test_a_misshapen_hook_result_inside_run_raises_as_a_direct_call(method, name, with_norms):
+    # run() does not check its own point, row, residual and norms again, but
+    # every array a hook returns is still checked, with the same message
+    x = np.zeros(3)
+    fx, w = _A @ x - _B, np.einsum("ij,ij->i", _A, _A)
+    direct = {"residual": lambda s: s.residual(x),
+              "row_gradient": lambda s: s.row_gradient(0, x),
+              "refresh_after_row": lambda s: s.refresh_after_row(
+                  0, x, fx, w if with_norms else None)}[name]
+    sys = _short_at_third_call(name)
+    direct(sys)
+    direct(sys)
+    with pytest.raises(ValueError) as want:
+        direct(sys)
+    assert str(want.value).startswith(f"{name} has shape")
+    with pytest.raises(ValueError) as got:
+        run(_short_at_third_call(name), x, SolverConfig(method=method, seed=1))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_a_report_counts_the_evaluations_of_its_own_run(method):
+    # the counters of a system shared by several runs add up; each report
+    # holds its own run's, those a solve of a fresh system counts
+    prob = get_problem("broyden", 30)
+    cfg = SolverConfig(method=method, seed=2)
+    first, second = run(prob.system, prob.x0, cfg), run(prob.system, prob.x0, cfg)
+    fresh = get_problem("broyden", 30)
+    alone = run(fresh.system, fresh.x0, cfg)
+    assert vars(first.counters) == vars(second.counters) == vars(fresh.system.counters)
+    assert vars(alone.counters) == vars(fresh.system.counters)
+    assert vars(prob.system.counters) == {k: 2 * v for k, v in vars(alone.counters).items()}
+    assert sum(vars(alone.counters).values()) > 0
+
+
+def test_a_report_of_a_bad_start_counts_nothing():
+    sys = make_h_equation(4)
+    sys.residual(np.zeros(4))
+    report = run(sys, np.full(4, math.nan), SolverConfig(method=Method.NGABK))
+    assert report.status is Status.BREAKDOWN
+    assert vars(report.counters) == {"residual_evals": 0, "row_gradient_evals": 0,
+                                     "jacobian_evals": 0}
+    assert sys.counters.residual_evals == 1

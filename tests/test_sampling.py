@@ -1,10 +1,13 @@
 """NRK's inline row sampler against NumPy's ``Generator.choice``, its reference,
+NRK's blocks of uniform draws against one ``Generator.random()`` per draw,
 and RD-CNK's uniform draw against ``Generator.integers(k)``."""
+import math
+
 import numpy as np
 import pytest
 
-from nlkaczmarz import BreakdownError
-from nlkaczmarz.solvers import _sample_row
+from nlkaczmarz import BreakdownError, Method, SolverConfig, Status, get_problem, run
+from nlkaczmarz.solvers import _DRAW_BLOCK, _sample_row
 
 
 def _weight_vectors(rng):
@@ -27,7 +30,8 @@ def test_inline_draw_equals_numpy_choice():
     for fx in _weight_vectors(np.random.default_rng(7)):
         r2 = float(fx.dot(fx))
         for _ in range(5):
-            assert _sample_row(fx, r2, ours, 0) == int(ref.choice(len(fx), p=fx * fx / r2))
+            want = int(ref.choice(len(fx), p=fx * fx / r2))
+            assert _sample_row(fx, r2, ours.random(), 0) == want
             draws += 1
         # both generators consumed the same stream
         assert ours.bit_generator.state == ref.bit_generator.state
@@ -38,25 +42,15 @@ def test_single_nonzero_weight_is_always_drawn():
     rng = np.random.default_rng(0)
     fx = np.zeros(9)
     fx[4] = -1e-120
-    assert {_sample_row(fx, float(fx.dot(fx)), rng, 0) for _ in range(50)} == {4}
-
-
-class _Fixed:
-    """A generator stand-in whose uniform draw is fixed."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+    assert {_sample_row(fx, float(fx.dot(fx)), rng.random(), 0) for _ in range(50)} == {4}
 
 
 def test_draw_on_a_cumulative_weight_takes_the_next_row():
     # as in Generator.choice (side="right"): a zero-weight row is never drawn,
     # even by u = 0, and u equal to a cumulative weight moves past it
     fx = np.array([0.0, 1.0, 1.0])
-    assert _sample_row(fx, 2.0, _Fixed(0.0), 0) == 1
-    assert _sample_row(fx, 2.0, _Fixed(0.5), 0) == 2
+    assert _sample_row(fx, 2.0, 0.0, 0) == 1
+    assert _sample_row(fx, 2.0, 0.5, 0) == 2
 
 
 def test_draw_depends_on_weight_ratios_only():
@@ -66,14 +60,55 @@ def test_draw_depends_on_weight_ratios_only():
     r2 = float(fx.dot(fx))
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
-        assert _sample_row(fx, r2, a, 0) == _sample_row(fx, 4.0 * r2, b, 0)
+        assert _sample_row(fx, r2, a.random(), 0) == _sample_row(fx, 4.0 * r2, b.random(), 0)
 
 
 def test_overflowing_weights_raise_breakdown():
     fx = np.array([1e200, 1.0])
     with pytest.raises(BreakdownError) as exc:
-        _sample_row(fx, float("inf"), np.random.default_rng(0), 12)
+        _sample_row(fx, float("inf"), np.random.default_rng(0).random(), 12)
     assert exc.value.iteration == 12
+
+
+def test_blocks_of_draws_equal_one_draw_at_a_time():
+    # NRK takes its uniforms _DRAW_BLOCK at a time: across the block
+    # boundaries, the same values in the same order as one rng.random() each
+    blocks = np.random.default_rng(31)
+    ref = np.random.default_rng(31)
+    drawn = []
+    while len(drawn) < 2500:
+        drawn += blocks.random(_DRAW_BLOCK).tolist()
+    assert len(drawn) > 2 * _DRAW_BLOCK
+    assert drawn[:2500] == [ref.random() for _ in range(2500)]
+
+
+def test_nrk_solve_is_a_loop_of_one_choice_per_step():
+    # a solve longer than one block of draws picks, row for row, the rows of
+    # one rng.choice per step and records the same history, bit for bit
+    prob = get_problem("broyden", 50)
+    sys, rows = prob.system, []
+    row_gradient = sys.row_gradient
+    sys.row_gradient = lambda i, x: rows.append(i) or row_gradient(i, x)
+    report = run(sys, prob.x0, SolverConfig(method=Method.NRK))
+    assert report.status is Status.CONVERGED and report.iters > _DRAW_BLOCK
+
+    ref = get_problem("broyden", 50).system
+    rng = np.random.default_rng(0)
+    x = prob.x0.copy()
+    fx = ref.residual(x)
+    r2 = float(fx.dot(fx))
+    want_rows, history = [], []
+    while r2 >= SolverConfig(Method.NRK).tol_sq:
+        i = int(rng.choice(ref.m, p=fx * fx / r2))
+        g = ref.row_gradient(i, x)
+        x_new = x - (fx[i] / g.dot(g)) * g
+        fx = ref.residual(x_new)
+        dx = x_new - x
+        history.append((len(history), r2, 1, math.sqrt(dx.dot(dx))))
+        want_rows.append(i)
+        x, r2 = x_new, float(fx.dot(fx))
+    assert rows == want_rows
+    assert report.history == history
 
 
 def test_integers_from_zero_equals_integers_up_to_k():
@@ -124,5 +159,5 @@ def test_draw_at_each_cumulative_weight_and_its_neighbours_is_choices_row():
                     continue
                 u = float(u)
                 rounded_up += u * t == t
-                assert _sample_row(fx, r2, _Fixed(u), 0) == _reference_row(fx, r2, u), (fx, u)
+                assert _sample_row(fx, r2, u, 0) == _reference_row(fx, r2, u), (fx, u)
     assert rounded_up  # the search for u * t did land past the last row
