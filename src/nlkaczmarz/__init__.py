@@ -35,12 +35,11 @@ from .solvers import (
     select_ngabk,
     select_rdcnk,
 )
-from .system import IterateState, NonlinearSystem, fd_check
+from .system import NonlinearSystem, fd_check
 
 __all__ = [
     "BlockSelection", "BreakdownError", "ConeEstimate", "DomainError",
-    "IterateState", "Lemma1Check", "Method",
-    "NonlinearSystem", "OrderingReport", "Problem", "SolverConfig",
+    "Lemma1Check", "Method", "NonlinearSystem", "OrderingReport", "Problem", "SolverConfig",
     "SolverReport", "StepBound", "Status", "VerifiedStep",
     "check_lemma1", "estimate_cone", "fd_check", "get_problem", "make_brown",
     "make_h_equation", "make_overdetermined_rational", "make_singular_broyden",

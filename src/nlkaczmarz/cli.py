@@ -136,6 +136,13 @@ def _parse_list(text: str, flag: str, kind, check) -> list:
     return values
 
 
+def _seed(text: str) -> int:
+    """A --seed or --seed-base value: NumPy's generators take only seeds >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    return int(text)
+
+
 def _initial_point(spec: str, problem) -> np.ndarray:
     if spec == "default":
         return problem.x0
@@ -325,8 +332,8 @@ def cmd_diagnose(args) -> int:
 
     ratios = diagnostics.per_step_contraction(report, x_star) if x_star is not None else []
     steps = []
-    for k, ((state, bound), hist) in enumerate(zip(bounds, report.history)):
-        ordering = diagnostics.remark2_compare(bound, system, state, cone.xi)
+    for k, (bound, hist) in enumerate(zip(bounds, report.history)):
+        ordering = diagnostics.remark2_compare(bound, system, cone.xi)
         steps.append({
             "k": k,
             "residual_sq": hist[1],
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", required=True, choices=[m.value for m in Method])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--x0", default="default",
                    help="default (the problem's standard start), zeros, or const:<v>")
     p.add_argument("--history", help="write per-iteration CSV to this path")
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a suite across all five iterative methods")
     p.add_argument("--suite", required=True, choices=list(SUITE_SIZES) + ["all"])
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed-base", type=int, default=0)
+    p.add_argument("--seed-base", type=_seed, default=0)
     p.add_argument("--sizes", help="comma-separated size override")
     p.add_argument("--json", help="write per-repeat detail JSON to this path")
     _add_common_solver_flags(p)
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--pair-radius", type=float, default=None,
                    help="absolute pair radius (default: 5%% of box extent)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common_solver_flags(p)
     p.set_defaults(func=cmd_diagnose)
 

@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .solvers import BlockSelection, Method, SolverReport, select_mrnabk, select_ngabk
-from .system import IterateState, NonlinearSystem
+from .system import NonlinearSystem
 
 DEGENERATE_SV_RTOL = 1e-12  # sigma_min below this times sigma_max counts as rank-deficient
 SKIP_BELOW = 1e-14  # a residual difference below this carries no cone information
@@ -127,9 +127,9 @@ def _lemma1(df: np.ndarray, lin: np.ndarray, xi: float, rel_slack: float) -> Lem
     return Lemma1Check(lhs=lhs, rhs=rhs, holds=lhs >= rhs * (1.0 - rel_slack))
 
 
-def theorem_bound(sys: NonlinearSystem, state: IterateState, sel: BlockSelection,
+def theorem_bound(sys: NonlinearSystem, x: np.ndarray, sel: BlockSelection,
                   xi: float, method: Method = Method.NGABK, rho: float = 0.1) -> StepBound:
-    """Per-step contraction-factor bound via dense singular values.
+    """Per-step contraction-factor bound at the iterate x via dense singular values.
 
     NGABK:  1 - (1-2xi)/(1+xi^2) * delta |tau| sigma_min^2(J) / sigma_max^2(J_tau)
     MRNABK: 1 - (1-2xi)/(1+xi^2) * rho |tau| sigma_min^2(J) / (m sigma_max^2(J_tau))
@@ -140,7 +140,7 @@ def theorem_bound(sys: NonlinearSystem, state: IterateState, sel: BlockSelection
     method = Method(method)
     if method not in (Method.NGABK, Method.MRNABK):
         raise ValueError("bounds exist for the averaged block methods only")
-    return _bound(_spectra(sys.jacobian(state.x), sel), sel, xi, method, rho, sys.m)
+    return _bound(_spectra(sys.jacobian(x), sel), sel, xi, method, rho, sys.m)
 
 
 def _spectra(J: np.ndarray, sel: BlockSelection) -> tuple:
@@ -182,43 +182,42 @@ def _select(fx: np.ndarray, method: Method, rho: float) -> BlockSelection:
 def _cone_and_bounds(sys: NonlinearSystem, report: SolverReport,
                      pairs: List[Tuple[np.ndarray, np.ndarray]],
                      x_star: Optional[np.ndarray], method: Method,
-                     rho: float) -> Tuple[ConeEstimate, List[Tuple[IterateState, StepBound]]]:
+                     rho: float) -> Tuple[ConeEstimate, List[StepBound]]:
     """The cone estimate from ``pairs`` and, when x* is given, the pairs
-    (x_k, x*) of the run's iterates, and each step's (state, theorem_bound)
-    under it.  Each iterate's residual and Jacobian are evaluated once, for
-    its pair and its bound, and f(x*) once for all pairs."""
+    (x_k, x*) of the run's iterates, and each step's theorem_bound under
+    it.  Each iterate's residual and Jacobian are evaluated once, for its
+    pair and its bound, and f(x*) once for all pairs."""
     terms = [_pair_terms(sys, x1, x2) for x1, x2 in pairs]
     f_star = None if x_star is None else sys.residual(x_star)
     steps = []
-    for k, x in enumerate(report.iterates[:len(report.history)]):
-        state = IterateState(x=x, fx=sys.residual(x), k=k)
-        sel = _select(state.fx, method, rho)
+    for x in report.iterates[:len(report.history)]:
+        fx = sys.residual(x)
+        sel = _select(fx, method, rho)
         J = sys.jacobian(x)
-        steps.append((state, sel, _spectra(J, sel)))
+        steps.append((sel, _spectra(J, sel)))
         if f_star is not None:
-            terms.append((state.fx - f_star, J @ (x - x_star)))
+            terms.append((fx - f_star, J @ (x - x_star)))
     cone = _cone(sys.m, terms)
-    return cone, [(state, _bound(spectra, sel, cone.xi, method, rho, sys.m))
-                  for state, sel, spectra in steps]
+    return cone, [_bound(spectra, sel, cone.xi, method, rho, sys.m) for sel, spectra in steps]
 
 
 def _nrk_rate(sigma_min: float, fro2: float, m: int, xi: float) -> float:
     return 1.0 - (1.0 - 2.0 * xi) / (1.0 + xi) ** 2 * sigma_min**2 / (m * fro2)
 
 
-def nrk_bound(sys: NonlinearSystem, state: IterateState, xi: float) -> float:
-    """Single-row contraction bound
+def nrk_bound(sys: NonlinearSystem, x: np.ndarray, xi: float) -> float:
+    """Single-row contraction bound at the iterate x,
     1 - (1-2xi)/(1+xi)^2 * sigma_min^2(J) / (m ||J||_F^2)."""
-    J = sys.jacobian(state.x)
+    J = sys.jacobian(x)
     sv = np.linalg.svd(J, compute_uv=False)
     return _nrk_rate(float(sv[min(sys.m, sys.n) - 1]), float((J * J).sum()), sys.m, xi)
 
 
 def remark2_compare(bound_block: StepBound, sys: NonlinearSystem,
-                    state: IterateState, xi: float) -> OrderingReport:
-    """Check the strict ordering rho_block < rho_nrk at ``state``, the
-    iterate ``bound_block`` was computed at: the single-row bound reuses
-    its sigma_min(J) and ||J||_F^2 instead of evaluating J again."""
+                    xi: float) -> OrderingReport:
+    """Check the strict ordering rho_block < rho_nrk at the iterate
+    ``bound_block`` was computed at: the single-row bound reuses its
+    sigma_min(J) and ||J||_F^2 instead of evaluating J again."""
     rho_nrk = _nrk_rate(bound_block.sigma_min_full, bound_block.jacobian_fro_sq, sys.m, xi)
     return OrderingReport(rho_block=bound_block.rho_bound, rho_nrk=rho_nrk,
                           strict=bound_block.rho_bound < rho_nrk)

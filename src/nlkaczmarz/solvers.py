@@ -27,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import (EvalCounters, IterateState, NonlinearSystem, _check_gradient,
-                     _check_residual, _check_row_norms, _quiet, solve_scope)
+from .system import (EvalCounters, NonlinearSystem, _check_gradient, _check_residual,
+                     _check_row_norms, _quiet, solve_scope)
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -121,9 +121,9 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
     return BlockSelection(indices=idx, threshold=float(threshold))
 
 
-def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
-    """Capped selection weighted by row-gradient norms, which cost one full
-    Jacobian (``sys.row_norms_sq``).
+def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, k: int = 0) -> BlockSelection:
+    """Capped selection at x, whose residual is fx, weighted by row-gradient norms,
+    which cost one full Jacobian (``sys.row_norms_sq``); a breakdown names iteration k.
 
     I = { i : f_i^2 >= delta ||f||^2 ||grad f_i||^2 } with
     delta = (max_i (f_i^2/||grad f_i||^2) / ||f||^2 + 1/||f'||_F^2) / 2.
@@ -133,12 +133,12 @@ def select_rdcnk(sys: NonlinearSystem, state: IterateState) -> BlockSelection:
     ``run()`` the same selection reads row norms that the solve keeps from
     one step to the next.
     """
-    fx = state.fx
+    fx = np.asarray(fx, dtype=float)
     if not fx.any():  # tiny f_i can square to zero, so ||f||^2 cannot tell
         raise ValueError(kernels.ZERO_RESIDUAL)
     with _quiet():
-        w, w_sum = _check_row_norms(sys, state.x, sys.row_norms_sq(state.x))
-        idx, delta = _capped(fx, w, w_sum, state.k)
+        w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x))
+        idx, delta = _capped(fx, w, w_sum, k)
     return BlockSelection(indices=idx, threshold=float(delta))
 
 

@@ -439,6 +439,24 @@ def test_unwritable_output_fails_before_any_solve(argv, tmp_path, monkeypatch, c
     assert f"cannot write {tmp_path}" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("solve", *H_EQUATION_20, "--seed", "-1"), "--seed"),
+    (("bench", "--suite", "brown", "--sizes", "6", "--repeats", "1", "--seed-base", "-3"),
+     "--seed-base"),
+    (("diagnose", "--problem", "brown", "--n", "10", "--seed=-1"), "--seed"),
+    (("solve", *H_EQUATION_20, "--seed", "x"), "--seed"),
+], ids=["solve", "bench", "diagnose", "solve-not-a-number"])
+def test_bad_seed_is_usage_error_before_any_solve(argv, flag, monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(cli, "_bench_cell", lambda *args: solves.append(args))
+    monkeypatch.setattr(cli, "_timed_run", lambda *args: solves.append(args))
+    monkeypatch.setattr(cli, "_warm_up", lambda: solves.append("warm-up"))
+    code = _exit_code(*argv)
+    captured = capsys.readouterr()
+    assert code == 2 and solves == []
+    assert f"argument {flag}:" in captured.err and captured.out == ""
+
+
 def test_probing_an_output_leaves_no_file(tmp_path, capsys):
     # --out is probed, and removed again, before --history fails its probe
     out = tmp_path / "new" / "run.json"

@@ -3,7 +3,6 @@ import pytest
 
 from nlkaczmarz import (
     BlockSelection,
-    IterateState,
     Method,
     NonlinearSystem,
     SolverConfig,
@@ -17,10 +16,12 @@ from nlkaczmarz import (
     remark2_compare,
     run,
     sample_pairs,
+    select_mrnabk,
     select_ngabk,
     theorem_bound,
     verified_contraction_steps,
 )
+from nlkaczmarz.diagnostics import _cone_and_bounds
 
 from conftest import make_affine
 
@@ -76,17 +77,17 @@ def test_theorem_bound_identity_single_row():
     # f(x) = x - b with one equation: delta = 1, |tau| = 1, all sigmas 1,
     # xi = 0, so the bound collapses to rho = 0 (one-step convergence)
     sys = make_affine(np.eye(1), np.array([3.0]))
-    state = IterateState.at(sys, np.zeros(1))
-    sel = select_ngabk(state.fx)
-    bound = theorem_bound(sys, state, sel, xi=0.0)
+    x = np.zeros(1)
+    sel = select_ngabk(sys.residual(x))
+    bound = theorem_bound(sys, x, sel, xi=0.0)
     assert bound.applicable
     assert bound.rho_bound == pytest.approx(0.0, abs=1e-14)
 
 
 def test_theorem_bound_inapplicable_for_large_xi(rng):
     sys = make_affine(rng.normal(size=(4, 4)), rng.normal(size=4))
-    state = IterateState.at(sys, np.zeros(4))
-    bound = theorem_bound(sys, state, select_ngabk(state.fx), xi=0.5)
+    x = np.zeros(4)
+    bound = theorem_bound(sys, x, select_ngabk(sys.residual(x)), xi=0.5)
     assert not bound.applicable
     assert bound.rho_bound == 1.0
 
@@ -94,16 +95,16 @@ def test_theorem_bound_inapplicable_for_large_xi(rng):
 def test_theorem_bound_inapplicable_rank_deficient():
     A = np.array([[1.0, 0.0], [2.0, 0.0]])
     sys = make_affine(A, np.array([1.0, 1.0]))
-    state = IterateState.at(sys, np.zeros(2))
-    bound = theorem_bound(sys, state, select_ngabk(state.fx), xi=0.0)
+    x = np.zeros(2)
+    bound = theorem_bound(sys, x, select_ngabk(sys.residual(x)), xi=0.0)
     assert not bound.applicable
 
 
 def test_theorem_bound_rejects_single_row_methods():
     sys = make_affine(np.eye(2), np.ones(2))
-    state = IterateState.at(sys, np.zeros(2))
+    x = np.zeros(2)
     with pytest.raises(ValueError):
-        theorem_bound(sys, state, select_ngabk(state.fx), xi=0.0, method=Method.NRK)
+        theorem_bound(sys, x, select_ngabk(sys.residual(x)), xi=0.0, method=Method.NRK)
 
 
 def test_delta_threshold_dominates_uniform(rng):
@@ -130,9 +131,9 @@ def test_remark2_ordering_on_random_states(rng):
     sys = make_affine(rng.normal(size=(8, 8)), rng.normal(size=8))
     strict = 0
     for _ in range(50):
-        state = IterateState.at(sys, rng.normal(size=8))
-        bound = theorem_bound(sys, state, select_ngabk(state.fx), xi=0.0)
-        rep = remark2_compare(bound, sys, state, xi=0.0)
+        x = rng.normal(size=8)
+        bound = theorem_bound(sys, x, select_ngabk(sys.residual(x)), xi=0.0)
+        rep = remark2_compare(bound, sys, xi=0.0)
         assert rep.rho_block <= rep.rho_nrk + 1e-12
         strict += rep.strict
     assert strict == 50
@@ -140,19 +141,42 @@ def test_remark2_ordering_on_random_states(rng):
 
 def test_remark2_compare_reuses_the_bound_jacobian():
     sys = get_problem("h-equation", 30).system
-    state = IterateState.at(sys, np.full(30, 0.5))
+    x = np.full(30, 0.5)
+    fx = sys.residual(x)
     sys.counters.reset()
-    bound = theorem_bound(sys, state, select_ngabk(state.fx), xi=0.1)
-    rep = remark2_compare(bound, sys, state, xi=0.1)
+    bound = theorem_bound(sys, x, select_ngabk(fx), xi=0.1)
+    rep = remark2_compare(bound, sys, xi=0.1)
     assert sys.counters.jacobian_evals == 1
-    assert rep.rho_nrk == nrk_bound(sys, state, xi=0.1)
+    assert rep.rho_nrk == nrk_bound(sys, x, xi=0.1)
 
 
 def test_nrk_bound_below_one(rng):
     sys = make_affine(rng.normal(size=(6, 6)), rng.normal(size=6))
-    state = IterateState.at(sys, rng.normal(size=6))
-    b = nrk_bound(sys, state, xi=0.0)
+    b = nrk_bound(sys, rng.normal(size=6), xi=0.0)
     assert 0.0 < b < 1.0
+
+
+@pytest.mark.parametrize("with_x_star", [True, False], ids=["limit-point", "no-x-star"])
+@pytest.mark.parametrize("method", [Method.NGABK, Method.MRNABK])
+def test_diagnose_per_iterate_path_matches_the_public_functions(method, with_x_star, rng):
+    # cmd_diagnose evaluates each iterate once for its cone pair and its
+    # bound; each bound and its single-row rate must be the public ones.
+    # The pairs (x_k, x*) push xi above 1/2; the sampled pairs alone keep
+    # it below, where every bound is applicable and reads xi
+    prob = get_problem("h-equation", 20)
+    sys = prob.system
+    report = run(sys, prob.x0, SolverConfig(method=method, store_iterates=True))
+    assert report.status is Status.CONVERGED
+    pairs = sample_pairs(prob.sample_box, 10, 0.05, rng)
+    x_star = report.iterates[-1] if with_x_star else None
+    cone, bounds = _cone_and_bounds(sys, report, pairs, x_star, method, 0.1)
+    assert len(bounds) == len(report.history) == report.iters > 0
+    assert all(bound.applicable for bound in bounds) == (not with_x_star)
+    for x, bound in zip(report.iterates, bounds):
+        fx = sys.residual(x)
+        sel = select_ngabk(fx) if method is Method.NGABK else select_mrnabk(fx, 0.1)
+        assert bound == theorem_bound(sys, x, sel, cone.xi, method, 0.1)
+        assert remark2_compare(bound, sys, cone.xi).rho_nrk == nrk_bound(sys, x, cone.xi)
 
 
 def test_per_step_contraction_empty_at_solution():

@@ -78,7 +78,7 @@ def test_broyden_jacobian_zero_where_all_g_vanish():
         J += np.diag(-2.0 * np.ones(n - 1), 1)
         return J
 
-    plain = NonlinearSystem(n, n, g, lambda i, x: g_jac(x)[i], jacobian=g_jac)
+    plain = NonlinearSystem(n, n, g, lambda i, x: g_jac(x)[i])
     report = run(plain, -0.5 * np.ones(n),
                  SolverConfig(Method.NEWTON, max_iters=30, tol_sq=1e-26, store_iterates=True))
     assert report.status is Status.CONVERGED

@@ -318,8 +318,8 @@ def _without_refresh(sys):
     """``sys`` built again from the same callables, without its
     ``refresh_after_row`` hook."""
     return NonlinearSystem(sys.m, sys.n, sys._residual, sys._row_gradient,
-                           gradient_rows=sys._gradient_rows, jacobian=sys._jacobian,
-                           block_vjp=sys._block_vjp, row_norms_sq=sys._row_norms_sq,
+                           gradient_rows=sys._gradient_rows, block_vjp=sys._block_vjp,
+                           row_norms_sq=sys._row_norms_sq,
                            known_solution=sys.known_solution)
 
 

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from nlkaczmarz import (
     BreakdownError,
     DomainError,
-    IterateState,
     NonlinearSystem,
     select_mrnabk,
     select_ngabk,
@@ -109,22 +108,24 @@ def test_mrnabk_rho_one_is_argmax_tie_set(fx):
 
 def test_rdcnk_symmetric_case_selects_all():
     sys = make_affine(np.eye(4), np.zeros(4))
-    state = IterateState.at(sys, 0.7 * np.ones(4))
-    sel = select_rdcnk(sys, state)
+    x = 0.7 * np.ones(4)
+    sel = select_rdcnk(sys, x, sys.residual(x))
     assert list(sel.indices) == [0, 1, 2, 3]
 
 
 def test_rdcnk_singleton_system():
     sys = make_affine(np.array([[2.0]]), np.array([1.0]))
-    state = IterateState.at(sys, np.array([5.0]))
-    assert list(select_rdcnk(sys, state).indices) == [0]
+    x = np.array([5.0])
+    assert list(select_rdcnk(sys, x, sys.residual(x)).indices) == [0]
+    # the point and the residual may be sequences, as the greedy selections' fx may
+    assert list(select_rdcnk(sys, [5.0], [9.0]).indices) == [0]
 
 
 def test_rdcnk_unit_gradients_reduce_to_ngabk_arithmetic():
     # identity Jacobian: per-row cut is delta * 14 = 41/6, selecting only row 0
     sys = make_affine(np.eye(3), np.zeros(3))
-    state = IterateState.at(sys, np.array([3.0, 2.0, 1.0]))
-    sel = select_rdcnk(sys, state)
+    x = np.array([3.0, 2.0, 1.0])
+    sel = select_rdcnk(sys, x, sys.residual(x))
     assert list(sel.indices) == [0]
     assert sel.threshold == pytest.approx(41.0 / 84.0)
 
@@ -132,8 +133,8 @@ def test_rdcnk_unit_gradients_reduce_to_ngabk_arithmetic():
 def test_rdcnk_zero_gradient_row_dominates():
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     sys = make_affine(A, np.array([0.0, 1.0]))
-    state = IterateState.at(sys, np.array([2.0, 2.0]))  # fx = (2, -1), row 1 grad = 0
-    sel = select_rdcnk(sys, state)
+    x = np.array([2.0, 2.0])  # fx = (2, -1), row 1 grad = 0
+    sel = select_rdcnk(sys, x, sys.residual(x))
     assert list(sel.indices) == [1]
     assert sel.threshold == np.inf
 
@@ -141,19 +142,18 @@ def test_rdcnk_zero_gradient_row_dominates():
 # -- RD-CNK selection against its earlier form -----------------------------
 
 
-def _select_rdcnk_reference(sys, state):
+def _select_rdcnk_reference(sys, x, fx, k):
     """The capped selection as written before it took fewer passes: a full
     ``fx.any()`` and ``w.all()`` on every call, the ratios formed in either
     branch and the indices copied to intp."""
-    fx = state.fx
     if not fx.any():
         raise ValueError("selection from a zero residual: solver should have terminated")
     with np.errstate(all="ignore"):
-        w = sys.row_norms_sq(state.x)
+        w = sys.row_norms_sq(x)
         a2 = fx * fx
         r2 = a2.sum()
         if not math.isfinite(r2):
-            raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=state.k)
+            raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=k)
         if w.all():
             ratio = a2 / w
         else:
@@ -162,12 +162,12 @@ def _select_rdcnk_reference(sys, state):
                 return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
                                       threshold=float("inf"))
             if not w.any():
-                raise BreakdownError("all row gradients are zero", iteration=state.k)
+                raise BreakdownError("all row gradients are zero", iteration=k)
             ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
         delta = 0.5 * (ratio.max() / r2 + 1.0 / w.sum())
         idx = np.flatnonzero((a2 >= delta * r2 * w) & (a2 > 0.0)).astype(np.intp)
         if idx.size == 0:
-            raise BreakdownError("capped selection is empty", iteration=state.k)
+            raise BreakdownError("capped selection is empty", iteration=k)
         return BlockSelection(indices=idx, threshold=float(delta))
 
 
@@ -178,7 +178,7 @@ def _norms_system(w):
     m = len(w)
     J = lambda x: np.sqrt(w)[:, None]
     return NonlinearSystem(m, 1, lambda x: np.zeros(m), lambda i, x: J(x)[i],
-                           jacobian=J, row_norms_sq=lambda x: w.copy())
+                           row_norms_sq=lambda x: w.copy())
 
 
 # residual entries: zeros, squares that underflow (1e-170) or overflow
@@ -207,9 +207,9 @@ def _rdcnk_cases(draw):
     return fx, w, draw(st.integers(0, 99))
 
 
-def _outcome(select, sys, state):
+def _outcome(select, sys, x, fx, k):
     try:
-        sel = select(sys, state)
+        sel = select(sys, x, fx, k)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "iteration", None), getattr(exc, "index", None)
     return (sel.indices.dtype, sel.indices.tolist(), struct.pack("<d", sel.threshold))
@@ -220,8 +220,8 @@ def _outcome(select, sys, state):
 def test_rdcnk_selection_matches_the_reference(case):
     fx, w, k = case
     sys = _norms_system(w)
-    state = IterateState(np.zeros(1), fx, k)
-    assert _outcome(select_rdcnk, sys, state) == _outcome(_select_rdcnk_reference, sys, state)
+    x = np.zeros(1)
+    assert _outcome(select_rdcnk, sys, x, fx, k) == _outcome(_select_rdcnk_reference, sys, x, fx, k)
 
 
 def test_rdcnk_selection_kinds_are_reached():
@@ -237,7 +237,7 @@ def test_rdcnk_selection_kinds_are_reached():
         (np.full(3, 0.7), np.ones(3), BreakdownError),  # tied ratios
     ]
     for fx, w, raises in cases:
-        outcome = _outcome(select_rdcnk, _norms_system(w), IterateState(one, fx, 0))
+        outcome = _outcome(select_rdcnk, _norms_system(w), one, fx, 0)
         assert outcome[0] is (raises or np.dtype(np.intp))
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from nlkaczmarz import (
     DomainError,
-    IterateState,
     Method,
     NonlinearSystem,
     SolverConfig,
@@ -114,14 +113,6 @@ def test_residual_deterministic_bitwise():
     sys = make_h_equation(20, c=0.9)
     x = np.linspace(0.0, 0.8, 20)
     assert np.array_equal(sys.residual(x), sys.residual(x))
-
-
-def test_iterate_state_cache_coherence():
-    sys = make_brown(4)
-    x = np.array([0.5, 1.0, -0.3, 2.0])
-    state = IterateState.at(sys, x)
-    assert np.array_equal(state.fx, sys.residual(x))
-    assert state.k == 0
 
 
 def test_known_solution_residual_below_threshold():
@@ -259,8 +250,7 @@ def _system_with_bad_row(bad_row, block_vjp, row_norms_sq):
         return G
 
     return NonlinearSystem(4, 3, lambda x: A @ x, lambda i, x: rows(np.array([i]), x)[0],
-                           gradient_rows=rows, jacobian=lambda x: rows(np.arange(4), x),
-                           block_vjp=block_vjp, row_norms_sq=row_norms_sq)
+                           gradient_rows=rows, block_vjp=block_vjp, row_norms_sq=row_norms_sq)
 
 
 def test_non_finite_hooks_raise_the_dense_domain_error():

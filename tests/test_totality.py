@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nlkaczmarz import (
     BreakdownError,
     DomainError,
-    IterateState,
     Method,
     NonlinearSystem,
     SolverConfig,
@@ -143,7 +142,7 @@ def test_empty_capped_selection_is_breakdown():
     sys = make_affine(np.eye(3), np.zeros(3))
     x = np.full(3, 0.7)
     with pytest.raises(BreakdownError) as exc:
-        select_rdcnk(sys, IterateState.at(sys, x, k=4))
+        select_rdcnk(sys, x, sys.residual(x), k=4)
     assert exc.value.iteration == 4
     report = run(sys, x, SolverConfig(method=Method.RDCNK))
     assert report.status is Status.BREAKDOWN and report.iters == 0
@@ -166,22 +165,23 @@ def test_step_breakdowns_carry_the_iteration():
 
 
 @pytest.mark.parametrize("call,raises", [
-    (lambda sys, st: select_ngabk(st.fx), None),
-    (lambda sys, st: select_mrnabk(st.fx, 0.1), None),  # rho max f_i^2 overflows
-    (lambda sys, st: select_rdcnk(sys, st), BreakdownError),
+    (lambda sys, x, fx: select_ngabk(fx), None),
+    (lambda sys, x, fx: select_mrnabk(fx, 0.1), None),  # rho max f_i^2 overflows
+    (lambda sys, x, fx: select_rdcnk(sys, x, fx), BreakdownError),
 ], ids=["select_ngabk", "select_mrnabk", "select_rdcnk"])
 def test_public_step_at_an_overflowing_point_writes_no_warning(call, raises):
     # every f_i(1e200 * ones) is finite, but ||f||^2 overflows; a public
     # selection scopes its own arithmetic
     sys = make_h_equation(50)
-    state = IterateState.at(sys, np.full(50, 1e200))
+    x = np.full(50, 1e200)
+    fx = sys.residual(x)
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         if raises is None:
-            call(sys, state)
+            call(sys, x, fx)
         else:
             with pytest.raises(raises):
-                call(sys, state)
+                call(sys, x, fx)
 
 
 # f(x) = A x + x^3 / 10 - 1: from x = 0 Newton takes two steps, the others 21-66
@@ -217,8 +217,7 @@ def _poisoned(bad=None, residual_call=None, gradient_call=None):
             g[1] = bad
         return g
 
-    sys = NonlinearSystem(3, 3, residual, row_gradient, gradient_rows=gradient_rows,
-                          jacobian=lambda x: gradient_rows(np.arange(3), x))
+    sys = NonlinearSystem(3, 3, residual, row_gradient, gradient_rows=gradient_rows)
     sys.rows_asked = rows_asked
     return sys
 
