@@ -156,6 +156,13 @@ def _initial_point(spec: str, problem) -> np.ndarray:
     raise ValueError(f"--x0 expects default, zeros or const:<number>, got {spec!r}")
 
 
+def _load_random() -> None:
+    """Build one generator, so that NumPy's one-time load of ``numpy.random``
+    (about 10 ms) falls in no timer: a solve of a ``RANDOM_ROW`` method
+    would pay it, and a solve of the other methods would not."""
+    np.random.default_rng(0)
+
+
 def _timed_run(system, x0, cfg):
     t0 = time.perf_counter()
     report = run(system, x0, cfg)
@@ -171,6 +178,8 @@ def cmd_solve(args) -> int:
                        tol_sq=args.tol_sq, seed=args.seed)
     x0 = _initial_point(args.x0, problem)
     out, history = _output(args.out), _output(args.history)
+    if cfg.method in RANDOM_ROW:
+        _load_random()
     report, wall_ms = _timed_run(problem.system, x0, cfg)
 
     payload = {
@@ -238,12 +247,12 @@ def _bench_cell(problem, method: Method, rho: float, repeats: int,
 
 
 def _warm_up() -> None:
-    """One small untimed solve, so that the first timed cell of a process
-    does not pay its one-time costs, chiefly NumPy loading ``numpy.random``
-    on first use.  On a 2-vCPU x86-64 VM this solve took 12-17 ms the first
-    time and about 1 ms when repeated."""
+    """One small untimed solve, and one generator for the methods that draw
+    rows, so that the first timed cell of a process does not pay its
+    one-time costs."""
     problem = get_problem("h-equation", 10)
     run(problem.system, problem.x0, SolverConfig(BENCH_METHODS[0]))
+    _load_random()
 
 
 def _write_table(rows: List[Dict], out: Optional[Path], json_out: Optional[Path]) -> None:

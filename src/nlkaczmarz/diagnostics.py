@@ -217,10 +217,13 @@ def remark2_compare(bound_block: StepBound, sys: NonlinearSystem,
                     xi: float) -> OrderingReport:
     """Check the strict ordering rho_block < rho_nrk at the iterate
     ``bound_block`` was computed at: the single-row bound reuses its
-    sigma_min(J) and ||J||_F^2 instead of evaluating J again."""
+    sigma_min(J) and ||J||_F^2 instead of evaluating J again.  The ordering
+    is strict only where the block bound applies (xi < 1/2 and a Jacobian
+    that is not rank-deficient); elsewhere both bounds are vacuous, and for
+    xi > 1/2 the single-row rate exceeds 1."""
     rho_nrk = _nrk_rate(bound_block.sigma_min_full, bound_block.jacobian_fro_sq, sys.m, xi)
     return OrderingReport(rho_block=bound_block.rho_bound, rho_nrk=rho_nrk,
-                          strict=bound_block.rho_bound < rho_nrk)
+                          strict=bound_block.applicable and bound_block.rho_bound < rho_nrk)
 
 
 @dataclass

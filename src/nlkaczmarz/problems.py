@@ -59,7 +59,9 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     mu = (np.arange(1, N + 1) - 0.5) / N
-    K = mu[:, None] / (mu[:, None] + mu[None, :])
+    # built in place: no second N x N temporary for the denominators
+    K = np.add.outer(mu, mu)
+    np.divide(mu[:, None], K, out=K)
     coef = c / (2.0 * N)
     K_norms_sq = np.einsum("ij,ij->i", K, K)
     K_diag = K.diagonal().copy()

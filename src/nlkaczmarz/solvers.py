@@ -10,7 +10,10 @@ RD-CNK (capped selection, single draw), RB-CNK (minimum-norm least-squares
 block step, from a projection or a residual-checked Gram solve, with
 ``lstsq`` only as the fallback) and Newton-Raphson (``lstsq``).  ``run()``
 builds each method's step for one solve as a closure; RD-CNK's keeps its row
-norms and refreshes them with the residual after each projection.
+norms and refreshes them with the residual after each projection.  Only NRK
+and RD-CNK draw random numbers, so only their solves build a generator
+(``np.random.default_rng(seed)``); a solve of the other four never loads
+``numpy.random``.  ``SolverConfig`` checks the seed for every method.
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
 step, or the iteration cap.  The public selections ignore NumPy's
@@ -75,6 +78,10 @@ class SolverConfig:
             raise ValueError(f"tol_sq must be positive and finite, got {self.tol_sq}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        # the seeds NumPy's generators take, checked for every method alike
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be an integer 0 or more, got {self.seed!r}")
 
 
 @dataclass
@@ -281,7 +288,8 @@ _DRAW_BLOCK = 1024  # NRK's uniform draws taken from the stream per call
 
 def _step(sys, method, rho, rng):
     """``run()``'s step for one solve: (x, fx, ||fx||^2, k) -> (x_{k+1},
-    f(x_{k+1}), block size), calling the selections and ``rbcnk_step`` by
+    f(x_{k+1}), block size), drawing from rng (None for the methods outside
+    ``RANDOM_ROW``), calling the selections and ``rbcnk_step`` by
     module lookup, so that a wrapper set on the module sees each call.
     RD-CNK's step keeps its iterate's row norms, which the projection
     refreshes; it computes them all at its first step or without a hook."""
@@ -338,7 +346,9 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
-    step = _step(sys, cfg.method, cfg.rho, np.random.default_rng(cfg.seed))
+    # NumPy loads np.random on first use: only a method that draws rows pays for it
+    rng = np.random.default_rng(cfg.seed) if cfg.method in RANDOM_ROW else None
+    step = _step(sys, cfg.method, cfg.rho, rng)
     tol_sq, max_iters = cfg.tol_sq, cfg.max_iters
     stall_ends = cfg.method not in RANDOM_ROW
 

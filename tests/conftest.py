@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nlkaczmarz
 from nlkaczmarz import NonlinearSystem
 
 
@@ -15,6 +21,15 @@ def make_affine(A, b):
         row_gradient=lambda i, x: A[i].copy(),
         gradient_rows=lambda idx, x: A[idx].copy(),
     )
+
+
+def fresh_interpreter(*args):
+    """A new interpreter run with ``args``, importing this checkout's package."""
+    src = Path(nlkaczmarz.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 @pytest.fixture

@@ -1,17 +1,15 @@
 import csv
 import json
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 import nlkaczmarz
 from nlkaczmarz import Method, cli, get_problem
 from nlkaczmarz.cli import CSV_HEADER, _bench_cell, main
+
+from conftest import fresh_interpreter
 
 
 def run_cli(*argv):
@@ -235,6 +233,27 @@ def test_timed_cells_follow_one_untimed_warm_up(argv, monkeypatch, capsys):
     assert calls[0] == "warm-up" and calls.count("warm-up") == 1 and len(calls) > 1
 
 
+def test_the_warm_up_loads_numpy_random():
+    # its MRNABK solve draws nothing, and the first NRK or RD-CNK cell must
+    # not pay for loading the module
+    code = ("import sys\nfrom nlkaczmarz import cli\n"
+            "cli._warm_up()\nprint('numpy.random' in sys.modules)")
+    done = fresh_interpreter("-c", code)
+    assert done.stdout.split() == ["True"], done.stderr
+
+
+@pytest.mark.parametrize("method,loaded", [("nrk", True), ("rdcnk", True), ("ngabk", False)])
+def test_solve_loads_numpy_random_before_its_timer_only_for_a_method_that_draws(method, loaded):
+    # solve's wall_ms charges the module's one-time load to no method
+    code = ("import sys\nfrom nlkaczmarz import cli\nseen = []\ntimed_run = cli._timed_run\n"
+            "cli._timed_run = lambda *a: seen.append('numpy.random' in sys.modules) "
+            "or timed_run(*a)\n"
+            f"cli.main(['solve', '--problem', 'h-equation', '--n', '10', '--method', '{method}'])\n"
+            "print(seen)")
+    done = fresh_interpreter("-c", code)
+    assert done.stdout.splitlines()[-1:] == [str([loaded])], done.stderr
+
+
 def test_bench_csv_stable_modulo_timing(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):
@@ -358,11 +377,7 @@ def test_overflow_and_empty_selection_exit_as_breakdown(argv, capsys):
 
 def _solve_in_fresh_interpreter(*argv):
     # a fresh interpreter, so stderr is what a user of the command sees
-    src = Path(nlkaczmarz.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "nlkaczmarz.cli", "solve", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return fresh_interpreter("-m", "nlkaczmarz.cli", "solve", *argv)
 
 
 def test_overflow_breakdown_writes_no_warning_to_stderr():

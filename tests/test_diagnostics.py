@@ -150,6 +150,19 @@ def test_remark2_compare_reuses_the_bound_jacobian():
     assert rep.rho_nrk == nrk_bound(sys, x, xi=0.1)
 
 
+@pytest.mark.parametrize("xi", [0.5, 0.9, 792.0])
+def test_remark2_ordering_is_not_strict_where_the_bound_is_vacuous(xi, rng):
+    # for xi > 1/2 the single-row rate exceeds the block bound's 1, so the
+    # two vacuous bounds would compare as strictly ordered
+    sys = make_affine(rng.normal(size=(8, 8)), rng.normal(size=8))
+    x = rng.normal(size=8)
+    bound = theorem_bound(sys, x, select_ngabk(sys.residual(x)), xi=xi)
+    rep = remark2_compare(bound, sys, xi=xi)
+    assert not bound.applicable and rep.rho_block == 1.0
+    assert rep.rho_nrk == nrk_bound(sys, x, xi) >= 1.0
+    assert not rep.strict
+
+
 def test_nrk_bound_below_one(rng):
     sys = make_affine(rng.normal(size=(6, 6)), rng.normal(size=6))
     b = nrk_bound(sys, rng.normal(size=6), xi=0.0)

@@ -19,6 +19,8 @@ from nlkaczmarz import (
 from nlkaczmarz.solvers import BREAKDOWN_EPS
 from nlkaczmarz.system import _SOLVING, solve_scope
 
+from conftest import fresh_interpreter
+
 
 def _solve(problem, n, method, **cfg):
     prob = get_problem(problem, n)
@@ -123,6 +125,40 @@ def test_config_validation():
             SolverConfig(method=Method.NGABK, tol_sq=bad)
         with pytest.raises(ValueError):
             SolverConfig(method=Method.MRNABK, rho=bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-3), np.float64(2.0), "1"])
+@pytest.mark.parametrize("method", list(Method))
+def test_config_checks_the_seed_for_every_method(method, seed):
+    # only NRK and RD-CNK build a generator, which would refuse the seed itself
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(method=method, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(7), 2**70])
+def test_config_takes_python_and_numpy_integer_seeds(seed):
+    assert SolverConfig(method=Method.NRK, seed=seed).seed == seed
+
+
+_RANDOM_LOADED_AFTER = """
+import sys
+import nlkaczmarz
+from nlkaczmarz import SolverConfig, get_problem, run
+
+prob = get_problem("h-equation", 10)
+for method in ("ngabk", "mrnabk", "rbcnk", "newton"):
+    run(prob.system, prob.x0, SolverConfig(method))
+print("numpy.random" in sys.modules)
+run(prob.system, prob.x0, SolverConfig("nrk"))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_only_the_methods_that_draw_rows_load_numpy_random():
+    # numpy.random costs about 10 ms and 6 MB to load; a deterministic
+    # solve draws nothing, so it builds no generator
+    done = fresh_interpreter("-c", _RANDOM_LOADED_AFTER)
+    assert done.stdout.split() == ["False", "True"], done.stderr
 
 
 @pytest.mark.parametrize("x0", [np.nan, np.inf, 1.0 / 0.225])
