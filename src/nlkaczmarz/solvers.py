@@ -7,8 +7,10 @@ touching only the Jacobian rows in the selected block.  Baselines: NRK
 (single random row projection; its sampler is NumPy's ``Generator.choice``
 done inline, same rows from the same stream, its uniforms drawn in blocks),
 RD-CNK (capped selection, single draw), RB-CNK (minimum-norm least-squares
-block step, from a projection or a residual-checked Gram solve, with
-``lstsq`` only as the fallback) and Newton-Raphson (``lstsq``).  ``run()``
+block step: a projection for one row; from ``CG_MIN_ROWS`` rows, conjugate
+gradients that never form the Gram; else, or when they give up, a Gram
+solve; each step residual-checked, with ``lstsq`` only as the last
+fallback) and Newton-Raphson (``lstsq``).  ``run()``
 builds each method's step for one solve as a closure; RD-CNK's keeps its row
 norms and refreshes them with the residual after each projection.  Only NRK
 and RD-CNK draw random numbers, so only their solves build a generator
@@ -35,6 +37,11 @@ from .system import (EvalCounters, NonlinearSystem, _check_gradient, _check_resi
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
+# RB-CNK blocks of CG_MIN_ROWS rows or more try CG_MAX_ITERS conjugate-gradient
+# iterations before the Gram: from about 256 rows a try that gives up costs
+# under half the Gram solve, and the large blocks that pass take 1-5
+CG_MIN_ROWS = 256
+CG_MAX_ITERS = 16
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
@@ -252,25 +259,58 @@ def rbcnk_step(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, idx: np.ndar
 def _min_norm(G, b, k):
     """G^+ b, without an SVD where a cheaper form is certified.  One row: the
     projection (b / ||g||^2) g, when ||g||^2 is a finite normal number.  A
-    block: d = G^T solve(G G^T, b), accepted when max|G d - b| <= GRAM_RTOL
-    max|b|; d lies in the row space of G, so solving G d = b makes it the
-    minimum-norm solution.  Anything else (an overflowing or underflowing
-    norm, a singular or ill-conditioned Gram) goes to ``lstsq``."""
+    block: a d = G^T y, accepted when max|G d - b| <= GRAM_RTOL max|b|; d
+    lies in the row space of G, so solving G d = b makes it the minimum-norm
+    solution.  A block of ``CG_MIN_ROWS`` rows or more first tries conjugate
+    gradients on G G^T y = b (``_craig``); a smaller block, or one where they
+    give up, takes y = solve(G G^T, b).  Anything else (an overflowing or
+    underflowing norm, a singular or ill-conditioned Gram) goes to ``lstsq``."""
     if len(G) == 1:
         g = G[0]
         w = g.dot(g)
         if _TINY <= w < math.inf:
             return (b[0] / w) * g
     else:
+        tol = GRAM_RTOL * np.abs(b).max()
+        d = _craig(G, b, tol) if len(G) >= CG_MIN_ROWS else None
+        if d is not None:
+            return d
         try:
             d = G.T @ np.linalg.solve(G @ G.T, b)
         except np.linalg.LinAlgError:
             pass
         else:
             # a non-finite d leaves a non-finite residual, which fails the test
-            if np.abs(G @ d - b).max() <= GRAM_RTOL * np.abs(b).max():
+            if np.abs(G @ d - b).max() <= tol:
                 return d
     return _lstsq(G, b, k)
+
+
+def _craig(G, b, tol):
+    """Conjugate gradients on G G^T y = b from y = 0, carrying d = G^T y in
+    place of y (Craig's method): two products with G per iteration, G^T p
+    and G times that.  Returns d once the recurrence residual and then the
+    true one, max|G d - b|, are both at most tol; None if the curvature
+    ||G^T p||^2 is not finite and positive, or after ``CG_MAX_ITERS``
+    iterations.  A non-finite alpha leaves a nan residual, which fails the
+    test and makes the next curvature nan."""
+    d = np.zeros(G.shape[1])
+    r = b.copy()
+    p = b
+    rr = r.dot(r)
+    for _ in range(CG_MAX_ITERS):
+        q = G.T @ p
+        curvature = q.dot(q)
+        if not 0.0 < curvature < math.inf:
+            return None
+        alpha = rr / curvature
+        d += alpha * q
+        r -= alpha * (G @ q)
+        if np.abs(r).max() <= tol and np.abs(G @ d - b).max() <= tol:
+            return d
+        rr, rr_old = r.dot(r), rr
+        p = r + (rr / rr_old) * p
+    return None
 
 
 def _lstsq(A, b, k):

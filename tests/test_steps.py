@@ -8,12 +8,15 @@ from nlkaczmarz import (
     Method,
     NonlinearSystem,
     SolverConfig,
+    Status,
+    get_problem,
     make_brown,
     make_h_equation,
     run,
     select_ngabk,
 )
-from nlkaczmarz.solvers import _averaged, _projected, _step, rbcnk_step
+from nlkaczmarz.solvers import (CG_MIN_ROWS, GRAM_RTOL, _averaged, _projected, _step,
+                                rbcnk_step)
 
 from conftest import make_affine
 
@@ -144,16 +147,18 @@ def test_rbcnk_wide_block_matches_lstsq(m, extra, seed):
     assert _err_to_lstsq(_block_step(A, b), A, b) <= 100 * EPS * np.linalg.cond(A) ** 2
 
 
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called on a block that a cheaper solve certifies")
+    return refuse
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (21, 100), (60, 61)])
 def test_rbcnk_well_conditioned_block_does_not_call_lstsq(shape, rng):
     A = rng.normal(size=shape) + 3.0 * np.eye(*shape)
     b = rng.normal(size=shape[0])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("lstsq called on a well-conditioned block")
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "lstsq", refuse)
+        patch.setattr(np.linalg, "lstsq", _refuse("lstsq"))
         d = _block_step(A, b)
     assert _err_to_lstsq(d, A, b) <= 100 * EPS * np.linalg.cond(A) ** 2
 
@@ -190,6 +195,83 @@ def test_rbcnk_block_with_extreme_entries_matches_lstsq(scale, rng):
     A = scale * rng.normal(size=(5, 12))
     b = rng.normal(size=5)
     assert _err_to_lstsq(_block_step(A, b), A, b) <= 1e-12
+
+
+# Blocks of CG_MIN_ROWS rows or more try conjugate gradients before the Gram.
+
+
+@pytest.mark.parametrize("base,shift", [("gaussian", 250.0), ("ones", 1.0)],
+                         ids=["gaussian+250I", "ones+I"])
+def test_rbcnk_large_well_conditioned_block_takes_conjugate_gradients(base, shift, rng):
+    # cond(A) = 1.2 takes about 10 iterations; all-ones plus the identity,
+    # Brown's block shape, has two singular values and takes 2
+    shape = (CG_MIN_ROWS + 44, 2 * CG_MIN_ROWS + 88)
+    A = (rng.normal(size=shape) if base == "gaussian" else np.ones(shape)) + shift * np.eye(*shape)
+    b = rng.normal(size=shape[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", _refuse("solve"))
+        patch.setattr(np.linalg, "lstsq", _refuse("lstsq"))
+        d = _block_step(A, b)
+    # the step stops at the Gram path's residual test, not at rounding level;
+    # with d in the row space of A, that test bounds ||d - A^+ b||_2 by
+    # sqrt(k) GRAM_RTOL max|b| / sigma_min, and max|A^+ b| is at least
+    # max|b| / (sigma_max sqrt(n))
+    assert np.abs(A @ d - b).max() <= GRAM_RTOL * np.abs(b).max()
+    assert _err_to_lstsq(d, A, b) <= np.sqrt(A.size) * GRAM_RTOL * np.linalg.cond(A)
+
+
+def test_rbcnk_brown_400_solves_its_block_without_the_gram():
+    prob = get_problem("brown", 400)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", _refuse("solve"))
+        patch.setattr(np.linalg, "lstsq", _refuse("lstsq"))
+        report = run(prob.system, prob.x0, SolverConfig(Method.RBCNK))
+    assert report.status is Status.CONVERGED
+    assert report.iters == 1
+    assert report.history[0][2] == 399
+
+
+def _gram_or_lstsq(A, b):
+    """The block solve's Gram path: the Gram solve when it passes its
+    residual test, else ``lstsq``."""
+    d = A.T @ np.linalg.solve(A @ A.T, b)
+    if np.abs(A @ d - b).max() <= GRAM_RTOL * np.abs(b).max():
+        return d
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+@pytest.mark.parametrize("spread", ["graded", "two-clusters"])
+def test_rbcnk_large_ill_conditioned_block_falls_back_bitwise(spread, rng):
+    # cond(A) = 1e7.  Graded singular values keep the recurrence residual far
+    # above the tolerance for every iteration; two clusters drive it below
+    # the tolerance in a few, while the true residual stays near 1e-8: the
+    # check of the true residual must refuse that d
+    k = CG_MIN_ROWS + 44
+    U = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    V = np.linalg.qr(rng.normal(size=(2 * k, k)))[0]
+    s = (np.logspace(0, -7, k) if spread == "graded"
+         else np.repeat([1.0, 1e-7], [k // 2, k - k // 2]))
+    A = (U * s) @ V.T
+    b = rng.normal(size=k)
+    assert np.array_equal(_block_step(A, b), _gram_or_lstsq(A, b))
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_rbcnk_large_block_with_extreme_entries_matches_lstsq(scale, rng):
+    # at scale 1 conjugate gradients solve this block; here their curvature
+    # ||G^T p||^2 or step length overflows or underflows, and then the Gram does
+    shape = (CG_MIN_ROWS + 4, 2 * CG_MIN_ROWS)
+    A = scale * (rng.normal(size=shape) + 250.0 * np.eye(*shape))
+    b = rng.normal(size=len(A))
+    assert _err_to_lstsq(_block_step(A, b), A, b) <= 1e-12
+
+
+def test_rbcnk_block_below_cg_min_rows_is_the_gram_solve(rng):
+    # a block that conjugate gradients would solve, one row short of them
+    shape = (CG_MIN_ROWS - 1, 2 * CG_MIN_ROWS)
+    A = rng.normal(size=shape) + 250.0 * np.eye(*shape)
+    b = rng.normal(size=shape[0])
+    assert np.array_equal(_block_step(A, b), A.T @ np.linalg.solve(A @ A.T, b))
 
 
 @pytest.mark.parametrize("g", [
