@@ -6,12 +6,14 @@ overdetermined) also supply the block vector-Jacobian product and the row
 norms, computed from the nonzeros alone with index arithmetic and
 ``np.bincount``.  The dense H-equation supplies the block product without
 forming the gradient rows, and the row norms in closed form from one product
-K x and the kernel's row norms and diagonal, computed once.  Its products
-with the kernel over all rows, in the residual, the row norms and the block
-product, are real-FFT convolutions from N = ``FFT_MIN_N`` on, and dense
-below.  From ``FFT_MIN_N`` on the three share the last product K x, kept
-with the bytes of its x, so an averaged step reads the K x_k that the
-residual at x_k computed.  Broyden and the overdetermined system, whose
+K x and the kernel's row norms and diagonal.  Its products with the kernel
+over all rows, in the residual, the row norms and the block product, are
+real-FFT convolutions from N = ``FFT_MIN_N`` on, and dense below.  From
+``FFT_MIN_N`` on the three share the last product K x, kept with the bytes
+of its x, so an averaged step reads the K x_k that the residual at x_k
+computed, and the dense K, its row norms and its diagonal are built on the
+first evaluation that reads one of them, so NGABK and MRNABK, which never
+do, run in O(N) memory.  Broyden and the overdetermined system, whose
 rows read at most three neighbouring columns, also refresh the residual and
 the row norms after a single-row step in one pass over the rows that read
 that row's columns.
@@ -21,6 +23,7 @@ estimation.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -53,20 +56,39 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     kept, read-only, with the bytes of its input until the next different
     input, so the three evaluations at one point compute it once.  The
     single and block gradient rows are always rows of K.
+
+    K, its row norms and its diagonal are built with the system below
+    ``FFT_MIN_N``, and from it on by the first evaluation that reads one (a
+    gradient row, the row norms, or the dense product), once, under a lock.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     mu = (np.arange(1, N + 1) - 0.5) / N
-    # built in place: no second N x N temporary for the denominators
-    K = np.add.outer(mu, mu)
-    np.divide(mu[:, None], K, out=K)
     coef = c / (2.0 * N)
-    K_norms_sq = np.einsum("ij,ij->i", K, K)
-    K_diag = K.diagonal().copy()
+
+    def build():
+        # built in place: no second N x N temporary for the denominators
+        K = np.add.outer(mu, mu)
+        np.divide(mu[:, None], K, out=K)
+        return K, np.einsum("ij,ij->i", K, K), K.diagonal().copy()
+
+    # (K, its row norms, its diagonal), or None until kernel() first builds it
+    dense = build() if N < FFT_MIN_N else None
+    lock = threading.Lock()
+
+    def kernel():
+        nonlocal dense
+        if dense is None:
+            with lock:
+                if dense is None:
+                    dense = build()
+        return dense
 
     if N < FFT_MIN_N:
+        K = dense[0]
+
         def kernel_product(y):
             return K @ y
     else:
@@ -100,7 +122,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
             seen, ky = last
             if key != seen:
                 # an entry above y_max, a nan or an inf takes the dense product
-                ky = K @ y if not np.abs(y).max() <= y_max else half * hankel(y)
+                ky = kernel()[0] @ y if not np.abs(y).max() <= y_max else half * hankel(y)
                 ky.flags.writeable = False
                 last = (key, ky)
             return ky
@@ -110,6 +132,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         return x - 1.0 / (1.0 - s)
 
     def row_gradient(i, x):
+        K = kernel()[0]
         s_i = coef * (K[i] @ x)
         g = -((1.0 - s_i) ** -2) * coef * K[i]
         g[i] += 1.0
@@ -121,7 +144,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         return -((1.0 - coef * kx) ** -2) * coef
 
     def gradient_rows(idx, x):
-        Kt = K[idx]
+        Kt = kernel()[0][idx]
         G = _row_scale(Kt @ x)[:, None] * Kt
         G[np.arange(len(idx)), idx] += 1.0
         return G
@@ -139,6 +162,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     def row_norms_sq(x):
         # ||a_i K_i + e_i||^2 = a_i^2 ||K_i||^2 + 2 a_i K_ii + 1, from one
         # product K x
+        _, K_norms_sq, K_diag = kernel()
         a = _row_scale(kernel_product(x))
         return a * a * K_norms_sq + 2.0 * a * K_diag + 1.0
 

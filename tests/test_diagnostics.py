@@ -224,14 +224,33 @@ def test_verified_contraction_steps_brown(method):
     report = run(prob.system, prob.x0,
                  SolverConfig(method=method, store_iterates=True))
     assert report.status is Status.CONVERGED
-    # the n=10 instance converges to a root other than all-ones, so the
-    # contraction claim is checked against the run's own limit point
+    # the n=10 run stops 9.9e-3 from the all-ones root, against which no
+    # step qualifies, so the claim is checked against its last iterate
     steps = verified_contraction_steps(prob.system, report,
                                        report.iterates[-1], method)
     assert len(steps) > 0
     for s in steps:
         assert s.xi < 0.5
         assert s.measured_ratio <= s.rho_bound * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("n,method,polish_iters,verified", [
+    (20, Method.NGABK, 3, 17), (50, Method.NGABK, 4, 17), (50, Method.MRNABK, 3, 8)])
+def test_verified_contraction_steps_h_equation_hold_against_a_polished_root(
+        n, method, polish_iters, verified):
+    # the run stops at ||f||^2 < 1e-6; Gauss-Newton steps from its last
+    # iterate reach ||f||^2 < 1e-30, and against that x* no step whose
+    # hypotheses are verified contracts slower than its bound
+    prob = get_problem("h-equation", n)
+    report = run(prob.system, prob.x0, SolverConfig(method=method, store_iterates=True))
+    assert report.status is Status.CONVERGED
+    polish = run(prob.system, report.iterates[-1],
+                 SolverConfig(method=Method.NEWTON, tol_sq=1e-30, max_iters=20,
+                              store_iterates=True))
+    assert (polish.status, polish.iters) == (Status.CONVERGED, polish_iters)
+    steps = verified_contraction_steps(prob.system, report, polish.iterates[-1], method)
+    assert len(steps) == verified
+    assert not [s.k for s in steps if s.measured_ratio > s.rho_bound * (1.0 + 1e-10)]
 
 
 def test_verified_contraction_steps_evaluate_each_iterate_once():

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -471,6 +472,97 @@ def test_h_equation_threads_sharing_a_system_solve_as_alone():
     finally:
         setswitchinterval(interval)
     assert results == [alone[j % 2] for j in range(threads)]
+
+
+def test_h_equation_averaged_solves_never_build_the_kernel():
+    # from FFT_MIN_N on, NGABK and MRNABK read the residual and the block
+    # product alone, both transforms, so the N x N kernel (32 MB here) is
+    # built only when a row is read
+    N = 2000
+    assert FFT_MIN_N <= N
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sys = make_h_equation(N)
+        for method in (Method.NGABK, Method.MRNABK):
+            assert run(sys, np.zeros(N), SolverConfig(method)).status is Status.CONVERGED
+        assert tracemalloc.get_traced_memory()[1] - base < 2 * 2**20
+        sys.row_gradient(0, np.zeros(N))
+        assert tracemalloc.get_traced_memory()[0] - base >= N * N * 8
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("N", [FFT_MIN_N, 500])
+def test_h_equation_kernel_is_the_same_whichever_read_builds_it(N, rng):
+    # one system builds K for its row norms, the other for its gradient
+    # rows; both read the bits of the explicit kernel
+    K, coef = _h_kernel(N)
+    x = rng.uniform(0.0, 1.0, size=N)
+    rows = np.arange(N)
+    by_norms, by_rows = make_h_equation(N), make_h_equation(N)
+    w = by_norms.row_norms_sq(x)
+    G = by_rows.gradient_rows(rows, x)
+    assert w.tobytes() == by_rows.row_norms_sq(x).tobytes()
+    assert G.tobytes() == by_norms.gradient_rows(rows, x).tobytes()
+    assert G.tobytes() == by_norms.jacobian(x).tobytes() == by_rows.jacobian(x).tobytes()
+    ref = -((1.0 - coef * (K[rows] @ x)) ** -2)[:, None] * coef * K[rows]
+    ref[rows, rows] += 1.0
+    assert G.tobytes() == ref.tobytes()
+    # the closed-form norms from the explicit kernel's row norms and diagonal
+    a = -((1.0 - coef * _cached_product(by_norms)(x)) ** -2) * coef
+    assert w.tobytes() == (a * a * np.einsum("ij,ij->i", K, K) + 2.0 * a * K.diagonal()
+                           + 1.0).tobytes()
+    for i in (0, 1, N // 2, N - 1):
+        g = -((1.0 - coef * (K[i] @ x)) ** -2) * coef * K[i]
+        g[i] += 1.0
+        assert by_norms.row_gradient(i, x).tobytes() == by_rows.row_gradient(i, x).tobytes() \
+            == g.tobytes()
+
+
+def test_h_equation_threads_building_the_kernel_read_the_single_threaded_bits(monkeypatch, rng):
+    # threads start together on a system that has not built K yet, half
+    # reading the row norms first and half the Jacobian, in more threads than
+    # cores and with the interpreter switching threads often: K is built
+    # once, and each thread reads the bits of a system used alone
+    N = 500
+    x = rng.uniform(0.0, 1.0, size=N)
+    alone = make_h_equation(N)
+    expected = {"norms": alone.row_norms_sq(x).tobytes(), "jacobian": alone.jacobian(x).tobytes()}
+    builds = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if operands[0].shape == (N, N):  # the kernel's row norms, in its build
+            builds.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    sys = make_h_equation(N)
+    reads = {"norms": sys.row_norms_sq, "jacobian": sys.jacobian}
+    threads = 4
+    results = [None] * threads
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def read(j):
+        order = ("norms", "jacobian") if j % 2 == 0 else ("jacobian", "norms")
+        barrier.wait()
+        results[j] = {name: reads[name](x).tobytes() for name in order}
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=(j,)) for j in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+    finally:
+        setswitchinterval(interval)
+    assert builds == ["ij,ij->i"]
+    assert results == [expected] * threads
 
 
 # any float, with the values where rounding, overflow and NaN propagation are
