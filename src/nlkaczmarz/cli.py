@@ -3,8 +3,9 @@
 Outputs are strict JSON for single runs, with a non-finite float written as
 null, and CSV (comma, header row, LF) for tables.  Relative output paths are
 resolved against $NLKACZMARZ_OUTDIR when set.  Exit codes: 0 success, 2 usage
-error or an output that cannot be written, 3 numerical breakdown, 4
-diagnostic size guard exceeded.
+error or an output that cannot be written, 3 numerical breakdown, 4 the
+problem does not fit: ``diagnose``'s size guard, or an allocation that NumPy
+refuses (a ``MemoryError``), reported in one line on stderr.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ DIAG_SIZE_GUARD = 2000
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BREAKDOWN = 3
-EXIT_SIZE_GUARD = 4
+EXIT_TOO_LARGE = 4
 
 
 def _output(path: Optional[str]) -> Optional[Path]:
@@ -313,7 +314,7 @@ def cmd_diagnose(args) -> int:
     if args.n > DIAG_SIZE_GUARD:
         print(f"diagnose: n={args.n} exceeds the dense-SVD size guard "
               f"({DIAG_SIZE_GUARD})", file=_sys.stderr)
-        return EXIT_SIZE_GUARD
+        return EXIT_TOO_LARGE
     problem = get_problem(args.problem, args.n, _parse_params(args.param))
     system = problem.system
     if args.pairs < 0:
@@ -449,6 +450,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"nlkaczmarz: {message}", file=_sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"nlkaczmarz: the problem does not fit in memory: {exc}", file=_sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

@@ -18,8 +18,10 @@ and RD-CNK draw random numbers, so only their solves build a generator
 ``numpy.random``.  ``SolverConfig`` checks the seed for every method.
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
-step, or the iteration cap.  The public selections ignore NumPy's
-floating-point warnings, as ``run()`` does for a whole solve.
+step, or the iteration cap.  ``run()`` evaluates the system through a view
+built once per solve (``NonlinearSystem._view``), whose evaluations leave
+their checks to the solver's own sums, and ignores NumPy's floating-point
+warnings for the whole solve; the public selections ignore them per call.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 from . import kernels
 from .exceptions import BreakdownError, DomainError
 from .system import (EvalCounters, NonlinearSystem, _check_gradient, _check_residual,
-                     _check_row_norms, _quiet, solve_scope)
+                     _check_row_norms)
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -115,7 +117,7 @@ def select_ngabk(fx: np.ndarray) -> BlockSelection:
     nonempty for any nonzero residual.
     """
     fx = np.asarray(fx, dtype=float)
-    with _quiet():  # the kernel raises the zero-residual ValueError
+    with np.errstate(all="ignore"):  # the kernel raises the zero-residual ValueError
         idx, delta = kernels.ngabk_select(fx)
     return BlockSelection(indices=idx, threshold=float(delta))
 
@@ -130,7 +132,7 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
             raise ValueError(kernels.ZERO_RESIDUAL)
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    with _quiet():  # rho * max f_i^2 may overflow
+    with np.errstate(all="ignore"):  # rho * max f_i^2 may overflow
         idx, threshold = kernels.mrnabk_select(fx, float(rho))
     return BlockSelection(indices=idx, threshold=float(threshold))
 
@@ -150,7 +152,7 @@ def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, k: int = 0
     fx = np.asarray(fx, dtype=float)
     if not fx.any():  # tiny f_i can square to zero, so ||f||^2 cannot tell
         raise ValueError(kernels.ZERO_RESIDUAL)
-    with _quiet():
+    with np.errstate(all="ignore"):
         w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x))
         idx, delta = _capped(fx, w, w_sum, k)
     return BlockSelection(indices=idx, threshold=float(delta))
@@ -378,17 +380,19 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     or numerical breakdown.  History is recorded every iteration.  A bad
     start, a collapsed step, a non-finite evaluation, (NRK, RD-CNK) an
     ||f||^2 that overflows and (the other methods) a step that leaves x
-    unchanged all end in ``Status.BREAKDOWN`` with a message.  NumPy's
-    floating-point warnings are ignored for the whole solve.  Each ||f||^2
-    doubles as the finiteness check of the residual it sums, which the
-    solved system's evaluations leave to it (``solve_scope``).  The report's
-    counters are ``sys.counters`` at the end less those at the start."""
+    unchanged all end in ``Status.BREAKDOWN`` with a message.  The steps
+    evaluate ``sys`` through ``sys._view()``, built once here, whose
+    evaluations leave their finiteness checks to the solver: each ||f||^2
+    doubles as the check of the residual it sums.  NumPy's floating-point
+    warnings are ignored for the whole solve.  The report's counters are
+    ``sys.counters`` at the end less those at the start."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
     # NumPy loads np.random on first use: only a method that draws rows pays for it
     rng = np.random.default_rng(cfg.seed) if cfg.method in RANDOM_ROW else None
-    step = _step(sys, cfg.method, cfg.rho, rng)
+    view = sys._view()
+    step = _step(view, cfg.method, cfg.rho, rng)
     tol_sq, max_iters = cfg.tol_sq, cfg.max_iters
     stall_ends = cfg.method not in RANDOM_ROW
 
@@ -403,9 +407,9 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     if not np.isfinite(x).all():
         return report(Status.BREAKDOWN, 0, float("nan"), "non-finite starting point")
     # no warning for a non-finite intermediate: the report carries the outcome
-    with solve_scope(sys):
+    with np.errstate(all="ignore"):
         try:
-            fx = sys.residual(x)
+            fx = view.residual(x)
             r2 = float(fx.dot(fx))
             if not math.isfinite(r2):  # finite components can overflow it too
                 _check_residual(fx)

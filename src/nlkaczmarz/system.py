@@ -12,23 +12,23 @@ more, the refresh after a single-row step, lets it recompute the residual
 and the row norms on the rows that read the step's columns alone.
 
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
-result is reported as a :class:`DomainError` instead.  Called directly, an
-evaluation enters its own ``np.errstate``; inside :func:`solve_scope`, which
-``run()`` enters once per solve, it relies on that scope's.  There each
-evaluation of the system being solved is checked once, by the solver's own
-reduction of it (||f||^2, ||grad f_i||^2, ||d||^2 of the block product, the
-sum of the row norms), and a non-finite reduction takes the same
-:class:`DomainError` or dense fallback as the evaluation's own check.
-``run()``'s own point, row, residual and row norms were checked where they
-were made and are not checked again; the shape of every array a hook
-returns still is.
+result is reported as a :class:`DomainError` instead.  Each public method
+checks its arguments, enters its own ``np.errstate`` and checks what it
+returns.  ``run()`` evaluates through a view that the system builds once per
+solve (``NonlinearSystem._view``), under one ``np.errstate`` for the whole
+solve.  The view counts as the public methods do and checks the shape of
+every array a hook returns, but leaves each other check to the solver:
+each evaluation is checked once, by the solver's own reduction of it
+(||f||^2, ||grad f_i||^2, ||d||^2 of the block product, the sum of the row
+norms), and a non-finite reduction takes the same :class:`DomainError` or
+dense fallback as the public method's own check.  ``run()``'s points and
+rows were checked where they were made and are not checked again.
 """
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,43 +36,6 @@ import numpy as np
 from .exceptions import DomainError
 
 FD_H_SCALE = float(np.sqrt(np.finfo(float).eps))
-
-# the system a solve_scope() is solving in this thread (or task), else None
-_SOLVING: contextvars.ContextVar[Optional["NonlinearSystem"]] = contextvars.ContextVar(
-    "nlkaczmarz_solving", default=None)
-_NO_SCOPE = contextlib.nullcontext()
-
-
-@contextlib.contextmanager
-def solve_scope(system: "NonlinearSystem"):
-    """Ignore every NumPy floating-point warning until exit, once for all the
-    evaluations made inside, which then skip their own ``np.errstate``.
-    Each evaluation of ``system`` is then checked once, by the solver's own
-    reduction of it: ``residual`` and the residual ``refresh_after_row``
-    returns by ||f||^2 (``_check_residual``), ``row_gradient`` by
-    ||grad f_i||^2 (``_check_gradient``), a ``block_vjp`` hook by the
-    averaged step's ||d||^2 (``_dense_vjp``) and the row norms of the
-    ``row_norms_sq`` and ``refresh_after_row`` hooks by the sum the capped
-    selection takes (``_check_row_norms``).  A non-finite reduction takes
-    the evaluation's own check: the same DomainError, or the same dense
-    fallback.  ``run()``'s own point, row, residual and row norms are
-    checked where they are made, and ``residual``, ``row_gradient`` and
-    ``refresh_after_row`` do not check them again: x0's shape is checked in
-    ``run()``, every later point is a point plus a checked (n,) step, and
-    each row comes from the sampler or from the capped set's ``nonzero()``.
-    The shape of every array a hook returns is still checked.  Every other
-    system keeps its own checks."""
-    token = _SOLVING.set(system)
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    finally:
-        _SOLVING.reset(token)
-
-
-def _quiet():
-    """The floating-point scope of one evaluation: none inside solve_scope()."""
-    return _NO_SCOPE if _SOLVING.get() is not None else np.errstate(all="ignore")
 
 
 def _check_residual(fx: np.ndarray) -> None:
@@ -92,7 +55,7 @@ def _check_gradient(g: np.ndarray, i: int) -> None:
 def _check_row_norms(system: "NonlinearSystem", x: np.ndarray, w: np.ndarray) -> tuple:
     """(w, w's sum) for the row norms w at x, or, when an entry of w is not
     finite, the same for the dense Jacobian's norms, which raise jacobian's
-    DomainError: the check ``row_norms_sq`` skips inside a solve."""
+    DomainError: the check that the solve's view of ``row_norms_sq`` skips."""
     s = np.add.reduce(w)
     # a finite sum rules out inf and nan; scan only when it is not
     if math.isfinite(s) or np.isfinite(w).all():
@@ -199,16 +162,10 @@ class NonlinearSystem:
     # -- evaluation ------------------------------------------------------
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate f(x). Raises DomainError on non-finite output; inside the
-        solve of this system, ``run()`` checks its ||f||^2 instead, and x is
-        the point run() made and checked."""
-        if _SOLVING.get() is self:
-            self.counters.residual_evals += 1
-            return _shaped("residual", self._residual(x), (self.m,))
+        """Evaluate f(x). Raises DomainError on non-finite output."""
         x = self._check_point(x)
-        self.counters.residual_evals += 1
-        with _quiet():
-            fx = _shaped("residual", self._residual(x), (self.m,))
+        with np.errstate(all="ignore"):
+            fx = self._eval_residual(x)
             # a finite fx.dot(fx) rules out inf and nan; scan only when it is not
             if not math.isfinite(fx.dot(fx)):
                 _check_residual(fx)
@@ -220,49 +177,28 @@ class NonlinearSystem:
         residual ``fx`` and the row norms ``w`` at a point that differs from
         x only in the columns of row i's gradient: the ``refresh_after_row``
         hook, or ``(residual(x), None)`` without one.  Counted, checked and
-        silenced as ``residual`` and, with ``w``, ``row_norms_sq`` are; inside
-        the solve of this system i, x, fx and w are run()'s own, made and
-        checked where they were made."""
+        silenced as ``residual`` and, with ``w``, ``row_norms_sq`` are."""
         if self._refresh_after_row is None:
             return self.residual(x), None
-        if _SOLVING.get() is self:  # run() and the capped selection check their sums
-            self.counters.residual_evals += 1
-            if w is not None:
-                self.counters.jacobian_evals += 1
-            return self._refreshed(i, x, fx, w)
         if not 0 <= i < self.m:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
         x = self._check_point(x)
         fx = _shaped("fx", fx, (self.m,))
-        self.counters.residual_evals += 1
-        if w is not None:
-            w = _shaped("w", w, (self.m,))
-            self.counters.jacobian_evals += 1
-        with _quiet():
-            fx, w = self._refreshed(i, x, fx, w)
+        w = None if w is None else _shaped("w", w, (self.m,))
+        with np.errstate(all="ignore"):
+            fx, w = self._eval_refresh(i, x, fx, w)
             if not math.isfinite(fx.dot(fx)):
                 _check_residual(fx)
             return fx, None if w is None else _check_row_norms(self, x, w)[0]
 
-    def _refreshed(self, i, x, fx, w) -> tuple:
-        """The ``refresh_after_row`` hook's (f(x), the row norms or None)."""
-        fx, v = self._refresh_after_row(i, x, fx, w)
-        return (_shaped("refresh_after_row", fx, (self.m,)),
-                None if w is None else _shaped("refresh_after_row", v, (self.m,)))
-
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Evaluate the i-th Jacobian row at x. Raises DomainError on
-        non-finite output; inside the solve of this system, the projection
-        checks its ||grad f_i||^2 instead, and i and x are run()'s own."""
-        if _SOLVING.get() is self:
-            self.counters.row_gradient_evals += 1
-            return _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
+        non-finite output."""
         if not 0 <= i < self.m:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
         x = self._check_point(x)
-        self.counters.row_gradient_evals += 1
-        with _quiet():
-            g = _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
+        with np.errstate(all="ignore"):
+            g = self._eval_row_gradient(i, x)
             if not math.isfinite(g.dot(g)):
                 _check_gradient(g, i)
         return g
@@ -288,26 +224,66 @@ class NonlinearSystem:
         w = np.asarray(w, dtype=float)
         if w.shape != indices.shape:
             raise ValueError(f"weights have shape {w.shape}, expected {indices.shape}")
-        self.counters.row_gradient_evals += len(indices)
-        if self._block_vjp is not None:
-            if _SOLVING.get() is self:  # the averaged step checks its ||d||^2
-                return _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
-            with _quiet():
-                v = _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
-            if np.isfinite(v).all():
-                return v
+        with np.errstate(all="ignore"):
+            v = self._eval_block_vjp(indices, w, x)
+        if self._block_vjp is None or np.isfinite(v).all():
+            return v
         return self._dense_vjp(indices, w, x)
 
     def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared norm of every Jacobian row (counted as one full Jacobian)."""
         x = self._check_point(x)
+        with np.errstate(all="ignore"):
+            return _check_row_norms(self, x, self._eval_row_norms(x))[0]
+
+    # -- the evaluations of one solve --------------------------------------
+
+    def _view(self) -> SimpleNamespace:
+        """The evaluations that ``run()`` makes in one solve, inside its own
+        ``np.errstate``: ``m``, ``n`` and each evaluation method under its
+        public name.  Five are the ``_eval_*`` methods that the public ones
+        call once their arguments are checked: each counts its call and
+        checks the shape of what its hook returns, and nothing more, since
+        ``run()`` passes the points and rows it made and checked and checks
+        each result by its own reduction of it.  ``gradient_rows``,
+        ``jacobian`` and the dense fallbacks are the system's own, looked up
+        now, so that a wrapper set on the instance is the one called."""
+        return SimpleNamespace(
+            m=self.m, n=self.n, residual=self._eval_residual,
+            refresh_after_row=self._eval_refresh, row_gradient=self._eval_row_gradient,
+            gradient_rows=self.gradient_rows, jacobian=self.jacobian,
+            block_vjp=self._eval_block_vjp, row_norms_sq=self._eval_row_norms,
+            _dense_vjp=self._dense_vjp, _dense_row_norms=self._dense_row_norms)
+
+    def _eval_residual(self, x):
+        self.counters.residual_evals += 1
+        return _shaped("residual", self._residual(x), (self.m,))
+
+    def _eval_refresh(self, i, x, fx, w=None):
+        if self._refresh_after_row is None:
+            return self._eval_residual(x), None
+        self.counters.residual_evals += 1
+        if w is not None:
+            self.counters.jacobian_evals += 1
+        fx, v = self._refresh_after_row(i, x, fx, w)
+        return (_shaped("refresh_after_row", fx, (self.m,)),
+                None if w is None else _shaped("refresh_after_row", v, (self.m,)))
+
+    def _eval_row_gradient(self, i, x):
+        self.counters.row_gradient_evals += 1
+        return _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
+
+    def _eval_block_vjp(self, indices, w, x):
+        self.counters.row_gradient_evals += len(indices)
+        if self._block_vjp is None:
+            return self._dense_vjp(indices, w, x)
+        return _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
+
+    def _eval_row_norms(self, x):
         self.counters.jacobian_evals += 1
         if self._row_norms_sq is None:
             return self._dense_row_norms(x)
-        with _quiet():
-            w = _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,))
-            # inside the solve of this system the capped selection checks their sum
-            return w if _SOLVING.get() is self else _check_row_norms(self, x, w)[0]
+        return _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,))
 
     def _dense_vjp(self, indices: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``w @ gradient_rows(indices, x)`` from the dense rows, uncounted: the
@@ -323,7 +299,7 @@ class NonlinearSystem:
         return np.einsum("ij,ij->i", J, J)
 
     def _rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        with _quiet():
+        with np.errstate(all="ignore"):
             if self._gradient_rows is not None:
                 G = self._gradient_rows(indices, x)
             else:

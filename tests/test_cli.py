@@ -147,6 +147,27 @@ def test_diagnose_size_guard(capsys):
     assert code == 4
 
 
+def test_an_allocation_numpy_refuses_exits_4_in_one_line(monkeypatch, capsys):
+    # as solve --problem h-equation --n 100000 --method nrk does at its first
+    # row, without allocating anything
+    build = cli.get_problem
+
+    def get_problem(*args):
+        problem = build(*args)
+
+        def row_gradient(i, x):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        problem.system._row_gradient = row_gradient
+        return problem
+
+    monkeypatch.setattr(cli, "get_problem", get_problem)
+    code = run_cli("solve", "--problem", "h-equation", "--n", "20", "--method", "nrk")
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "nlkaczmarz: the problem does not fit in memory: Unable to allocate 74.5 GiB\n"
+
+
 def test_diagnose_rejects_single_row_method(capsys):
     code = _exit_code("diagnose", "--problem", "broyden", "--n", "20", "--method", "nrk")
     capsys.readouterr()
@@ -175,10 +196,12 @@ def test_diagnose_evaluates_each_point_once(method, monkeypatch, capsys):
     # evaluated once for the cone beside the solve's own evaluation of it
     jacobians, residuals = [], []
     system = nlkaczmarz.system.NonlinearSystem
-    jacobian, residual = system.jacobian, system.residual
+    # every residual, the solve's through its view and the public ones, is
+    # an _eval_residual call
+    jacobian, residual = system.jacobian, system._eval_residual
     monkeypatch.setattr(system, "jacobian",
                         lambda self, x: jacobians.append(x.tobytes()) or jacobian(self, x))
-    monkeypatch.setattr(system, "residual",
+    monkeypatch.setattr(system, "_eval_residual",
                         lambda self, x: residuals.append(x.tobytes()) or residual(self, x))
     code = run_cli("diagnose", "--problem", "h-equation", "--n", "20",
                    "--method", method, "--pairs", "7")

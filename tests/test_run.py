@@ -17,8 +17,6 @@ from nlkaczmarz import (
     run,
 )
 from nlkaczmarz.solvers import BREAKDOWN_EPS
-from nlkaczmarz.system import _SOLVING, solve_scope
-
 from conftest import fresh_interpreter
 
 
@@ -248,7 +246,7 @@ def _fails_after_first_residual():
 @pytest.mark.parametrize("case", ["converged", "breakdown", "bad x0 shape", "callable raises"])
 def test_run_restores_the_floating_point_state(case):
     with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
-        before = (np.geterr(), _SOLVING.get())
+        before = np.geterr()
         if case == "converged":
             assert _solve("h-equation", 50, Method.MRNABK)[1].status is Status.CONVERGED
         elif case == "breakdown":
@@ -260,52 +258,53 @@ def test_run_restores_the_floating_point_state(case):
         else:
             with pytest.raises(RuntimeError):
                 run(_fails_after_first_residual(), np.zeros(2), SolverConfig(method=Method.NGABK))
-        assert (np.geterr(), _SOLVING.get()) == before
+        assert np.geterr() == before
 
 
 def test_evaluations_inside_a_solve_use_its_scope():
     seen = []
 
     def residual(x):
-        seen.append((_SOLVING.get(), np.geterr()))
+        seen.append(np.geterr())
         return x - 1.0
 
     sys = NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i])
-    report = run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))
-    assert report.status is Status.CONVERGED and len(seen) == 2
+    with np.errstate(all="raise"):
+        report = run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))
+        assert report.status is Status.CONVERGED and len(seen) == 2
+        # a direct call enters its own scope
+        sys.residual(np.zeros(2))
     quiet = {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}
-    assert seen == [(sys, quiet)] * 2
-    # a direct call enters its own scope; a solve nested in another keeps the mark
-    sys.residual(np.zeros(2))
-    assert seen[-1] == (None, quiet)
-    outer = make_h_equation(2)
-    with solve_scope(outer):
-        run(sys, np.zeros(2), SolverConfig(method=Method.NGABK))
-        assert _SOLVING.get() is outer
-    assert _SOLVING.get() is None
+    assert seen == [quiet] * 3
 
 
 def test_another_system_keeps_its_checks_inside_a_solve():
-    # the solved system leaves its checks to run(); a system its callables
-    # evaluate still raises its own DomainError
+    # run() leaves the solved system's checks to its own sums; a public call
+    # made during the solve, on another system or on the solved one itself,
+    # still raises its own DomainError
     other = make_h_equation(1, c=0.9)
     singular = np.array([4.0 / 0.9])
     caught = []
 
     def residual(x):
-        for evaluate in (other.residual, lambda z: other.row_gradient(0, z)):
+        if np.isnan(x).any():  # the solved system's own call below
+            return x - 1.0
+        for evaluate in (lambda: other.residual(singular),
+                         lambda: other.row_gradient(0, singular),
+                         lambda: sys.residual(np.array([np.nan, 0.0])),
+                         lambda: sys.row_gradient(0, np.array([np.nan, 0.0]))):
             with pytest.raises(DomainError) as exc:
-                evaluate(singular)
+                evaluate()
             caught.append(str(exc.value))
         return x - 1.0
 
-    sys = NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i])
+    sys = NonlinearSystem(2, 2, residual, lambda i, x: np.eye(2)[i] + 0.0 * x)
     for method in (Method.NGABK, Method.NRK):
         caught.clear()
         report = run(sys, np.zeros(2), SolverConfig(method=method))
         assert report.status is Status.CONVERGED
         assert caught == ["non-finite residual component 0 at evaluation point",
-                          "non-finite gradient in row 0"] * (report.iters + 1)
+                          "non-finite gradient in row 0"] * 2 * (report.iters + 1)
 
 
 @pytest.mark.parametrize("problem,n,method,counts", [
@@ -338,11 +337,13 @@ def test_a_solve_in_another_thread_does_not_silence_direct_calls():
     worker.start()
     try:
         assert entered.wait(30)
-        assert _SOLVING.get() is None
         # without its own scope the evaluation would raise FloatingPointError here
         with np.errstate(all="raise"), pytest.raises(DomainError) as exc:
             make_h_equation(1, c=0.9).residual(np.array([4.0 / 0.9]))
         assert exc.value.index == 0
+        # and the system being solved keeps its checks
+        with pytest.raises(DomainError):
+            sys.residual(np.array([np.nan, 0.0]))
     finally:
         release.set()
         worker.join(30)
