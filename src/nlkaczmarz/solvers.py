@@ -19,8 +19,10 @@ and RD-CNK draw random numbers, so only their solves build a generator
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
 step, or the iteration cap.  ``run()`` evaluates the system through a view
-built once per solve (``NonlinearSystem._view``), whose evaluations leave
-their checks to the solver's own sums, and ignores NumPy's floating-point
+built once per solve (``NonlinearSystem._view``), whose evaluations check
+themselves and hand each value over with its sum (||f||^2 with f, and so
+on), which the steps and the stopping rule use; this module makes no check
+of its own for non-finite values.  ``run()`` ignores NumPy's floating-point
 warnings for the whole solve; the public selections ignore them per call.
 """
 from __future__ import annotations
@@ -34,8 +36,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import (EvalCounters, NonlinearSystem, _check_gradient, _check_residual,
-                     _check_row_norms)
+from .system import EvalCounters, NonlinearSystem
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -85,12 +86,17 @@ class SolverConfig:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
         if not (math.isfinite(self.tol_sq) and self.tol_sq > 0.0):
             raise ValueError(f"tol_sq must be positive and finite, got {self.tol_sq}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        # a float cap would stop past it, and nan or inf never
+        if not _is_int(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer 1 or more, got {self.max_iters!r}")
         # the seeds NumPy's generators take, checked for every method alike
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer 0 or more, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether value is a Python or NumPy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -139,7 +145,8 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
 
 def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, k: int = 0) -> BlockSelection:
     """Capped selection at x, whose residual is fx, weighted by row-gradient norms,
-    which cost one full Jacobian (``sys.row_norms_sq``); a breakdown names iteration k.
+    which cost one full Jacobian (``sys.row_norms_sq``'s checked evaluation,
+    which hands them over with their sum); a breakdown names iteration k.
 
     I = { i : f_i^2 >= delta ||f||^2 ||grad f_i||^2 } with
     delta = (max_i (f_i^2/||grad f_i||^2) / ||f||^2 + 1/||f'||_F^2) / 2.
@@ -152,9 +159,9 @@ def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, k: int = 0
     fx = np.asarray(fx, dtype=float)
     if not fx.any():  # tiny f_i can square to zero, so ||f||^2 cannot tell
         raise ValueError(kernels.ZERO_RESIDUAL)
+    x = sys._point(x)
     with np.errstate(all="ignore"):
-        w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x))
-        idx, delta = _capped(fx, w, w_sum, k)
+        idx, delta = _capped(fx, *sys._eval_row_norms(x), k)
     return BlockSelection(indices=idx, threshold=float(delta))
 
 
@@ -185,15 +192,10 @@ def _capped(fx, w, w_sum, k):
 
 
 def _averaged(sys, x, fx, idx, k):
-    """(x + (||f_tau||^2 / ||d||^2) d with d = -J_tau^T f_tau, its residual, |tau|)."""
+    """(x + (||f_tau||^2 / ||d||^2) d with d = -J_tau^T f_tau, its residual
+    and ||f||^2, |tau|)."""
     f_tau = fx[idx]
-    d = -sys.block_vjp(idx, f_tau, x)
-    nd2 = d.dot(d)
-    # inside run() the only check of the block product: a non-finite entry
-    # takes the dense rows, which raise gradient_rows' DomainError
-    if not math.isfinite(nd2) and not np.isfinite(d).all():
-        d = -sys._dense_vjp(idx, f_tau, x)
-        nd2 = d.dot(d)
+    v, nd2 = sys.block_vjp(idx, f_tau, x)  # v = -d
     s2 = float(f_tau.dot(f_tau))
     if not (math.isfinite(s2) and math.isfinite(nd2)):  # finite entries, overflowing squares
         raise BreakdownError(f"||f_tau||^2 = {s2}, ||d||^2 = {nd2}: the step length is undefined",
@@ -201,8 +203,8 @@ def _averaged(sys, x, fx, idx, k):
     if nd2 < BREAKDOWN_EPS:
         raise BreakdownError("block direction annihilated (singular Jacobian rows)",
                              iteration=k)
-    x = x + (s2 / nd2) * d
-    return x, sys.residual(x), len(idx)
+    x = x - (s2 / nd2) * v
+    return (x, *sys.residual(x), len(idx))
 
 
 def _sample_row(fx, r2, u, k) -> int:
@@ -229,33 +231,33 @@ def _sample_row(fx, r2, u, k) -> int:
 
 
 def _projected(sys, x, fx, i, k, w=None):
-    """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual, its row
-    norms or None), refreshed on the rows that read row i's columns from fx
-    and, when given, the row norms w at x.  Inside run() c is finite, so
-    c * 0 = 0 off those columns: a non-finite ||f||^2 breaks down before a
-    row is picked, and ||grad f_i||^2 >= BREAKDOWN_EPS.  (A -0.0 off them
+    """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual and
+    ||f||^2, its row norms and their sum or None), refreshed on the rows
+    that read row i's columns from fx and, when given, the row norms w at
+    x.  Inside run() c is finite, so c * 0 = 0 off those columns: a
+    non-finite ||f||^2 breaks down before a row is picked, and
+    ||grad f_i||^2 >= BREAKDOWN_EPS.  (A -0.0 off them
     can still turn into +0.0, which may flip the sign of a zero residual
     component; no step reads one, as a selected row has f_i != 0.)"""
-    g = sys.row_gradient(i, x)
-    g2 = g.dot(g)
-    if not math.isfinite(g2):  # inside run() the only check that g is finite
-        _check_gradient(g, i)
+    g, g2 = sys.row_gradient(i, x)
     if g2 < BREAKDOWN_EPS:
         raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
     # Python floats: g2 >= BREAKDOWN_EPS, so the division cannot raise
     x = x - (fx.item(i) / float(g2)) * g
-    return (x, *sys.refresh_after_row(i, x, fx, w))
+    (fx, r2), norms = sys.refresh_after_row(i, x, fx, w)
+    return x, fx, r2, norms
 
 
-def rbcnk_step(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, idx: np.ndarray,
-               k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(x + G^+ (-f_tau), its residual): the minimum-norm least-squares step
-    on the block idx, G its gradient rows (``_min_norm``)."""
+def rbcnk_step(sys, x: np.ndarray, fx: np.ndarray, idx: np.ndarray,
+               k: int) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(x + G^+ (-f_tau), its residual, ||f||^2), evaluated through a solve's
+    view ``sys``: the minimum-norm least-squares step on the block idx, G
+    its gradient rows (``_min_norm``)."""
     G = sys.gradient_rows(idx, x)
     if not G.any():
         raise BreakdownError("selected block has all-zero gradients", iteration=k)
     x = x + _min_norm(G, -fx[idx], k)
-    return x, sys.residual(x)
+    return (x, *sys.residual(x))
 
 
 def _min_norm(G, b, k):
@@ -329,10 +331,11 @@ _DRAW_BLOCK = 1024  # NRK's uniform draws taken from the stream per call
 
 
 def _step(sys, method, rho, rng):
-    """``run()``'s step for one solve: (x, fx, ||fx||^2, k) -> (x_{k+1},
-    f(x_{k+1}), block size), drawing from rng (None for the methods outside
-    ``RANDOM_ROW``), calling the selections and ``rbcnk_step`` by
-    module lookup, so that a wrapper set on the module sees each call.
+    """``run()``'s step for one solve, on its view ``sys``: (x, fx,
+    ||fx||^2, k) -> (x_{k+1}, f(x_{k+1}), ||f(x_{k+1})||^2, block size),
+    drawing from rng (None for the methods outside ``RANDOM_ROW``), calling
+    the selections and ``rbcnk_step`` by module lookup, so that a wrapper
+    set on the module sees each call.
     RD-CNK's step keeps its iterate's row norms, which the projection
     refreshes; it computes them all at its first step or without a hook."""
     if method is Method.NGABK:
@@ -347,20 +350,19 @@ def _step(sys, method, rho, rng):
         def step(x, fx, r2, k):
             if not draws:
                 draws.extend(rng.random(_DRAW_BLOCK)[::-1].tolist())
-            x, fx, _ = _projected(sys, x, fx, _sample_row(fx, r2, draws.pop(), k), k)
-            return x, fx, 1
+            x, fx, r2, _ = _projected(sys, x, fx, _sample_row(fx, r2, draws.pop(), k), k)
+            return x, fx, r2, 1
     elif method is Method.RDCNK:
-        w = None
+        norms = None  # (the row norms, their sum) at the step's x, once refreshed
 
         def step(x, fx, r2, k):
-            nonlocal w
-            # inside run() the sum of the norms is their only check
-            w, w_sum = _check_row_norms(sys, x, sys.row_norms_sq(x) if w is None else w)
+            nonlocal norms
+            w, w_sum = sys.row_norms_sq(x) if norms is None else norms
             rows = _capped(fx, w, w_sum, k)[0]
             # the same draw and stream as rng.integers(len(rows)), at half the call cost
             i = int(rows[rng.integers(0, len(rows))])
-            x, fx, w = _projected(sys, x, fx, i, k, w)
-            return x, fx, 1
+            x, fx, r2, norms = _projected(sys, x, fx, i, k, w)
+            return x, fx, r2, 1
     elif method is Method.RBCNK:
         def step(x, fx, r2, k):
             idx = select_ngabk(fx).indices
@@ -368,7 +370,7 @@ def _step(sys, method, rho, rng):
     else:
         def step(x, fx, r2, k):
             x = x + _lstsq(sys.jacobian(x), -fx, k)
-            return x, sys.residual(x), sys.m
+            return (x, *sys.residual(x), sys.m)
     return step
 
 
@@ -382,10 +384,10 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     ||f||^2 that overflows and (the other methods) a step that leaves x
     unchanged all end in ``Status.BREAKDOWN`` with a message.  The steps
     evaluate ``sys`` through ``sys._view()``, built once here, whose
-    evaluations leave their finiteness checks to the solver: each ||f||^2
-    doubles as the check of the residual it sums.  NumPy's floating-point
-    warnings are ignored for the whole solve.  The report's counters are
-    ``sys.counters`` at the end less those at the start."""
+    evaluations check themselves and hand over each residual with the
+    ||f||^2 that checked it.  NumPy's floating-point warnings are ignored
+    for the whole solve.  The report's counters are ``sys.counters`` at the
+    end less those at the start."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
@@ -409,10 +411,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     # no warning for a non-finite intermediate: the report carries the outcome
     with np.errstate(all="ignore"):
         try:
-            fx = view.residual(x)
-            r2 = float(fx.dot(fx))
-            if not math.isfinite(r2):  # finite components can overflow it too
-                _check_residual(fx)
+            fx, r2 = view.residual(x)
         except DomainError as exc:
             return report(Status.BREAKDOWN, 0, float("nan"), f"at the starting point: {exc}")
         k = 0
@@ -422,10 +421,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
             if k >= max_iters:
                 return report(Status.MAX_ITERS, k, r2)
             try:
-                x_new, fx, block_size = step(x, fx, r2, k)
-                r2_new = float(fx.dot(fx))
-                if not math.isfinite(r2_new):
-                    _check_residual(fx)
+                x_new, fx, r2_new, block_size = step(x, fx, r2, k)
             except (BreakdownError, DomainError) as exc:
                 return report(Status.BREAKDOWN, k, r2, str(exc))
             dx = x_new - x

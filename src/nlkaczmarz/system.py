@@ -12,17 +12,19 @@ more, the refresh after a single-row step, lets it recompute the residual
 and the row norms on the rows that read the step's columns alone.
 
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
-result is reported as a :class:`DomainError` instead.  Each public method
-checks its arguments, enters its own ``np.errstate`` and checks what it
-returns.  ``run()`` evaluates through a view that the system builds once per
-solve (``NonlinearSystem._view``), under one ``np.errstate`` for the whole
-solve.  The view counts as the public methods do and checks the shape of
-every array a hook returns, but leaves each other check to the solver:
-each evaluation is checked once, by the solver's own reduction of it
-(||f||^2, ||grad f_i||^2, ||d||^2 of the block product, the sum of the row
-norms), and a non-finite reduction takes the same :class:`DomainError` or
-dense fallback as the public method's own check.  ``run()``'s points and
-rows were checked where they were made and are not checked again.
+result is reported as a :class:`DomainError` instead.  Each evaluation is
+one ``_eval_*`` method, which counts the call, checks the shape of what the
+hook returns and checks that it is finite, by the sum the solver needs
+anyway: (f, ||f||^2), (grad f_i, ||grad f_i||^2), (J_tau^T w, its squared
+norm) and (the row norms, their sum).  Only a sum that is not finite scans
+for the bad entry; a non-finite block product or row norms from a hook are
+replaced by the dense rows', whose DomainError names the row.  Each public
+method checks its arguments and makes one ``_eval_*`` call inside its own
+``np.errstate``, returning the value alone.  ``run()`` evaluates through a
+view that the system builds once per solve (``NonlinearSystem._view``), which
+hands it the ``_eval_*`` methods and their sums, under one ``np.errstate``
+for the whole solve; its points and rows were checked where they were made
+and are not checked again.
 """
 from __future__ import annotations
 
@@ -38,30 +40,16 @@ from .exceptions import DomainError
 FD_H_SCALE = float(np.sqrt(np.finfo(float).eps))
 
 
-def _check_residual(fx: np.ndarray) -> None:
-    """Raise the DomainError of fx's first non-finite component, if any."""
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        i = int(bad.nonzero()[0][0])
-        raise DomainError(f"non-finite residual component {i} at evaluation point", index=i)
-
-
-def _check_gradient(g: np.ndarray, i: int) -> None:
-    """Raise the DomainError of row i when its gradient g is not finite."""
-    if not np.isfinite(g).all():
-        raise DomainError(f"non-finite gradient in row {i}", index=i)
-
-
-def _check_row_norms(system: "NonlinearSystem", x: np.ndarray, w: np.ndarray) -> tuple:
-    """(w, w's sum) for the row norms w at x, or, when an entry of w is not
-    finite, the same for the dense Jacobian's norms, which raise jacobian's
-    DomainError: the check that the solve's view of ``row_norms_sq`` skips."""
-    s = np.add.reduce(w)
+def _finite_residual(fx: np.ndarray) -> tuple:
+    """(fx, ||fx||^2), or the DomainError of fx's first non-finite component."""
+    r2 = float(fx.dot(fx))
     # a finite sum rules out inf and nan; scan only when it is not
-    if math.isfinite(s) or np.isfinite(w).all():
-        return w, s
-    w = system._dense_row_norms(x)
-    return w, np.add.reduce(w)
+    if not math.isfinite(r2):
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            i = int(bad.nonzero()[0][0])
+            raise DomainError(f"non-finite residual component {i} at evaluation point", index=i)
+    return fx, r2
 
 
 def _shaped(what: str, value, shape: tuple) -> np.ndarray:
@@ -163,13 +151,9 @@ class NonlinearSystem:
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Evaluate f(x). Raises DomainError on non-finite output."""
-        x = self._check_point(x)
+        x = self._point(x)
         with np.errstate(all="ignore"):
-            fx = self._eval_residual(x)
-            # a finite fx.dot(fx) rules out inf and nan; scan only when it is not
-            if not math.isfinite(fx.dot(fx)):
-                _check_residual(fx)
-        return fx
+            return self._eval_residual(x)[0]
 
     def refresh_after_row(self, i: int, x: np.ndarray, fx: np.ndarray,
                           w: Optional[np.ndarray] = None) -> tuple:
@@ -182,37 +166,32 @@ class NonlinearSystem:
             return self.residual(x), None
         if not 0 <= i < self.m:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
-        x = self._check_point(x)
+        x = self._point(x)
         fx = _shaped("fx", fx, (self.m,))
         w = None if w is None else _shaped("w", w, (self.m,))
         with np.errstate(all="ignore"):
-            fx, w = self._eval_refresh(i, x, fx, w)
-            if not math.isfinite(fx.dot(fx)):
-                _check_residual(fx)
-            return fx, None if w is None else _check_row_norms(self, x, w)[0]
+            (fx, _), norms = self._eval_refresh(i, x, fx, w)
+        return fx, None if norms is None else norms[0]
 
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Evaluate the i-th Jacobian row at x. Raises DomainError on
         non-finite output."""
         if not 0 <= i < self.m:
             raise IndexError(f"row index {i} out of range [0, {self.m})")
-        x = self._check_point(x)
+        x = self._point(x)
         with np.errstate(all="ignore"):
-            g = self._eval_row_gradient(i, x)
-            if not math.isfinite(g.dot(g)):
-                _check_gradient(g, i)
-        return g
+            return self._eval_row_gradient(i, x)[0]
 
     def gradient_rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Stack the Jacobian rows listed in ``indices`` at x."""
         indices = self._check_rows(indices)
-        x = self._check_point(x)
+        x = self._point(x)
         self.counters.row_gradient_evals += len(indices)
         return self._rows(indices, x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the full Jacobian (counted as one full evaluation)."""
-        x = self._check_point(x)
+        x = self._point(x)
         self.counters.jacobian_evals += 1
         return self._full_jacobian(x)
 
@@ -220,83 +199,98 @@ class NonlinearSystem:
         """``w @ gradient_rows(indices, x)``: the transposed block Jacobian
         applied to ``w``, counted as ``len(indices)`` row gradients."""
         indices = self._check_rows(indices)
-        x = self._check_point(x)
+        x = self._point(x)
         w = np.asarray(w, dtype=float)
         if w.shape != indices.shape:
             raise ValueError(f"weights have shape {w.shape}, expected {indices.shape}")
         with np.errstate(all="ignore"):
-            v = self._eval_block_vjp(indices, w, x)
-        if self._block_vjp is None or np.isfinite(v).all():
-            return v
-        return self._dense_vjp(indices, w, x)
+            return self._eval_block_vjp(indices, w, x)[0]
 
     def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared norm of every Jacobian row (counted as one full Jacobian)."""
-        x = self._check_point(x)
+        x = self._point(x)
         with np.errstate(all="ignore"):
-            return _check_row_norms(self, x, self._eval_row_norms(x))[0]
+            return self._eval_row_norms(x)[0]
 
-    # -- the evaluations of one solve --------------------------------------
+    # -- the checked evaluations -------------------------------------------
 
     def _view(self) -> SimpleNamespace:
         """The evaluations that ``run()`` makes in one solve, inside its own
         ``np.errstate``: ``m``, ``n`` and each evaluation method under its
         public name.  Five are the ``_eval_*`` methods that the public ones
-        call once their arguments are checked: each counts its call and
-        checks the shape of what its hook returns, and nothing more, since
-        ``run()`` passes the points and rows it made and checked and checks
-        each result by its own reduction of it.  ``gradient_rows``,
-        ``jacobian`` and the dense fallbacks are the system's own, looked up
-        now, so that a wrapper set on the instance is the one called."""
+        call once their arguments are checked, and return each value with
+        the sum that checked it; ``run()`` passes them the points and rows
+        it made and checked.  ``gradient_rows`` and ``jacobian`` are the
+        system's own, looked up now, so that a wrapper set on the instance
+        is the one called."""
         return SimpleNamespace(
             m=self.m, n=self.n, residual=self._eval_residual,
             refresh_after_row=self._eval_refresh, row_gradient=self._eval_row_gradient,
             gradient_rows=self.gradient_rows, jacobian=self.jacobian,
-            block_vjp=self._eval_block_vjp, row_norms_sq=self._eval_row_norms,
-            _dense_vjp=self._dense_vjp, _dense_row_norms=self._dense_row_norms)
+            block_vjp=self._eval_block_vjp, row_norms_sq=self._eval_row_norms)
 
     def _eval_residual(self, x):
+        """(f(x), ||f(x)||^2), counted."""
         self.counters.residual_evals += 1
-        return _shaped("residual", self._residual(x), (self.m,))
+        return _finite_residual(_shaped("residual", self._residual(x), (self.m,)))
 
     def _eval_refresh(self, i, x, fx, w=None):
+        """((f(x), ||f(x)||^2), (the row norms at x, their sum) or None when
+        ``w`` is None), counted and checked as ``_eval_residual`` and
+        ``_eval_row_norms`` are."""
         if self._refresh_after_row is None:
             return self._eval_residual(x), None
         self.counters.residual_evals += 1
         if w is not None:
             self.counters.jacobian_evals += 1
         fx, v = self._refresh_after_row(i, x, fx, w)
-        return (_shaped("refresh_after_row", fx, (self.m,)),
-                None if w is None else _shaped("refresh_after_row", v, (self.m,)))
+        fx = _shaped("refresh_after_row", fx, (self.m,))
+        v = None if w is None else _shaped("refresh_after_row", v, (self.m,))
+        return _finite_residual(fx), None if v is None else self._norms(x, v)
 
     def _eval_row_gradient(self, i, x):
+        """(grad f_i(x), its squared norm), counted as one row gradient."""
         self.counters.row_gradient_evals += 1
-        return _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
+        g = _shaped("row_gradient", self._row_gradient(i, x), (self.n,))
+        g2 = g.dot(g)
+        # a finite sum rules out inf and nan; scan only when it is not
+        if not math.isfinite(g2) and not np.isfinite(g).all():
+            raise DomainError(f"non-finite gradient in row {i}", index=i)
+        return g, g2
 
     def _eval_block_vjp(self, indices, w, x):
+        """(``w @ gradient_rows(indices, x)``, its squared norm), counted as
+        ``len(indices)`` row gradients.  A hook's product with an entry that
+        is not finite is replaced by the dense rows', uncounted, whose
+        DomainError names the row."""
         self.counters.row_gradient_evals += len(indices)
-        if self._block_vjp is None:
-            return self._dense_vjp(indices, w, x)
-        return _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
+        if self._block_vjp is not None:
+            v = _shaped("block_vjp", self._block_vjp(indices, w, x), (self.n,))
+            v2 = v.dot(v)
+            if math.isfinite(v2) or np.isfinite(v).all():
+                return v, v2
+        v = w @ self._rows(indices, x)
+        return v, v.dot(v)
 
     def _eval_row_norms(self, x):
+        """(the squared norm of every row, their sum), counted as one full
+        Jacobian, and checked as ``_norms`` checks them."""
         self.counters.jacobian_evals += 1
         if self._row_norms_sq is None:
-            return self._dense_row_norms(x)
-        return _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,))
+            return self._norms(x, None)
+        return self._norms(x, _shaped("row_norms_sq", self._row_norms_sq(x), (self.m,)))
 
-    def _dense_vjp(self, indices: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``w @ gradient_rows(indices, x)`` from the dense rows, uncounted: the
-        product without a hook, or in place of a non-finite one, whose
-        DomainError (with its row index) is gradient_rows'."""
-        return w @ self._rows(indices, x)
-
-    def _dense_row_norms(self, x: np.ndarray) -> np.ndarray:
-        """The row norms from the dense Jacobian, uncounted: the norms without
-        a hook, or in place of a non-finite one, whose DomainError (with its
-        row index) is gradient_rows'."""
+    def _norms(self, x, w):
+        """(w, w's sum) for the row norms w at x, or, when w is None or has
+        an entry that is not finite, the same for the dense rows' norms,
+        uncounted, whose DomainError names the row."""
+        if w is not None:
+            s = np.add.reduce(w)
+            if math.isfinite(s) or np.isfinite(w).all():
+                return w, s
         J = self._full_jacobian(x)
-        return np.einsum("ij,ij->i", J, J)
+        w = np.einsum("ij,ij->i", J, J)
+        return w, np.add.reduce(w)
 
     def _rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -319,7 +313,8 @@ class NonlinearSystem:
             raise IndexError("row index out of range")
         return indices
 
-    def _check_point(self, x) -> np.ndarray:
+    def _point(self, x) -> np.ndarray:
+        """x as a float array of shape (n,), the point every public method checks."""
         return _shaped("point", x, (self.n,))
 
 

@@ -116,6 +116,14 @@ def test_config_validation():
         SolverConfig(method=Method.NGABK, rho=1.5)
     with pytest.raises(ValueError):
         SolverConfig(method=Method.NGABK, max_iters=0)
+    # a float cap stops past it (2.5 after 3 steps), and nan or inf never;
+    # True would act as 1
+    for bad in (float("nan"), float("inf"), 2.5, np.float64(3.0), True, False, "3",
+                np.int64(0), -2):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(method=Method.NGABK, max_iters=bad)
+    for good in (1, np.int64(5), np.uint16(7)):
+        assert SolverConfig(method=Method.NGABK, max_iters=good).max_iters == good
     with pytest.raises(ValueError):
         SolverConfig(method=Method.NGABK, tol_sq=-1.0)
     for bad in (float("nan"), float("inf")):
@@ -279,9 +287,9 @@ def test_evaluations_inside_a_solve_use_its_scope():
 
 
 def test_another_system_keeps_its_checks_inside_a_solve():
-    # run() leaves the solved system's checks to its own sums; a public call
-    # made during the solve, on another system or on the solved one itself,
-    # still raises its own DomainError
+    # run() evaluates the solved system through its view; a public call made
+    # during the solve, on another system or on the solved one itself, still
+    # raises its own DomainError
     other = make_h_equation(1, c=0.9)
     singular = np.array([4.0 / 0.9])
     caught = []
@@ -435,7 +443,7 @@ def test_a_projection_inside_run_has_a_finite_step_length():
     assert math.sqrt(float_info.max) / BREAKDOWN_EPS < math.inf
 
 
-# -- the checks the solver's own sums make inside run() ----------------------
+# -- the checks of the sums that run()'s evaluations hand over -----------------
 
 _A = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [1.0, 0.0, 4.0], [1.0, 1.0, 1.0]])
 _B = _A @ np.array([1.0, -1.0, 0.5])
@@ -497,6 +505,30 @@ def test_a_bad_hook_result_ends_the_solve_as_its_check_does(method, kind, messag
     report = run(sys, np.zeros(3), SolverConfig(method=method, seed=1))
     assert (report.status, report.iters, report.message) == (Status.BREAKDOWN, 4, message)
     assert tuple(vars(sys.counters).values()) == counters
+
+
+def test_non_finite_refreshed_norms_end_the_solve_at_the_refreshing_step():
+    # the refresh's row norms are checked when it returns them: a NaN norm
+    # where the dense rows are infinite too ends the run at the third step,
+    # the one whose projection refreshed them
+    norms, calls = np.einsum("ij,ij->i", _A, _A), [0]
+
+    def refresh(i, x, fx, w):
+        calls[0] += 1
+        v = norms.copy()
+        if calls[0] == 3:
+            v[-1] = math.nan
+        return _A @ x - _B, v
+
+    def rows(idx, x):
+        return np.full((len(idx), 3), math.inf) if calls[0] == 3 else _A[idx].copy()
+
+    sys = NonlinearSystem(4, 3, lambda x: _A @ x - _B, lambda i, x: rows(np.array([i]), x)[0],
+                          gradient_rows=rows, row_norms_sq=lambda x: norms.copy(),
+                          refresh_after_row=refresh)
+    report = run(sys, np.zeros(3), SolverConfig(method=Method.RDCNK, seed=1))
+    assert (report.status, report.iters) == (Status.BREAKDOWN, 2)
+    assert report.message == "non-finite gradient in row 0"
 
 
 # -- what the solved system's evaluations still check inside run() -----------

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -272,6 +273,84 @@ def test_non_finite_hooks_raise_the_dense_domain_error():
         sys.row_norms_sq(x)
     assert structured.value.index == dense.value.index
     assert sys.counters.jacobian_evals == 1
+
+
+# -- a solve's view and the public methods: one checked path ---------------
+
+_A = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [1.0, 0.0, 4.0], [1.0, 1.0, 1.0]])
+_NORMS = np.einsum("ij,ij->i", _A, _A)
+
+
+def _spoiled_hooks(kind):
+    """f(x) = A x with every hook, each of which spoils what it returns:
+    "nan" puts a NaN in it while the dense rows (``gradient_rows``) stay
+    finite, "row" does so and makes dense row 1 infinite too, and "huge"
+    returns finite entries whose squares overflow.  The refresh hook spoils
+    the row norms it returns, not the residual."""
+    def spoil(v):
+        v = np.array(v, dtype=float)
+        if kind == "huge":
+            v[:] = 1e200
+        else:
+            v[-1] = math.nan
+        return v
+
+    def rows(idx, x):
+        G = _A[idx].copy()
+        if kind == "row":
+            G[idx == 1] = math.inf
+        return G
+
+    return NonlinearSystem(
+        4, 3, lambda x: spoil(_A @ x), lambda i, x: spoil(_A[i]), gradient_rows=rows,
+        block_vjp=lambda idx, w, x: spoil(w @ _A[idx]), row_norms_sq=lambda x: spoil(_NORMS),
+        refresh_after_row=lambda i, x, fx, w: (_A @ x, None if w is None else spoil(_NORMS)))
+
+
+# each evaluation's arguments, and the sum that the view hands over with each value
+_X = np.ones(3)
+_ARGS = {"residual": (_X,), "row_gradient": (1, _X),
+         "block_vjp": (np.array([0, 1, 3]), np.ones(3), _X), "row_norms_sq": (_X,),
+         "refresh_after_row": (2, _X, _A @ _X, _NORMS)}
+_SUMS = {"residual": lambda f: float(f.dot(f)), "row_gradient": lambda g: g.dot(g),
+         "block_vjp": lambda v: v.dot(v), "row_norms_sq": np.add.reduce}
+
+
+def _outcome(evaluate):
+    """The bytes of each array ``evaluate()`` returns, or the message and
+    row index of its DomainError."""
+    try:
+        return tuple(v.tobytes() for v in evaluate())
+    except DomainError as exc:
+        return str(exc), exc.index
+
+
+def _values(name, out):
+    """The values of a view member's result ``out``, each sum checked against them."""
+    if name == "refresh_after_row":
+        (fx, r2), (w, w_sum) = out
+        assert (r2, w_sum) == (_SUMS["residual"](fx), _SUMS["row_norms_sq"](w))
+        return fx, w
+    value, total = out
+    assert total == _SUMS[name](value)
+    return (value,)
+
+
+@pytest.mark.parametrize("kind", ["nan", "row", "huge"])
+@pytest.mark.parametrize("name", list(_ARGS))
+def test_the_view_gives_the_public_methods_outcome(name, kind):
+    # the same value or the same DomainError, and the same counters, with
+    # the dense rows' fallback where a hook's product or norms are not finite
+    public, solving = _spoiled_hooks(kind), _spoiled_hooks(kind)
+    evaluate = getattr(public, name)
+    want = _outcome(lambda: evaluate(*_ARGS[name]) if name == "refresh_after_row"
+                    else (evaluate(*_ARGS[name]),))
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: _values(name, getattr(solving._view(), name)(*_ARGS[name])))
+    assert got == want
+    assert vars(solving.counters) == vars(public.counters)
+    if kind == "row" and name in ("block_vjp", "row_norms_sq", "refresh_after_row"):
+        assert want == ("non-finite gradient in row 1", 1)
 
 
 def test_hooks_are_checked():
