@@ -48,8 +48,8 @@ def mrnabk_select(fx, rho):
 
 
 # No solver calls block_direction: the averaged step takes its direction from
-# NonlinearSystem.block_vjp.  It stays only because perfbench/spans.py wraps it
-# by name.
+# the block_vjp of the solve's view.  It stays only because perfbench/spans.py
+# wraps it by name.
 def block_direction(f_tau, g_tau):
     """Averaged block direction d = sum_i (-f_i) grad f_i over the block.
 

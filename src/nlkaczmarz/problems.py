@@ -131,17 +131,16 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         s = coef * kernel_product(x)
         return x - 1.0 / (1.0 - s)
 
-    def row_gradient(i, x):
-        K = kernel()[0]
-        s_i = coef * (K[i] @ x)
-        g = -((1.0 - s_i) ** -2) * coef * K[i]
-        g[i] += 1.0
-        return g
-
     def _row_scale(kx):
         # row i of the Jacobian is a_i K_i + e_i, with a_i = -coef (1 - s_i)^-2
         # and s_i = coef (K x)_i
         return -((1.0 - coef * kx) ** -2) * coef
+
+    def row_gradient(i, x):
+        K_i = kernel()[0][i]
+        g = _row_scale(K_i @ x) * K_i
+        g[i] += 1.0
+        return g
 
     def gradient_rows(idx, x):
         Kt = kernel()[0][idx]

@@ -145,7 +145,7 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
 
 def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, k: int = 0) -> BlockSelection:
     """Capped selection at x, whose residual is fx, weighted by row-gradient norms,
-    which cost one full Jacobian (``sys.row_norms_sq``'s checked evaluation,
+    which cost one full Jacobian (the system's checked ``_eval_row_norms``,
     which hands them over with their sum); a breakdown names iteration k.
 
     I = { i : f_i^2 >= delta ||f||^2 ||grad f_i||^2 } with

@@ -5,11 +5,10 @@ with per-row gradient access (row i of the Jacobian).  Row gradients are
 exposed individually because the block solvers only touch the selected
 rows; a full-Jacobian view exists for the baselines and diagnostics that
 genuinely need it, and its use is counted separately so per-iteration cost
-differences stay visible.  Two structured views, the block vector-Jacobian
-product and the row norms, let a problem with sparse rows serve the
-averaged step and the capped selection without forming dense rows.  One
-more, the refresh after a single-row step, lets it recompute the residual
-and the row norms on the rows that read the step's columns alone.
+differences stay visible.  Three optional hooks, the block vector-Jacobian
+product, the row norms and the refresh after a single-row step, let a
+problem with sparse rows serve the solvers without forming dense rows; the
+solvers alone read them, through a solve's view.
 
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
 result is reported as a :class:`DomainError` instead.  Each evaluation is
@@ -18,13 +17,13 @@ hook returns and checks that it is finite, by the sum the solver needs
 anyway: (f, ||f||^2), (grad f_i, ||grad f_i||^2), (J_tau^T w, its squared
 norm) and (the row norms, their sum).  Only a sum that is not finite scans
 for the bad entry; a non-finite block product or row norms from a hook are
-replaced by the dense rows', whose DomainError names the row.  Each public
-method checks its arguments and makes one ``_eval_*`` call inside its own
-``np.errstate``, returning the value alone.  ``run()`` evaluates through a
-view that the system builds once per solve (``NonlinearSystem._view``), which
-hands it the ``_eval_*`` methods and their sums, under one ``np.errstate``
-for the whole solve; its points and rows were checked where they were made
-and are not checked again.
+replaced by the dense rows', whose DomainError names the row.  The public
+``residual`` and ``row_gradient`` check their arguments and make one
+``_eval_*`` call inside their own ``np.errstate``, returning the value
+alone.  ``run()`` evaluates through a view that the system builds once per
+solve (``NonlinearSystem._view``), which hands it the ``_eval_*`` methods
+and their sums, under one ``np.errstate`` for the whole solve; its points
+and rows were checked where they were made and are not checked again.
 """
 from __future__ import annotations
 
@@ -102,7 +101,7 @@ class NonlinearSystem:
         without forming the Jacobian.
     refresh_after_row
         Optional ``(i, x, fx, w) -> ((m,) array, (m,) array or None)``
-        returning ``(residual(x), row_norms_sq(x))`` bit for bit, given the
+        returning f(x) and the squared row norms at x bit for bit, given the
         residual ``fx`` and the row norms ``w`` at a point that differs from
         ``x`` only in the columns of row i's gradient: only the rows that
         read those columns are recomputed, in one pass, and the rest are
@@ -155,24 +154,6 @@ class NonlinearSystem:
         with np.errstate(all="ignore"):
             return self._eval_residual(x)[0]
 
-    def refresh_after_row(self, i: int, x: np.ndarray, fx: np.ndarray,
-                          w: Optional[np.ndarray] = None) -> tuple:
-        """(f(x), the row norms at x or None when ``w`` is None), from the
-        residual ``fx`` and the row norms ``w`` at a point that differs from
-        x only in the columns of row i's gradient: the ``refresh_after_row``
-        hook, or ``(residual(x), None)`` without one.  Counted, checked and
-        silenced as ``residual`` and, with ``w``, ``row_norms_sq`` are."""
-        if self._refresh_after_row is None:
-            return self.residual(x), None
-        if not 0 <= i < self.m:
-            raise IndexError(f"row index {i} out of range [0, {self.m})")
-        x = self._point(x)
-        fx = _shaped("fx", fx, (self.m,))
-        w = None if w is None else _shaped("w", w, (self.m,))
-        with np.errstate(all="ignore"):
-            (fx, _), norms = self._eval_refresh(i, x, fx, w)
-        return fx, None if norms is None else norms[0]
-
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Evaluate the i-th Jacobian row at x. Raises DomainError on
         non-finite output."""
@@ -195,34 +176,18 @@ class NonlinearSystem:
         self.counters.jacobian_evals += 1
         return self._full_jacobian(x)
 
-    def block_vjp(self, indices: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``w @ gradient_rows(indices, x)``: the transposed block Jacobian
-        applied to ``w``, counted as ``len(indices)`` row gradients."""
-        indices = self._check_rows(indices)
-        x = self._point(x)
-        w = np.asarray(w, dtype=float)
-        if w.shape != indices.shape:
-            raise ValueError(f"weights have shape {w.shape}, expected {indices.shape}")
-        with np.errstate(all="ignore"):
-            return self._eval_block_vjp(indices, w, x)[0]
-
-    def row_norms_sq(self, x: np.ndarray) -> np.ndarray:
-        """Squared norm of every Jacobian row (counted as one full Jacobian)."""
-        x = self._point(x)
-        with np.errstate(all="ignore"):
-            return self._eval_row_norms(x)[0]
-
     # -- the checked evaluations -------------------------------------------
 
     def _view(self) -> SimpleNamespace:
         """The evaluations that ``run()`` makes in one solve, inside its own
         ``np.errstate``: ``m``, ``n`` and each evaluation method under its
-        public name.  Five are the ``_eval_*`` methods that the public ones
-        call once their arguments are checked, and return each value with
+        name.  Five are the ``_eval_*`` methods, which return each value with
         the sum that checked it; ``run()`` passes them the points and rows
-        it made and checked.  ``gradient_rows`` and ``jacobian`` are the
-        system's own, looked up now, so that a wrapper set on the instance
-        is the one called."""
+        it made and checked.  ``residual`` and ``row_gradient`` are also
+        public methods, which check their arguments first; ``block_vjp``,
+        ``row_norms_sq`` and ``refresh_after_row`` are reached here alone.
+        ``gradient_rows`` and ``jacobian`` are the system's own, looked up
+        now, so that a wrapper set on the instance is the one called."""
         return SimpleNamespace(
             m=self.m, n=self.n, residual=self._eval_residual,
             refresh_after_row=self._eval_refresh, row_gradient=self._eval_row_gradient,

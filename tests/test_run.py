@@ -574,7 +574,7 @@ def test_a_misshapen_hook_result_inside_run_raises_as_a_direct_call(method, name
     fx, w = _A @ x - _B, np.einsum("ij,ij->i", _A, _A)
     direct = {"residual": lambda s: s.residual(x),
               "row_gradient": lambda s: s.row_gradient(0, x),
-              "refresh_after_row": lambda s: s.refresh_after_row(
+              "refresh_after_row": lambda s: s._view().refresh_after_row(
                   0, x, fx, w if with_norms else None)}[name]
     sys = _short_at_third_call(name)
     direct(sys)

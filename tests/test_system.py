@@ -58,15 +58,22 @@ def test_h_equation_domain_error_carries_index():
     assert exc.value.index == 0
 
 
+def _solving(evaluate, *args):
+    """``evaluate(*args)`` under the floating-point state ``run()`` solves in."""
+    with np.errstate(all="ignore"):
+        return evaluate(*args)
+
+
 @pytest.mark.parametrize("evaluate,index", [
     (lambda sys, x: sys.row_gradient(0, x), 0),
     (lambda sys, x: sys.gradient_rows(np.array([0]), x), 0),
-    (lambda sys, x: sys.block_vjp(np.array([0]), np.ones(1), x), 0),
-    (lambda sys, x: sys.row_norms_sq(x), 0),
+    (lambda sys, x: _solving(sys._view().block_vjp, np.array([0]), np.ones(1), x), 0),
+    (lambda sys, x: _solving(sys._view().row_norms_sq, x), 0),
     (lambda sys, x: sys.jacobian(x), 0),
 ], ids=["row_gradient", "gradient_rows", "block_vjp", "row_norms_sq", "jacobian"])
 def test_direct_evaluation_at_a_singular_point_raises_without_warnings(evaluate, index):
-    # N = 1: the denominator 1 - (c/4) x of every gradient entry vanishes at x = 4 / c
+    # N = 1: the denominator 1 - (c/4) x of every gradient entry vanishes at x = 4 / c;
+    # the block product and the row norms are read through a solve's view
     sys = make_h_equation(1, c=0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -140,18 +147,14 @@ def test_residual_after_row_is_counted_and_checked_as_the_residual():
     fx = sys.residual(x)
     y = x.copy()
     y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
+    view = sys._view()
     sys.counters.reset()
     # without norms to refresh, it is one residual evaluation and no norms
-    f_new, w_new = sys.refresh_after_row(3, y, fx)
+    (f_new, r2), w_new = view.refresh_after_row(3, y, fx)
     assert np.array_equal(f_new, sys.residual(y)) and w_new is None
+    assert r2 == f_new.dot(f_new)
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
-    with pytest.raises(IndexError):
-        sys.refresh_after_row(8, y, fx)
-    with pytest.raises(ValueError):
-        sys.refresh_after_row(3, y[:7], fx)
-    with pytest.raises(ValueError):
-        sys.refresh_after_row(3, y, fx[:7])
     # a non-finite row raises the residual's DomainError, without a warning
     y[4] = np.inf
     with pytest.raises(DomainError) as full:
@@ -159,12 +162,12 @@ def test_residual_after_row_is_counted_and_checked_as_the_residual():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as refreshed:
-            sys.refresh_after_row(3, y, fx)
+            _solving(view.refresh_after_row, 3, y, fx)
     assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
     wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
                            refresh_after_row=lambda i, x, fx, w: (np.zeros(3), w))
     with pytest.raises(ValueError):
-        wide.refresh_after_row(0, np.zeros(2), np.zeros(2))
+        wide._view().refresh_after_row(0, np.zeros(2), np.zeros(2))
 
 
 def test_residual_after_row_without_a_hook_is_the_residual():
@@ -172,7 +175,7 @@ def test_residual_after_row_without_a_hook_is_the_residual():
     x = np.array([0.5, 1.0, 2.0, -1.0])
     fx = sys.residual(np.ones(4))
     sys.counters.reset()
-    f_new, w_new = sys.refresh_after_row(1, x, fx)
+    (f_new, _), w_new = sys._view().refresh_after_row(1, x, fx)
     assert np.array_equal(f_new, sys.residual(x)) and w_new is None
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
@@ -181,26 +184,22 @@ def test_residual_after_row_without_a_hook_is_the_residual():
 def test_row_norms_after_row_is_counted_and_checked_as_the_row_norms():
     sys = make_singular_broyden(8)
     x = np.full(8, -0.5)
-    fx, w = sys.residual(x), sys.row_norms_sq(x)
+    view = sys._view()
+    fx, w = sys.residual(x), view.row_norms_sq(x)[0]
     y = x.copy()
     y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
     sys.counters.reset()
-    f_new, w_new = sys.refresh_after_row(3, y, fx, w)
+    (f_new, _), (w_new, w_sum) = view.refresh_after_row(3, y, fx, w)
     assert np.array_equal(f_new, sys.residual(y))
-    assert np.array_equal(w_new, sys.row_norms_sq(y))
+    assert np.array_equal(w_new, view.row_norms_sq(y)[0])
+    assert w_sum == np.add.reduce(w_new)
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 2)
-    with pytest.raises(IndexError):
-        sys.refresh_after_row(8, y, fx, w)
-    with pytest.raises(ValueError):
-        sys.refresh_after_row(3, y[:7], fx, w)
-    with pytest.raises(ValueError):
-        sys.refresh_after_row(3, y, fx, w[:7])
     for bad in (lambda i, x, fx, w: (np.zeros(3), w), lambda i, x, fx, w: (fx, np.zeros(3))):
         wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
                                refresh_after_row=bad)
         with pytest.raises(ValueError):
-            wide.refresh_after_row(0, np.zeros(2), np.zeros(2), np.ones(2))
+            wide._view().refresh_after_row(0, np.zeros(2), np.zeros(2), np.ones(2))
 
 
 def test_row_norms_after_row_without_a_hook_is_the_row_norms():
@@ -208,9 +207,10 @@ def test_row_norms_after_row_without_a_hook_is_the_row_norms():
     # RD-CNK then evaluates the row norms itself, once at every iterate it steps from
     sys = make_brown(4)
     x = np.array([0.5, 1.0, 2.0, -1.0])
-    fx, w = sys.residual(np.ones(4)), sys.row_norms_sq(np.ones(4))
+    view = sys._view()
+    fx, w = sys.residual(np.ones(4)), view.row_norms_sq(np.ones(4))[0]
     sys.counters.reset()
-    f_new, w_new = sys.refresh_after_row(1, x, fx, w)
+    (f_new, _), w_new = view.refresh_after_row(1, x, fx, w)
     assert np.array_equal(f_new, sys.residual(x)) and w_new is None
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
@@ -225,16 +225,17 @@ def test_non_finite_refreshed_row_norms_raise_the_dense_domain_error():
     # dense gradient, while every residual stays finite; the refresh falls
     # back to the dense rows, without a warning
     sys = make_overdetermined_rational(6)
+    view = sys._view()
     x = np.full(6, 0.5)
-    fx, w = sys.residual(x), sys.row_norms_sq(x)
+    fx, w = sys.residual(x), view.row_norms_sq(x)[0]
     x[2] = 1e200  # row 4's column p = 2
     with pytest.raises(DomainError) as full:
-        sys.row_norms_sq(x)
+        _solving(view.row_norms_sq, x)
     sys.counters.reset()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as refreshed:
-            sys.refresh_after_row(4, x, fx, w)
+            _solving(view.refresh_after_row, 4, x, fx, w)
     assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
     assert refreshed.value.index == 4
     c = sys.counters
@@ -263,14 +264,14 @@ def test_non_finite_hooks_raise_the_dense_domain_error():
         sys.gradient_rows(idx, x)
     sys.counters.reset()
     with pytest.raises(DomainError) as structured:
-        sys.block_vjp(idx, np.ones(3), x)
+        _solving(sys._view().block_vjp, idx, np.ones(3), x)
     assert structured.value.index == dense.value.index == 2
     assert sys.counters.row_gradient_evals == 3
     with pytest.raises(DomainError) as dense:
         sys.jacobian(x)
     sys.counters.reset()
     with pytest.raises(DomainError) as structured:
-        sys.row_norms_sq(x)
+        _solving(sys._view().row_norms_sq, x)
     assert structured.value.index == dense.value.index
     assert sys.counters.jacobian_evals == 1
 
@@ -336,34 +337,60 @@ def _values(name, out):
     return (value,)
 
 
+def _public_outcome(name, kind):
+    """The outcome and counters that the view's ``name`` must give on
+    ``_spoiled_hooks(kind)``, from the public evaluations of an identical
+    system.  ``residual`` and ``row_gradient`` are public methods.  The
+    other three are reached through the view alone: their hook's result is
+    kept where it is finite ("huge" returns 1e200 everywhere), and where it
+    is not it is replaced by the dense rows' product or norms, from
+    ``gradient_rows`` or ``jacobian``, which raise the DomainError that
+    names the row and charge the same counters.  The refresh hook's
+    residual is its own finite A x, charged as one residual evaluation."""
+    ref = _spoiled_hooks(kind)
+
+    def kept(dense):
+        return np.full(dense.shape, 1e200) if kind == "huge" else dense
+
+    def norms():
+        J = ref.jacobian(_X)
+        return kept(np.einsum("ij,ij->i", J, J))
+
+    if name in ("residual", "row_gradient"):
+        evaluate = lambda: (getattr(ref, name)(*_ARGS[name]),)
+    elif name == "block_vjp":
+        idx, w, x = _ARGS[name]
+        evaluate = lambda: (kept(w @ ref.gradient_rows(idx, x)),)
+    elif name == "row_norms_sq":
+        evaluate = lambda: (norms(),)
+    else:
+        ref.counters.residual_evals += 1
+        evaluate = lambda: (_A @ _X, norms())
+    return _outcome(evaluate), vars(ref.counters)
+
+
 @pytest.mark.parametrize("kind", ["nan", "row", "huge"])
 @pytest.mark.parametrize("name", list(_ARGS))
 def test_the_view_gives_the_public_methods_outcome(name, kind):
     # the same value or the same DomainError, and the same counters, with
     # the dense rows' fallback where a hook's product or norms are not finite
-    public, solving = _spoiled_hooks(kind), _spoiled_hooks(kind)
-    evaluate = getattr(public, name)
-    want = _outcome(lambda: evaluate(*_ARGS[name]) if name == "refresh_after_row"
-                    else (evaluate(*_ARGS[name]),))
+    want, counters = _public_outcome(name, kind)
+    solving = _spoiled_hooks(kind)
     with np.errstate(all="ignore"):
         got = _outcome(lambda: _values(name, getattr(solving._view(), name)(*_ARGS[name])))
     assert got == want
-    assert vars(solving.counters) == vars(public.counters)
+    assert vars(solving.counters) == counters
     if kind == "row" and name in ("block_vjp", "row_norms_sq", "refresh_after_row"):
         assert want == ("non-finite gradient in row 1", 1)
 
 
 def test_hooks_are_checked():
     sys = _system_with_bad_row(-1, lambda idx, w, x: np.zeros(2), lambda x: np.zeros(3))
-    x = np.ones(3)
-    with pytest.raises(ValueError):
-        sys.block_vjp(np.array([0, 1]), np.ones(2), x)
-    with pytest.raises(ValueError):
-        sys.block_vjp(np.array([0, 1]), np.ones(3), x)
-    with pytest.raises(IndexError):
-        sys.block_vjp(np.array([4]), np.ones(1), x)
-    with pytest.raises(ValueError):
-        sys.row_norms_sq(x)
+    view, x = sys._view(), np.ones(3)
+    with pytest.raises(ValueError, match=r"^block_vjp has shape \(2,\)"):
+        view.block_vjp(np.array([0, 1]), np.ones(2), x)
+    with pytest.raises(ValueError, match=r"^row_norms_sq has shape \(3,\)"):
+        view.row_norms_sq(x)
     wide = NonlinearSystem(4, 3, lambda x: np.zeros(4), lambda i, x: np.zeros(3),
                            gradient_rows=lambda idx, x: np.zeros((len(idx), 4)))
     with pytest.raises(ValueError):
@@ -376,5 +403,6 @@ def test_dense_defaults_match_rows_and_jacobian(rng):
     idx = np.array([4, 1, 1])
     w = rng.normal(size=3)
     x = rng.normal(size=4)
-    assert np.array_equal(sys.block_vjp(idx, w, x), w @ A[idx])
-    assert np.array_equal(sys.row_norms_sq(x), np.einsum("ij,ij->i", A, A))
+    view = sys._view()
+    assert np.array_equal(view.block_vjp(idx, w, x)[0], w @ A[idx])
+    assert np.array_equal(view.row_norms_sq(x)[0], np.einsum("ij,ij->i", A, A))
