@@ -40,12 +40,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cells import WORKLOADS  # noqa: E402
+from nlkaczmarz import SolverConfig, get_problem, run  # noqa: E402
+from nlkaczmarz.cli import _initial_point  # noqa: E402
+from nlkaczmarz.solvers import RANDOM_ROW, Method  # noqa: E402
 from run import environment  # noqa: E402
 
 MANIFEST = ROOT / "benchmarks" / "histories.json"
 ENVIRONMENT = ("numpy", "blas", "blas_version", "blas_threads")
-DETERMINISTIC = ("ngabk", "mrnabk", "rbcnk", "newton")
-STOCHASTIC = ("nrk", "rdcnk")
+DETERMINISTIC = tuple(m.value for m in Method if m not in RANDOM_ROW)
+STOCHASTIC = tuple(m.value for m in RANDOM_ROW)
 SIZES = {"h-equation": (20, 50), "brown": (20, 30, 50), "broyden": (30, 50),
          "overdetermined": (20, 100)}
 SEEDS = range(4)
@@ -118,21 +121,12 @@ def digest(history, final_residual_sq):
 
 def capture(cells):
     """``{"problem/n/method/seed/x0": entry}`` for every cell, in key order."""
-    import numpy as np
-    from nlkaczmarz import SolverConfig, get_problem, run
-
     out = {}
     for problem, n, method, seed, x0 in cells:
         prob = get_problem(problem, n)
-        if x0 == "default":
-            start = prob.x0
-        elif x0 == "zeros":
-            start = np.zeros(prob.system.n)
-        else:
-            start = float(x0[len("const:"):]) * np.ones(prob.system.n)
         cfg = SolverConfig(method=method, seed=seed, max_iters=MAX_ITERS)
         try:
-            r = run(prob.system, start, cfg)
+            r = run(prob.system, _initial_point(x0, prob), cfg)
             status, iters, final, history, message = (
                 r.status.value, r.iters, r.final_residual_sq, r.history, r.message)
         except Exception as exc:  # recorded, so a check shows the change of outcome

@@ -444,7 +444,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()  # a closed stdout fails here rather than at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone: point stdout at the null device, so
+        # that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        print(f"nlkaczmarz: output cannot be written: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
     except (KeyError, ValueError) as exc:
         # a KeyError's str() is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -18,9 +18,6 @@ class BreakdownError(ArithmeticError):
     """The update direction was annihilated (division by ~0).
 
     Occurs at singular-Jacobian points where the step denominator
-    vanishes while the residual is still nonzero.
+    vanishes while the residual is still nonzero.  It carries its message
+    alone: ``run()``, which catches it, reports the iteration.
     """
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration

@@ -432,39 +432,25 @@ class Problem:
     params: Dict[str, float] = field(default_factory=dict)
 
 
-def _box(n: int, lo: float, hi: float) -> np.ndarray:
-    return np.tile([lo, hi], (n, 1)).astype(float)
-
-
-PROBLEM_NAMES = ("h-equation", "brown", "broyden", "overdetermined")
+# name -> (maker, the start's value in every entry, the sampling box's
+# [lo, hi] for every coordinate, the maker's parameters and their defaults)
+_PROBLEMS = {
+    "h-equation": (make_h_equation, 0.0, (0.0, 1.0), {"c": 0.9}),
+    "brown": (make_brown, 0.5, (0.25, 1.5), {}),
+    "broyden": (make_singular_broyden, -0.5, (-1.0, 0.0), {}),
+    "overdetermined": (make_overdetermined_rational, 0.0, (-0.5, 1.5), {}),
+}
+PROBLEM_NAMES = tuple(_PROBLEMS)
 
 
 def get_problem(name: str, n: int, params: Optional[Dict[str, float]] = None) -> Problem:
     """Build a registered problem by name with its default initial point."""
     params = dict(params or {})
-    if name == "h-equation":
-        c = float(params.pop("c", 0.9))
-        sys = make_h_equation(n, c)
-        x0 = np.zeros(n)
-        box = _box(n, 0.0, 1.0)
-        used = {"c": c}
-    elif name == "brown":
-        sys = make_brown(n)
-        x0 = 0.5 * np.ones(n)
-        box = _box(n, 0.25, 1.5)
-        used = {}
-    elif name == "broyden":
-        sys = make_singular_broyden(n)
-        x0 = -0.5 * np.ones(n)
-        box = _box(n, -1.0, 0.0)
-        used = {}
-    elif name == "overdetermined":
-        sys = make_overdetermined_rational(n)
-        x0 = np.zeros(n)
-        box = _box(n, -0.5, 1.5)
-        used = {}
-    else:
+    if name not in _PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; known: {PROBLEM_NAMES}")
+    make, start, box, defaults = _PROBLEMS[name]
+    used = {key: float(params.pop(key, value)) for key, value in defaults.items()}
+    sys, x0, box = make(n, **used), np.full(n, start), np.tile(box, (n, 1))
     if params:
         raise KeyError(f"unknown parameters for {name}: {sorted(params)}")
     return Problem(name=name, system=sys, x0=x0, sample_box=box, params=used)

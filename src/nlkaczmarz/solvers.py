@@ -143,10 +143,10 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
     return BlockSelection(indices=idx, threshold=float(threshold))
 
 
-def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, k: int = 0) -> BlockSelection:
+def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray) -> BlockSelection:
     """Capped selection at x, whose residual is fx, weighted by row-gradient norms,
     which cost one full Jacobian (the system's checked ``_eval_row_norms``,
-    which hands them over with their sum); a breakdown names iteration k.
+    which hands them over with their sum).
 
     I = { i : f_i^2 >= delta ||f||^2 ||grad f_i||^2 } with
     delta = (max_i (f_i^2/||grad f_i||^2) / ||f||^2 + 1/||f'||_F^2) / 2.
@@ -161,53 +161,51 @@ def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray, k: int = 0
         raise ValueError(kernels.ZERO_RESIDUAL)
     x = sys._point(x)
     with np.errstate(all="ignore"):
-        idx, delta = _capped(fx, *sys._eval_row_norms(x), k)
+        idx, delta = _capped(fx, *sys._eval_row_norms(x))
     return BlockSelection(indices=idx, threshold=float(delta))
 
 
-def _capped(fx, w, w_sum, k):
-    """``select_rdcnk``'s (set, threshold) at iteration k, from the residual
-    fx != 0, the squared row norms w and their sum."""
+def _capped(fx, w, w_sum):
+    """``select_rdcnk``'s (set, threshold) from the residual fx != 0, the
+    squared row norms w and their sum."""
     a2 = fx * fx
     r2 = np.add.reduce(a2)
     if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
-        raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=k)
+        raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined")
     top = np.maximum.reduce(a2 / w)
     if not math.isfinite(top):
         zero_grad = (w == 0.0) & (a2 > 0.0)
         if zero_grad.any():
             return zero_grad.nonzero()[0], math.inf
         if not w.any():
-            raise BreakdownError("all row gradients are zero", iteration=k)
+            raise BreakdownError("all row gradients are zero")
         top = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0).max()
     delta = 0.5 * (top / r2 + 1.0 / w_sum)
     # a2 is >= 0 or nan, so a2 >= max(t, 5e-324) is a2 >= t and a2 > 0
     idx = (a2 >= np.maximum(delta * r2 * w, 5e-324)).nonzero()[0]
     if idx.size == 0:  # equal ratios: the largest can miss delta by rounding
-        raise BreakdownError("capped selection is empty", iteration=k)
+        raise BreakdownError("capped selection is empty")
     return idx, delta
 
 
 # -- single steps: one per method, called by run()'s step closures -----
 
 
-def _averaged(sys, x, fx, idx, k):
+def _averaged(sys, x, fx, idx):
     """(x + (||f_tau||^2 / ||d||^2) d with d = -J_tau^T f_tau, its residual
     and ||f||^2, |tau|)."""
     f_tau = fx[idx]
     v, nd2 = sys.block_vjp(idx, f_tau, x)  # v = -d
     s2 = float(f_tau.dot(f_tau))
     if not (math.isfinite(s2) and math.isfinite(nd2)):  # finite entries, overflowing squares
-        raise BreakdownError(f"||f_tau||^2 = {s2}, ||d||^2 = {nd2}: the step length is undefined",
-                             iteration=k)
+        raise BreakdownError(f"||f_tau||^2 = {s2}, ||d||^2 = {nd2}: the step length is undefined")
     if nd2 < BREAKDOWN_EPS:
-        raise BreakdownError("block direction annihilated (singular Jacobian rows)",
-                             iteration=k)
+        raise BreakdownError("block direction annihilated (singular Jacobian rows)")
     x = x - (s2 / nd2) * v
     return (x, *sys.residual(x), len(idx))
 
 
-def _sample_row(fx, r2, u, k) -> int:
+def _sample_row(fx, r2, u) -> int:
     """NumPy's ``rng.choice(len(fx), p=fx*fx/r2)`` done inline, for the
     uniform draw u that ``choice`` takes with ``rng.random()``: the same row
     from the same stream, with a finite r2 in place of its validation of p.
@@ -218,7 +216,7 @@ def _sample_row(fx, r2, u, k) -> int:
     without dividing all of cdf by t, and then stepped to: a rounded u * t
     can land a row off, and cdf[j] / t is monotone in cdf[j]."""
     if not math.isfinite(r2):
-        raise BreakdownError(f"||f||^2 = {r2}: the row weights are undefined", iteration=k)
+        raise BreakdownError(f"||f||^2 = {r2}: the row weights are undefined")
     cdf = np.add.accumulate(fx * fx / r2)
     last = len(cdf) - 1
     t = cdf[last]
@@ -230,7 +228,7 @@ def _sample_row(fx, r2, u, k) -> int:
     return j
 
 
-def _projected(sys, x, fx, i, k, w=None):
+def _projected(sys, x, fx, i, w=None):
     """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual and
     ||f||^2, its row norms and their sum or None), refreshed on the rows
     that read row i's columns from fx and, when given, the row norms w at
@@ -241,26 +239,26 @@ def _projected(sys, x, fx, i, k, w=None):
     component; no step reads one, as a selected row has f_i != 0.)"""
     g, g2 = sys.row_gradient(i, x)
     if g2 < BREAKDOWN_EPS:
-        raise BreakdownError(f"zero gradient in selected row {i}", iteration=k)
+        raise BreakdownError(f"zero gradient in selected row {i}")
     # Python floats: g2 >= BREAKDOWN_EPS, so the division cannot raise
     x = x - (fx.item(i) / float(g2)) * g
     (fx, r2), norms = sys.refresh_after_row(i, x, fx, w)
     return x, fx, r2, norms
 
 
-def rbcnk_step(sys, x: np.ndarray, fx: np.ndarray, idx: np.ndarray,
-               k: int) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(x + G^+ (-f_tau), its residual, ||f||^2), evaluated through a solve's
-    view ``sys``: the minimum-norm least-squares step on the block idx, G
-    its gradient rows (``_min_norm``)."""
+def rbcnk_step(sys, x: np.ndarray, fx: np.ndarray,
+               idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float, int]:
+    """(x + G^+ (-f_tau), its residual and ||f||^2, |tau|), evaluated
+    through a solve's view ``sys``: the minimum-norm least-squares step on
+    the block idx, G its gradient rows (``_min_norm``)."""
     G = sys.gradient_rows(idx, x)
     if not G.any():
-        raise BreakdownError("selected block has all-zero gradients", iteration=k)
-    x = x + _min_norm(G, -fx[idx], k)
-    return (x, *sys.residual(x))
+        raise BreakdownError("selected block has all-zero gradients")
+    x = x + _min_norm(G, -fx[idx])
+    return (x, *sys.residual(x), len(idx))
 
 
-def _min_norm(G, b, k):
+def _min_norm(G, b):
     """G^+ b, without an SVD where a cheaper form is certified.  One row: the
     projection (b / ||g||^2) g, when ||g||^2 is a finite normal number.  A
     block: a d = G^T y, accepted when max|G d - b| <= GRAM_RTOL max|b|; d
@@ -287,7 +285,7 @@ def _min_norm(G, b, k):
             # a non-finite d leaves a non-finite residual, which fails the test
             if np.abs(G @ d - b).max() <= tol:
                 return d
-    return _lstsq(G, b, k)
+    return _lstsq(G, b)
 
 
 def _craig(G, b, tol):
@@ -317,11 +315,11 @@ def _craig(G, b, tol):
     return None
 
 
-def _lstsq(A, b, k):
+def _lstsq(A, b):
     try:
         return np.linalg.lstsq(A, b, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
-        raise BreakdownError(f"least-squares factorization failed: {exc}", iteration=k) from exc
+        raise BreakdownError(f"least-squares factorization failed: {exc}") from exc
 
 
 # methods that draw their rows at random: the only ones a seed changes, and
@@ -332,44 +330,43 @@ _DRAW_BLOCK = 1024  # NRK's uniform draws taken from the stream per call
 
 def _step(sys, method, rho, rng):
     """``run()``'s step for one solve, on its view ``sys``: (x, fx,
-    ||fx||^2, k) -> (x_{k+1}, f(x_{k+1}), ||f(x_{k+1})||^2, block size),
+    ||fx||^2) -> (the next x, its residual and ||f||^2, block size),
     drawing from rng (None for the methods outside ``RANDOM_ROW``), calling
     the selections and ``rbcnk_step`` by module lookup, so that a wrapper
     set on the module sees each call.
     RD-CNK's step keeps its iterate's row norms, which the projection
     refreshes; it computes them all at its first step or without a hook."""
     if method is Method.NGABK:
-        def step(x, fx, r2, k):
-            return _averaged(sys, x, fx, select_ngabk(fx).indices, k)
+        def step(x, fx, r2):
+            return _averaged(sys, x, fx, select_ngabk(fx).indices)
     elif method is Method.MRNABK:
-        def step(x, fx, r2, k):
-            return _averaged(sys, x, fx, select_mrnabk(fx, rho).indices, k)
+        def step(x, fx, r2):
+            return _averaged(sys, x, fx, select_mrnabk(fx, rho).indices)
     elif method is Method.NRK:
         draws = []  # the stream's next uniforms, the next one last
 
-        def step(x, fx, r2, k):
+        def step(x, fx, r2):
             if not draws:
                 draws.extend(rng.random(_DRAW_BLOCK)[::-1].tolist())
-            x, fx, r2, _ = _projected(sys, x, fx, _sample_row(fx, r2, draws.pop(), k), k)
+            x, fx, r2, _ = _projected(sys, x, fx, _sample_row(fx, r2, draws.pop()))
             return x, fx, r2, 1
     elif method is Method.RDCNK:
         norms = None  # (the row norms, their sum) at the step's x, once refreshed
 
-        def step(x, fx, r2, k):
+        def step(x, fx, r2):
             nonlocal norms
             w, w_sum = sys.row_norms_sq(x) if norms is None else norms
-            rows = _capped(fx, w, w_sum, k)[0]
+            rows = _capped(fx, w, w_sum)[0]
             # the same draw and stream as rng.integers(len(rows)), at half the call cost
             i = int(rows[rng.integers(0, len(rows))])
-            x, fx, r2, norms = _projected(sys, x, fx, i, k, w)
+            x, fx, r2, norms = _projected(sys, x, fx, i, w)
             return x, fx, r2, 1
     elif method is Method.RBCNK:
-        def step(x, fx, r2, k):
-            idx = select_ngabk(fx).indices
-            return (*rbcnk_step(sys, x, fx, idx, k), len(idx))
+        def step(x, fx, r2):
+            return rbcnk_step(sys, x, fx, select_ngabk(fx).indices)
     else:
-        def step(x, fx, r2, k):
-            x = x + _lstsq(sys.jacobian(x), -fx, k)
+        def step(x, fx, r2):
+            x = x + _lstsq(sys.jacobian(x), -fx)
             return (x, *sys.residual(x), sys.m)
     return step
 
@@ -421,7 +418,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
             if k >= max_iters:
                 return report(Status.MAX_ITERS, k, r2)
             try:
-                x_new, fx, r2_new, block_size = step(x, fx, r2, k)
+                x_new, fx, r2_new, block_size = step(x, fx, r2)
             except (BreakdownError, DomainError) as exc:
                 return report(Status.BREAKDOWN, k, r2, str(exc))
             dx = x_new - x

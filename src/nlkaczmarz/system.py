@@ -180,16 +180,16 @@ class NonlinearSystem:
 
     def _view(self) -> SimpleNamespace:
         """The evaluations that ``run()`` makes in one solve, inside its own
-        ``np.errstate``: ``m``, ``n`` and each evaluation method under its
-        name.  Five are the ``_eval_*`` methods, which return each value with
-        the sum that checked it; ``run()`` passes them the points and rows
-        it made and checked.  ``residual`` and ``row_gradient`` are also
+        ``np.errstate``: ``m`` and each evaluation method under its name.
+        Five are the ``_eval_*`` methods, which return each value with the
+        sum that checked it; ``run()`` passes them the points and rows it
+        made and checked.  ``residual`` and ``row_gradient`` are also
         public methods, which check their arguments first; ``block_vjp``,
         ``row_norms_sq`` and ``refresh_after_row`` are reached here alone.
         ``gradient_rows`` and ``jacobian`` are the system's own, looked up
         now, so that a wrapper set on the instance is the one called."""
         return SimpleNamespace(
-            m=self.m, n=self.n, residual=self._eval_residual,
+            m=self.m, residual=self._eval_residual,
             refresh_after_row=self._eval_refresh, row_gradient=self._eval_row_gradient,
             gradient_rows=self.gradient_rows, jacobian=self.jacobian,
             block_vjp=self._eval_block_vjp, row_norms_sq=self._eval_row_norms)

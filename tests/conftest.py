@@ -23,13 +23,14 @@ def make_affine(A, b):
     )
 
 
-def fresh_interpreter(*args):
-    """A new interpreter run with ``args``, importing this checkout's package."""
+def fresh_interpreter(*args, stdout=subprocess.PIPE):
+    """A new interpreter run with ``args``, importing this checkout's package;
+    its stdout goes to ``stdout`` (captured by default), its stderr is captured."""
     src = Path(nlkaczmarz.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
 
 
 @pytest.fixture

@@ -166,8 +166,8 @@ def test_criterion_8_property_suite():
         fx = sys5.residual(x)
         i = int(rng.integers(5))
         with np.errstate(all="ignore"):
-            blk = _averaged(view5, x, fx, np.array([i], dtype=np.intp), 0)[0]
-            single = _projected(view5, x, fx, i, 0)[0]
+            blk = _averaged(view5, x, fx, np.array([i], dtype=np.intp))[0]
+            single = _projected(view5, x, fx, i)[0]
         assert np.allclose(blk, single, rtol=1e-12)
 
     # greedy threshold never below the uniform share 1/m

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 from collections import Counter
 
@@ -166,6 +167,26 @@ def test_an_allocation_numpy_refuses_exits_4_in_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err == "nlkaczmarz: the problem does not fit in memory: Unable to allocate 74.5 GiB\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "brown", "--n", "10", "--method", "ngabk"),
+    ("bench", "--suite", "brown", "--sizes", "10", "--repeats", "1"),
+    ("rho-sweep", "--sizes", "10", "--rhos", "0.5"),
+    ("diagnose", "--problem", "brown", "--n", "5", "--pairs", "2"),
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_exits_2_in_one_line(argv):
+    # as `nlkaczmarz ... | head` does once head has gone: the pipe's read end
+    # is closed before the command writes, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = fresh_interpreter("-m", "nlkaczmarz.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == "nlkaczmarz: output cannot be written: [Errno 32] Broken pipe\n"
+    assert "Traceback" not in done.stderr
 
 
 def test_diagnose_rejects_single_row_method(capsys):

@@ -142,7 +142,7 @@ def test_rdcnk_zero_gradient_row_dominates():
 # -- RD-CNK selection against its earlier form -----------------------------
 
 
-def _select_rdcnk_reference(sys, x, fx, k):
+def _select_rdcnk_reference(sys, x, fx):
     """The capped selection as written before it took fewer passes: a full
     ``fx.any()`` and ``w.all()`` on every call, the ratios formed in either
     branch and the indices copied to intp."""
@@ -153,7 +153,7 @@ def _select_rdcnk_reference(sys, x, fx, k):
         a2 = fx * fx
         r2 = a2.sum()
         if not math.isfinite(r2):
-            raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined", iteration=k)
+            raise BreakdownError(f"||f||^2 = {r2}: the threshold is undefined")
         if w.all():
             ratio = a2 / w
         else:
@@ -162,12 +162,12 @@ def _select_rdcnk_reference(sys, x, fx, k):
                 return BlockSelection(indices=np.flatnonzero(zero_grad).astype(np.intp),
                                       threshold=float("inf"))
             if not w.any():
-                raise BreakdownError("all row gradients are zero", iteration=k)
+                raise BreakdownError("all row gradients are zero")
             ratio = np.divide(a2, w, out=np.zeros_like(a2), where=w > 0.0)
         delta = 0.5 * (ratio.max() / r2 + 1.0 / w.sum())
         idx = np.flatnonzero((a2 >= delta * r2 * w) & (a2 > 0.0)).astype(np.intp)
         if idx.size == 0:
-            raise BreakdownError("capped selection is empty", iteration=k)
+            raise BreakdownError("capped selection is empty")
         return BlockSelection(indices=idx, threshold=float(delta))
 
 
@@ -204,24 +204,24 @@ def _rdcnk_cases(draw):
             w[:] = 0.0
         elif kind == "zero-residual":
             fx[:] = 0.0
-    return fx, w, draw(st.integers(0, 99))
+    return fx, w
 
 
-def _outcome(select, sys, x, fx, k):
+def _outcome(select, sys, x, fx):
     try:
-        sel = select(sys, x, fx, k)
+        sel = select(sys, x, fx)
     except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "iteration", None), getattr(exc, "index", None)
+        return type(exc), str(exc), getattr(exc, "index", None)
     return (sel.indices.dtype, sel.indices.tolist(), struct.pack("<d", sel.threshold))
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(case=_rdcnk_cases())
 def test_rdcnk_selection_matches_the_reference(case):
-    fx, w, k = case
+    fx, w = case
     sys = _norms_system(w)
     x = np.zeros(1)
-    assert _outcome(select_rdcnk, sys, x, fx, k) == _outcome(_select_rdcnk_reference, sys, x, fx, k)
+    assert _outcome(select_rdcnk, sys, x, fx) == _outcome(_select_rdcnk_reference, sys, x, fx)
 
 
 def test_rdcnk_selection_kinds_are_reached():
@@ -237,7 +237,7 @@ def test_rdcnk_selection_kinds_are_reached():
         (np.full(3, 0.7), np.ones(3), BreakdownError),  # tied ratios
     ]
     for fx, w, raises in cases:
-        outcome = _outcome(select_rdcnk, _norms_system(w), one, fx, 0)
+        outcome = _outcome(select_rdcnk, _norms_system(w), one, fx)
         assert outcome[0] is (raises or np.dtype(np.intp))
 
 

@@ -38,7 +38,7 @@ def _block_step(A, b):
     x = np.zeros(A.shape[1])
     # a Gram that overflows or underflows warns outside run()'s floating-point scope
     with np.errstate(all="ignore"):
-        return rbcnk_step(sys._view(), x, sys.residual(x), np.arange(len(A)), 0)[0]
+        return rbcnk_step(sys._view(), x, sys.residual(x), np.arange(len(A)))[0]
 
 
 def test_single_affine_equation_one_projection():
@@ -66,8 +66,8 @@ def test_singleton_block_reduces_to_nrk(index, rng):
     # the steps evaluate through a solve's view, inside run()'s floating-point scope
     view = sys._view()
     with np.errstate(all="ignore"):
-        blocked = _averaged(view, x, fx, _rows(index), 0)[0]
-        single = _projected(view, x, fx, index, 0)[0]
+        blocked = _averaged(view, x, fx, _rows(index))[0]
+        single = _projected(view, x, fx, index)[0]
     assert np.allclose(blocked, single, rtol=1e-14, atol=0.0)
 
 
@@ -87,7 +87,7 @@ def test_breakdown_on_annihilated_direction():
     # f(x) = x^2 - 1 has zero gradient at x = 0 with residual -1
     sys = NonlinearSystem(1, 1, lambda x: x * x - 1.0, lambda i, x: 2.0 * x)
     with pytest.raises(BreakdownError), np.errstate(all="ignore"):
-        _averaged(sys._view(), np.zeros(1), sys.residual(np.zeros(1)), _rows(0), 0)
+        _averaged(sys._view(), np.zeros(1), sys.residual(np.zeros(1)), _rows(0))
     report = run(sys, np.zeros(1), SolverConfig(method=Method.NGABK))
     assert report.status.value == "breakdown"
     assert report.iters == 0
@@ -97,7 +97,7 @@ def test_nrk_affine_row_zeroed_after_step(rng):
     A = rng.normal(size=(4, 3))
     sys = make_affine(A, rng.normal(size=4))
     with np.errstate(all="ignore"):
-        _, fx, _, _ = _projected(sys._view(), np.zeros(3), sys.residual(np.zeros(3)), 2, 0)
+        _, fx, _, _ = _projected(sys._view(), np.zeros(3), sys.residual(np.zeros(3)), 2)
     assert fx[2] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -117,7 +117,7 @@ def test_rbcnk_singleton_reduces_to_nrk(rng):
     fx = sys.residual(x)
     view = sys._view()
     with np.errstate(all="ignore"):
-        blocked, single = rbcnk_step(view, x, fx, _rows(3), 0)[0], _projected(view, x, fx, 3, 0)[0]
+        blocked, single = rbcnk_step(view, x, fx, _rows(3))[0], _projected(view, x, fx, 3)[0]
     assert np.allclose(blocked, single, rtol=1e-12)
 
 
@@ -305,7 +305,7 @@ def test_newton_step_is_zero_at_root():
     sys = make_brown(4)
     step = _step(sys._view(), Method.NEWTON, 0.1, None)
     with np.errstate(all="ignore"):
-        x, _, _, size = step(np.ones(4), sys.residual(np.ones(4)), 0.0, 0)
+        x, _, _, size = step(np.ones(4), sys.residual(np.ones(4)), 0.0)
     assert np.allclose(x, np.ones(4), atol=1e-12)
     assert size == 4
 
