@@ -386,9 +386,22 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (JSON for solve/diagnose, CSV for tables)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that lets a failed write to stdout raise, where
+    argparse drops the OSError, so that ``--help`` on a closed stdout ends in
+    main()'s exit 2 rather than in silence.  ``add_subparsers`` makes its
+    subparsers of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message and file is _sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nlkaczmarz",
-                                     description="Averaged block nonlinear Kaczmarz benchmark harness")
+    parser = _Parser(prog="nlkaczmarz",
+                     description="Averaged block nonlinear Kaczmarz benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one solver on one problem")
@@ -441,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         _sys.stdout.flush()  # a closed stdout fails here rather than at exit
         return code

@@ -7,13 +7,14 @@ norms, computed from the nonzeros alone with index arithmetic and
 ``np.bincount``.  The dense H-equation supplies the block product without
 forming the gradient rows, and the row norms in closed form from one product
 K x and the kernel's row norms and diagonal.  Its products with the kernel
-over all rows, in the residual, the row norms and the block product, are
-real-FFT convolutions from N = ``FFT_MIN_N`` on, and dense below.  From
-``FFT_MIN_N`` on the three share the last product K x, kept with the bytes
-of its x, so an averaged step reads the K x_k that the residual at x_k
+over all rows, in the residual, the row norms and the block product, go
+through a rank-r factor of the kernel's Hankel part from N =
+``LOWRANK_MIN_N`` on, in O(N r), and are dense below.  From
+``LOWRANK_MIN_N`` on the three share the last product K x, kept with the
+bytes of its x, so an averaged step reads the K x_k that the residual at x_k
 computed, and the dense K, its row norms and its diagonal are built on the
 first evaluation that reads one of them, so NGABK and MRNABK, which never
-do, run in O(N) memory.  Broyden and the overdetermined system, whose
+do, run in O(N r) memory.  Broyden and the overdetermined system, whose
 rows read at most three neighbouring columns, also refresh the residual and
 the row norms after a single-row step in one pass over the rows that read
 that row's columns.
@@ -33,11 +34,53 @@ from .system import NonlinearSystem
 
 
 # the H-equation size from which a product with the kernel over all its rows
-# is a real-FFT convolution instead of the dense K @ y (make_h_equation): the
-# first measured size at which the transform was the faster in every run, on
-# a 2-vCPU x86-64 VM with one BLAS thread (at N = 400 they tied near 22 us,
-# at N = 450 the dense product took 24-26 us and the transform 21-23 us)
-FFT_MIN_N = 450
+# goes through the low-rank factor of its Hankel part instead of the dense
+# K @ y (make_h_equation): the first measured size at which NGABK's and
+# MRNABK's steps were the faster with the factor in most of 40 alternated
+# solves each, on a 2-vCPU x86-64 VM with one BLAS thread (at N = 150 and
+# 175 they tied near 40 us per step, at N = 200 the factor won 30 and 38)
+LOWRANK_MIN_N = 200
+
+# the largest diagonal entry of H - F^T F at which _hankel_factor stops.  It
+# moves (K y)_p by at most (p + 1/2) LOWRANK_TOL ||y||_1, at most half the
+# bound N eps (|K| |y|)_p on the dense product's rounding, as every
+# K_pq >= (p + 1/2)/(2N)
+LOWRANK_TOL = np.finfo(float).eps / 4
+
+
+def _hankel_factor(N: int) -> np.ndarray:
+    """F, r x N, with H = F^T F within LOWRANK_TOL in every entry, where
+    H_pq = h_{p+q}, h_k = 1/(k + 1), is the Hankel part of the H-equation's
+    kernel.
+
+    Diagonal-pivoted Cholesky (Harbrecht, Peters & Schneider, Appl. Numer.
+    Math. 62, 2012) on the columns h[j:j + N] of H, which it never forms:
+    each step takes the largest diagonal entry of H - F^T F as its pivot,
+    and it stops once that entry is at most LOWRANK_TOL, which then bounds
+    every entry, since H - F^T F is positive semidefinite.  H's singular
+    values decay geometrically (Beckermann & Townsend, SIAM J. Matrix Anal.
+    Appl. 38, 2017), so r grows as log N: 23 at N = 200, 26 at 500, 31 at
+    2000 and 43 at 100 000.
+    """
+    h = 1.0 / np.arange(1.0, 2 * N)
+    d = h[::2].copy()  # the diagonal of H - F^T F
+    # room for 64 rows, more than r up to N ~ 1e8 (r gains about 2 each time N
+    # doubles); only the rows written take up memory, as the untouched pages
+    # of a large allocation are not resident
+    F = np.empty((min(N, 64), N))
+    r = 0
+    for _ in range(N):
+        j = int(np.argmax(d))
+        if d[j] <= LOWRANK_TOL:
+            break
+        if r == len(F):
+            F = np.concatenate((F, np.empty_like(F)))
+        f = F[r]
+        np.subtract(h[j:j + N], F[:r, j] @ F[:r], out=f)
+        f /= np.sqrt(d[j])
+        d -= f * f
+        r += 1
+    return F[:r]
 
 
 def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
@@ -48,18 +91,18 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     raises DomainError through the evaluation layer.
 
     The kernel K_pq = mu_p / (mu_p + mu_q) = (p + 1/2) / (p + q + 1) is a
-    diagonal times a Hankel matrix.  From N = ``FFT_MIN_N`` on, the
+    diagonal times a Hankel matrix H.  From N = ``LOWRANK_MIN_N`` on, the
     residual, the row norms and the block product multiply by it over all
-    rows with one real-FFT convolution, O(N log N), whose relative error is
-    about 1e-15 of the norms in place of the dense product's rounding; an
-    input too large for the transform takes ``K @ y``.  That product is
-    kept, read-only, with the bytes of its input until the next different
-    input, so the three evaluations at one point compute it once.  The
-    single and block gradient rows are always rows of K.
+    rows through a factor F, r x N with r from 23 at N = 200 to 43 at 100 000,
+    whose F^T F matches H within ``LOWRANK_TOL`` in every entry
+    (``_hankel_factor``), in O(N r) time and memory.  That product is kept,
+    read-only, with the bytes of its input until the next different input,
+    so the three evaluations at one point compute it once.  The single and
+    block gradient rows are always rows of K.
 
     K, its row norms and its diagonal are built with the system below
-    ``FFT_MIN_N``, and from it on by the first evaluation that reads one (a
-    gradient row, the row norms, or the dense product), once, under a lock.
+    ``LOWRANK_MIN_N``, and from it on by the first evaluation that reads one
+    (a gradient row or the row norms), once, under a lock.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -75,7 +118,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         return K, np.einsum("ij,ij->i", K, K), K.diagonal().copy()
 
     # (K, its row norms, its diagonal), or None until kernel() first builds it
-    dense = build() if N < FFT_MIN_N else None
+    dense = build() if N < LOWRANK_MIN_N else None
     lock = threading.Lock()
 
     def kernel():
@@ -86,29 +129,15 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
                     dense = build()
         return dense
 
-    if N < FFT_MIN_N:
+    if N < LOWRANK_MIN_N:
         K = dense[0]
 
         def kernel_product(y):
             return K @ y
     else:
-        from numpy.fft import irfft, rfft
-
-        # K = diag(p + 1/2) H with H_pq = h_{p+q}, h_k = 1/(k + 1) for
-        # k < 2N - 1, so H y is entries N-1 .. 2N-2 of the convolution of h
-        # with y reversed, which a cyclic one of length L >= 2N - 1 holds
-        h = 1.0 / np.arange(1.0, 2 * N)
-        L = 1 << (2 * N - 2).bit_length()
-        h_hat = rfft(h, L)
+        # K = diag(p + 1/2) H with H = F^T F
+        F = _hankel_factor(N)
         half = np.arange(N) + 0.5
-        # every value the transforms form is at most L N sum(h) max|y|: rfft's
-        # are at most sum|y| <= N max|y|, |h_hat| <= sum(h), and irfft's are
-        # sums of L products before its 1/L.  Half the largest float over that
-        # leaves room for the rounding, so a smaller max|y| overflows nothing.
-        y_max = np.finfo(float).max / (2.0 * L * N * h.sum())
-
-        def hankel(y):
-            return irfft(rfft(y[::-1], L) * h_hat, L)[N - 1:2 * N - 1]
 
         # the last (y.tobytes(), K y), so that the residual at x_k and the
         # next step's block product share K x_k.  Equal bytes are an equal
@@ -121,8 +150,7 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
             key = y.tobytes()
             seen, ky = last
             if key != seen:
-                # an entry above y_max, a nan or an inf takes the dense product
-                ky = kernel()[0] @ y if not np.abs(y).max() <= y_max else half * hankel(y)
+                ky = half * (F.T @ (F @ y))
                 ky.flags.writeable = False
                 last = (key, ky)
             return ky
@@ -151,12 +179,14 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     def block_vjp(idx, w, x):
         # sum_i w_i (a_i K_i + e_i)
         v = np.bincount(idx, w, minlength=N)
-        if N < FFT_MIN_N:  # from one gather of the rows of K
+        if N < LOWRANK_MIN_N:  # from one gather of the rows of K
             Kt = K[idx]
             return v + (w * _row_scale(Kt @ x)) @ Kt
-        # sum_i w_i a_i K_i = H u, u = sum_i w_i a_i (i + 1/2) e_i: no row of K
+        # sum_i w_i a_i K_i = H u, u = sum_i w_i a_i (i + 1/2) e_i: no row of K,
+        # and no gather of F's columns, which for a block of most rows would
+        # copy most of F
         a = _row_scale(kernel_product(x)[idx])
-        return v + hankel(np.bincount(idx, w * a * (idx + 0.5), minlength=N))
+        return v + F.T @ (F @ np.bincount(idx, w * a * (idx + 0.5), minlength=N))
 
     def row_norms_sq(x):
         # ||a_i K_i + e_i||^2 = a_i^2 ||K_i||^2 + 2 a_i K_ii + 1, from one

@@ -174,7 +174,9 @@ def test_an_allocation_numpy_refuses_exits_4_in_one_line(monkeypatch, capsys):
     ("bench", "--suite", "brown", "--sizes", "10", "--repeats", "1"),
     ("rho-sweep", "--sizes", "10", "--rhos", "0.5"),
     ("diagnose", "--problem", "brown", "--n", "5", "--pairs", "2"),
-], ids=lambda argv: argv[0])
+    ("--help",),
+    ("solve", "--help"),
+], ids=lambda argv: " ".join(argv) if "--help" in argv else argv[0])
 def test_a_closed_stdout_exits_2_in_one_line(argv):
     # as `nlkaczmarz ... | head` does once head has gone: the pipe's read end
     # is closed before the command writes, so its first write fails

@@ -20,7 +20,7 @@ from nlkaczmarz import (
     make_singular_broyden,
     run,
 )
-from nlkaczmarz.problems import FFT_MIN_N, PROBLEM_NAMES
+from nlkaczmarz.problems import LOWRANK_MIN_N, LOWRANK_TOL, PROBLEM_NAMES, _hankel_factor
 from nlkaczmarz.system import NonlinearSystem
 
 
@@ -148,7 +148,8 @@ def _sparse_row_points(problem, rng):
 
 
 # every structured problem at n = 9 and 40, and the H-equation at both c at
-# a size whose products with the kernel are transforms (FFT_MIN_N <= 500)
+# a size whose products with the kernel go through the factor of its Hankel
+# part (LOWRANK_MIN_N <= 500)
 VJP_CASES = [pytest.param(name, params, n, id=f"{name}-params{j}-{n}")
              for n in (9, 40) for j, (name, params) in enumerate(STRUCTURED_PROBLEMS)]
 VJP_CASES += [pytest.param(name, params, 500, id=f"{name}-params{j}-500")
@@ -286,7 +287,7 @@ def test_broyden_gradient_rows_bitwise_equal_to_the_full_g(n, rng):
 def test_h_equation_row_norms_match_the_dense_default(n, c, rng):
     # the closed form a_i^2 ||K_i||^2 + 2 a_i K_ii + 1 against the sum of
     # squares of the dense rows, inside and outside the sampling box; at
-    # n = 500 its K x is a transform (FFT_MIN_N <= 500)
+    # n = 300 and 500 its K x goes through the factor (LOWRANK_MIN_N <= 300)
     sys = make_h_equation(n, c)
     dense = NonlinearSystem(n, n, sys.residual, sys.row_gradient, gradient_rows=sys.gradient_rows)
     eps = np.finfo(float).eps
@@ -298,34 +299,62 @@ def test_h_equation_row_norms_match_the_dense_default(n, c, rng):
 
 
 def test_h_equation_residual_by_transform_matches_the_dense_product(rng):
-    # At N >= FFT_MIN_N, K x = (p + 1/2) (H x)_p, H_pq = h_{p+q} with
-    # h_k = 1/(k + 1), from real FFTs of length L = 2^t.  By Higham's bound
-    # (Accuracy and Stability of Numerical Algorithms, Thm 24.2) a computed
-    # FFT errs by at most r = t eta times the 2-norm of the exact one, with
-    # eta = u + gamma_4 (sqrt(2) + u) <= 4 eps for accurate twiddles.  With
-    # |h_hat| <= S = sum(h) and |x_hat| <= ||x||_1, the transforms of x and
-    # h, their product (1.5 eps) and the inverse leave
-    #   ||H x - fl(H x)||_2 <= E = r (2 S ||x||_2 + ||x||_1 ||h||_2) + 1.5 eps S ||x||_2.
+    # At N >= LOWRANK_MIN_N, K x = (p + 1/2) (F^T (F x))_p, where every entry
+    # of H - F^T F is at most LOWRANK_TOL (H_pq = 1/(p + q + 1)), so the
+    # factor moves (H x)_p by at most LOWRANK_TOL ||x||_1, and its two
+    # products, F x over N terms and F^T (F x) over r, round by at most
+    #   1.01 (N + r) eps (|F|^T |F| |x|)_p.
     # The dense K x errs by at most N eps |K| |x|, each of the two scalings
     # by eps, and g = 1/(1 - s) moves by |ds| g^2 to first order (1.01 covers
     # the rest); rounding g and x - g adds at most 4 eps (|x| + |g|).
     N = 500
-    assert FFT_MIN_N <= N
+    assert LOWRANK_MIN_N <= N
     K, coef = _h_kernel(N)
     eps = np.finfo(float).eps
-    L = 1 << (2 * N - 2).bit_length()
-    h = 1.0 / np.arange(1.0, 2 * N)
-    r = np.log2(L) * 4 * eps
+    F = np.abs(_hankel_factor(N))
+    half = np.arange(N) + 0.5
     sys = make_h_equation(N)
     for scale in (1.0, 1.0, 3.0, -5.0):
         x = scale * rng.uniform(0.0, 1.0, size=N)
         s = coef * (K @ x)
         g = 1.0 / (1.0 - s)
-        E = r * (2 * h.sum() * np.linalg.norm(x) + np.abs(x).sum() * np.linalg.norm(h)) \
-            + 1.5 * eps * h.sum() * np.linalg.norm(x)
-        ds = coef * ((np.arange(N) + 0.5) * E + N * eps * (K @ np.abs(x))) + 2 * eps * np.abs(s)
+        E = LOWRANK_TOL * np.abs(x).sum() + 1.01 * (N + len(F)) * eps * (F.T @ (F @ np.abs(x)))
+        ds = coef * (half * E + N * eps * (K @ np.abs(x))) + 2 * eps * np.abs(s)
         bound = 1.01 * ds * g * g + 4 * eps * (np.abs(x) + np.abs(g))
         assert (np.abs(sys.residual(x) - (x - g)) <= bound).all()
+
+
+@pytest.mark.parametrize("N,rank", [(LOWRANK_MIN_N, 23), (500, 26), (2000, 31)])
+def test_h_equation_hankel_factor_is_within_its_tolerance_of_every_entry(N, rank):
+    # against the explicit H_pq = 1/(p + q + 1), with F^T F summed in long
+    # double, whose rounding r u (|F|^T |F|)_pq is below LOWRANK_TOL where
+    # long double is wider than a double; the measured ranks are ceilings,
+    # so that a pivot rule that needs more rows fails
+    F = _hankel_factor(N)
+    r = len(F)
+    assert F.shape == (r, N) and 0 < r <= rank
+    h = 1.0 / np.arange(1.0, 2 * N)
+    wide = F.astype(np.longdouble)
+    u = np.finfo(np.longdouble).eps
+    for lo in range(0, N, 250):
+        rows = np.arange(lo, min(lo + 250, N))
+        err = np.abs(h[rows[:, None] + np.arange(N)] - wide[:, rows].T @ wide)
+        bound = LOWRANK_TOL + 1.01 * r * u * (np.abs(F[:, rows]).T @ np.abs(F))
+        assert (err <= bound).all()
+
+
+def test_h_equation_hankel_factor_below_its_rounding_takes_all_n_rows(monkeypatch):
+    # below the rounding of the diagonal of H - F^T F no pivot stops the
+    # factorization: it grows past the 64 rows it first allocates, stops at N,
+    # and F^T F still matches H to the rounding of the check's own sums
+    monkeypatch.setattr("nlkaczmarz.problems.LOWRANK_TOL", 1e-20)
+    N = 100
+    F = _hankel_factor(N)
+    assert F.shape == (N, N)
+    h = 1.0 / np.arange(1.0, 2 * N)
+    eps = np.finfo(float).eps
+    bound = 2 * N * eps * (np.abs(F).T @ np.abs(F))
+    assert (np.abs(h[np.add.outer(np.arange(N), np.arange(N))] - F.T @ F) <= bound).all()
 
 
 def test_h_equation_row_norms_at_a_singular_point_raise_the_jacobian_error():
@@ -354,22 +383,35 @@ def test_h_equation_row_norms_charge_one_jacobian_without_forming_it(monkeypatch
 
 def _h_evaluations(sys, x):
     """The bytes of the three H-equation evaluations that read K x."""
-    idx = np.array([0, 7, 8, 200, sys.m - 1])
+    idx = np.array([0, 7, 8, 100, sys.m - 1])
     view = sys._view()
     return (sys.residual(x).tobytes(), view.row_norms_sq(x)[0].tobytes(),
             view.block_vjp(idx, np.linspace(-1.0, 2.0, len(idx)), x)[0].tobytes())
 
 
-def _counting_irfft(monkeypatch):
-    """A counter of numpy.fft.irfft calls, for the problems built after it."""
+def _counting_factor(monkeypatch):
+    """A counter of the products with the factor F of the H-equation's Hankel
+    part, K y or a block product, for the problems built after it: each
+    reads F.T once, for its F^T z."""
     calls = [0]
-    irfft = np.fft.irfft
+    factor = _hankel_factor
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return irfft(*args, **kwargs)
+    class Counted:
+        def __init__(self, F):
+            self.F = F
 
-    monkeypatch.setattr(np.fft, "irfft", counted)
+        @property
+        def T(self):
+            calls[0] += 1
+            return self.F.T
+
+        def __matmul__(self, y):
+            return self.F @ y
+
+        def __getitem__(self, key):
+            return self.F[key]
+
+    monkeypatch.setattr("nlkaczmarz.problems._hankel_factor", lambda N: Counted(factor(N)))
     return calls
 
 
@@ -380,33 +422,33 @@ def _cached_product(sys):
         "kernel_product"]
 
 
-@pytest.mark.parametrize("N", [FFT_MIN_N, 500])
+@pytest.mark.parametrize("N", [LOWRANK_MIN_N, 500])
 def test_h_equation_kernel_product_cache_is_bitwise_a_fresh_system(N, monkeypatch, rng):
     # the residual, the row norms and the block product share one stored
     # K x, keyed on the bytes of x: whatever point the cache holds, each
     # evaluation equals a freshly built system's bit for bit
-    calls = _counting_irfft(monkeypatch)
+    calls = _counting_factor(monkeypatch)
     sys = make_h_equation(N)
     x = rng.uniform(0.0, 1.0, size=N)
     x[::5] = 0.0
     negative_zeros = x.copy()
     negative_zeros[::5] = -0.0
-    huge = np.full(N, 1e303)  # above the transform's y_max: the dense K @ y
+    huge = np.full(N, 1e303)  # an ordinary point: K x is finite
     written = x.copy()
-    cases = [  # (the point the cache holds, the point evaluated, transforms of K x)
+    cases = [  # (the point the cache holds, the point evaluated, products with the factor)
         (x, x, 0),
         (x, x.copy(), 0),
         (x, rng.uniform(0.0, 1.0, size=N), 1),
         (x, negative_zeros, 1),
-        (x, huge, 0),
+        (x, huge, 1),
         (huge, huge, 0),
         (huge, x, 1),
     ]
-    for held, point, transforms in cases:
+    for held, point, products in cases:
         sys.residual(held)
         calls[0] = 0
         sys.residual(point)
-        assert calls[0] == transforms
+        assert calls[0] == products
         assert _h_evaluations(sys, point) == _h_evaluations(make_h_equation(N), point)
     # the same array, written in place after its product was stored
     sys.residual(written)
@@ -429,10 +471,10 @@ def test_h_equation_kernel_product_cache_is_bitwise_a_fresh_system(N, monkeypatc
 
 @pytest.mark.parametrize("method", ["ngabk", "mrnabk"])
 def test_h_equation_averaged_solve_makes_two_transforms_per_step(method, monkeypatch):
-    # a step at x_k reads the K x_k its residual computed: one inverse
-    # transform for the block product and one for the residual at x_{k+1},
+    # a step at x_k reads the K x_k its residual computed: one product with
+    # the factor for the block product and one for the residual at x_{k+1},
     # after one for the residual at x_0
-    calls = _counting_irfft(monkeypatch)
+    calls = _counting_factor(monkeypatch)
     problem = get_problem("h-equation", 500)
     report = run(problem.system, problem.x0, SolverConfig(method))
     assert report.status is Status.CONVERGED and report.iters > 1
@@ -477,11 +519,11 @@ def test_h_equation_threads_sharing_a_system_solve_as_alone():
 
 
 def test_h_equation_averaged_solves_never_build_the_kernel():
-    # from FFT_MIN_N on, NGABK and MRNABK read the residual and the block
-    # product alone, both transforms, so the N x N kernel (32 MB here) is
-    # built only when a row is read
+    # from LOWRANK_MIN_N on, NGABK and MRNABK read the residual and the block
+    # product alone, both through the factor (1 MB here), so the N x N
+    # kernel (32 MB here) is built only when a row is read
     N = 2000
-    assert FFT_MIN_N <= N
+    assert LOWRANK_MIN_N <= N
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -496,7 +538,7 @@ def test_h_equation_averaged_solves_never_build_the_kernel():
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("N", [FFT_MIN_N, 500])
+@pytest.mark.parametrize("N", [LOWRANK_MIN_N, 500])
 def test_h_equation_kernel_is_the_same_whichever_read_builds_it(N, rng):
     # one system builds K for its row norms, the other for its gradient
     # rows; both read the bits of the explicit kernel

@@ -191,9 +191,9 @@ _UNDEFINED_STEP = "||f_tau||^2 = inf, ||d||^2 = inf: the step length is undefine
     (Method.RBCNK, Status.MAX_ITERS, ""),
 ], ids=["ngabk", "mrnabk", "nrk", "rdcnk", "rbcnk"])
 def test_an_extreme_start_ends_as_with_the_dense_kernel_product(method, status, message, start):
-    # at N = 500 the kernel products are transforms (FFT_MIN_N <= 500), but
-    # the transform of x = +-1e307 would overflow, so K x is the dense
-    # product there, and the solve ends as it does without the transform
+    # at N = 500 the kernel products go through the factor of its Hankel
+    # part (LOWRANK_MIN_N <= 500), whose F x stays finite at x = +-1e307, so
+    # the solve ends as it does with the dense product
     prob = get_problem("h-equation", 500)
     report = run(prob.system, np.full(500, start), SolverConfig(method=method, max_iters=50))
     assert (report.status, report.message) == (status, message)
