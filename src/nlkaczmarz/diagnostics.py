@@ -113,7 +113,7 @@ def _cone(m: int, terms: Iterable[Tuple[np.ndarray, np.ndarray]]) -> ConeEstimat
 def check_lemma1(sys: NonlinearSystem, tau: np.ndarray, x1: np.ndarray,
                  x2: np.ndarray, xi: float, rel_slack: float = 1e-10) -> Lemma1Check:
     """Check ||f_tau(x1) - f_tau(x2)||^2 >= ||f'_tau(x1)(x1-x2)||^2 / (1+xi^2)."""
-    tau = np.asarray(tau, dtype=np.intp)
+    tau = sys._check_rows(tau)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     df = (sys.residual(x1) - sys.residual(x2))[tau]

@@ -6,15 +6,15 @@ overdetermined) also supply the block vector-Jacobian product and the row
 norms, computed from the nonzeros alone with index arithmetic and
 ``np.bincount``.  The dense H-equation supplies the block product without
 forming the gradient rows, and the row norms in closed form from one product
-K x and the kernel's row norms and diagonal.  Its products with the kernel
-over all rows, in the residual, the row norms and the block product, go
-through a rank-r factor of the kernel's Hankel part from N =
-``LOWRANK_MIN_N`` on, in O(N r), and are dense below.  From
-``LOWRANK_MIN_N`` on the three share the last product K x, kept with the
-bytes of its x, so an averaged step reads the K x_k that the residual at x_k
-computed, and the dense K, its row norms and its diagonal are built on the
-first evaluation that reads one of them, so NGABK and MRNABK, which never
-do, run in O(N r) memory.  Broyden and the overdetermined system, whose
+K x and the kernel's row norms, which are suffix sums of h_k^2 = 1/(k + 1)^2
+computed with the system.  Its products with the kernel over all rows, in
+the residual, the row norms and the block product, go through a rank-r
+factor of the kernel's Hankel part from N = ``LOWRANK_MIN_N`` on, in O(N r),
+and are dense below.  From ``LOWRANK_MIN_N`` on the three share the last
+product K x, kept with the bytes of its x, so an averaged step reads the
+K x_k that the residual at x_k computed, and no N x N array exists: a
+gradient row is computed when it is read, so a method takes O(N r) memory
+besides the rows it reads.  Broyden and the overdetermined system, whose
 rows read at most three neighbouring columns, also refresh the residual and
 the row norms after a single-row step in one pass over the rows that read
 that row's columns.
@@ -24,7 +24,6 @@ estimation.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -97,12 +96,15 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
     whose F^T F matches H within ``LOWRANK_TOL`` in every entry
     (``_hankel_factor``), in O(N r) time and memory.  That product is kept,
     read-only, with the bytes of its input until the next different input,
-    so the three evaluations at one point compute it once.  The single and
-    block gradient rows are always rows of K.
+    so the three evaluations at one point compute it once.
 
-    K, its row norms and its diagonal are built with the system below
-    ``LOWRANK_MIN_N``, and from it on by the first evaluation that reads one
-    (a gradient row or the row norms), once, under a lock.
+    Below ``LOWRANK_MIN_N``, K is built with the system and the gradient rows
+    are its rows.  From it on, no N x N array exists: a gradient row computes
+    the kernel's row alone, bitwise the entries of the dense K.  The norms of
+    the Jacobian's rows a_i K_i + e_i are a_i^2 ||K_i||^2 + a_i + 1 for every
+    N, as K_ii = 1/2 exactly, with
+    ||K_i||^2 = (i + 1/2)^2 (tail_i - tail_{i+N}) from the suffix sums
+    tail_k = sum_{j >= k} h_j^2, computed once with the system.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -110,34 +112,31 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         raise ValueError("c must lie in (0, 1)")
     mu = (np.arange(1, N + 1) - 0.5) / N
     coef = c / (2.0 * N)
+    half = np.arange(N) + 0.5
+    # ||K_i||^2 = (i + 1/2)^2 sum_q h_{i+q}^2, h_k = 1/(k + 1), from the suffix
+    # sums tail[k] = sum_{j >= k} h_j^2 over j < 2N - 1, added from the smallest
+    h_sq = 1.0 / np.arange(2.0 * N - 1.0, 0.0, -1.0) ** 2
+    tail = np.append(np.cumsum(h_sq)[::-1], 0.0)
+    K_norms_sq = half * half * (tail[:N] - tail[N:])
 
-    def build():
+    if N < LOWRANK_MIN_N:
         # built in place: no second N x N temporary for the denominators
         K = np.add.outer(mu, mu)
         np.divide(mu[:, None], K, out=K)
-        return K, np.einsum("ij,ij->i", K, K), K.diagonal().copy()
 
-    # (K, its row norms, its diagonal), or None until kernel() first builds it
-    dense = build() if N < LOWRANK_MIN_N else None
-    lock = threading.Lock()
-
-    def kernel():
-        nonlocal dense
-        if dense is None:
-            with lock:
-                if dense is None:
-                    dense = build()
-        return dense
-
-    if N < LOWRANK_MIN_N:
-        K = dense[0]
+        def rows(idx):
+            return K[idx]
 
         def kernel_product(y):
             return K @ y
     else:
         # K = diag(p + 1/2) H with H = F^T F
         F = _hankel_factor(N)
-        half = np.arange(N) + 0.5
+
+        def rows(idx):
+            # the dense build's two operations per entry, on the rows read alone
+            m = mu[idx, None]
+            return m / (m + mu)
 
         # the last (y.tobytes(), K y), so that the residual at x_k and the
         # next step's block product share K x_k.  Equal bytes are an equal
@@ -165,13 +164,13 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
         return -((1.0 - coef * kx) ** -2) * coef
 
     def row_gradient(i, x):
-        K_i = kernel()[0][i]
+        K_i = rows(i)
         g = _row_scale(K_i @ x) * K_i
         g[i] += 1.0
         return g
 
     def gradient_rows(idx, x):
-        Kt = kernel()[0][idx]
+        Kt = rows(idx)
         G = _row_scale(Kt @ x)[:, None] * Kt
         G[np.arange(len(idx)), idx] += 1.0
         return G
@@ -190,10 +189,9 @@ def make_h_equation(N: int, c: float = 0.9) -> NonlinearSystem:
 
     def row_norms_sq(x):
         # ||a_i K_i + e_i||^2 = a_i^2 ||K_i||^2 + 2 a_i K_ii + 1, from one
-        # product K x
-        _, K_norms_sq, K_diag = kernel()
+        # product K x, where 2 a_i K_ii = a_i, as K_ii = mu_i / (2 mu_i) = 1/2
         a = _row_scale(kernel_product(x))
-        return a * a * K_norms_sq + 2.0 * a * K_diag + 1.0
+        return a * a * K_norms_sq + a + 1.0
 
     return NonlinearSystem(N, N, residual, row_gradient, gradient_rows=gradient_rows,
                            block_vjp=block_vjp, row_norms_sq=row_norms_sq)

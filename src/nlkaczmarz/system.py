@@ -273,7 +273,15 @@ class NonlinearSystem:
         return self._rows(np.arange(self.m), x)
 
     def _check_rows(self, indices) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.intp)
+        """indices as a 1-D np.intp array of rows of the system.  An array of
+        another shape or kind, such as floats or a boolean mask, raises
+        IndexError, where a cast would read other rows; an empty list, whose
+        array is float, is no rows."""
+        indices = np.asarray(indices)
+        if indices.ndim != 1 or (indices.dtype.kind not in "iu" and indices.size):
+            raise IndexError(f"row indices must be a 1-D integer array, got "
+                             f"{indices.ndim}-D {indices.dtype}")
+        indices = indices.astype(np.intp, copy=False)
         if indices.size and (indices.min() < 0 or indices.max() >= self.m):
             raise IndexError("row index out of range")
         return indices

@@ -46,6 +46,16 @@ def test_affine_lemma1_is_equality(rng):
     assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
 
 
+def test_lemma1_refuses_non_integer_rows():
+    # a cast to np.intp would check rows 0 and 1
+    sys = get_problem("broyden", 5).system
+    x1, x2 = np.full(5, -0.5), np.full(5, -0.25)
+    with pytest.raises(IndexError, match="1-D integer array"):
+        check_lemma1(sys, [0.9, 1.2], x1, x2, xi=0.0)
+    assert check_lemma1(sys, [0, 1], x1, x2, xi=0.0) == check_lemma1(sys, np.arange(2), x1, x2,
+                                                                     xi=0.0)
+
+
 def test_identical_pair_is_skipped():
     sys = make_brown(4)
     x = 0.7 * np.ones(4)

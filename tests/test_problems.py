@@ -415,11 +415,14 @@ def _counting_factor(monkeypatch):
     return calls
 
 
+def _closed_over(f, name):
+    """The value that the closure of f holds under name."""
+    return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))[name]
+
+
 def _cached_product(sys):
     """The H-equation's kernel_product closure, read from its residual."""
-    f = sys._residual
-    return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))[
-        "kernel_product"]
+    return _closed_over(sys._residual, "kernel_product")
 
 
 @pytest.mark.parametrize("N", [LOWRANK_MIN_N, 500])
@@ -520,8 +523,9 @@ def test_h_equation_threads_sharing_a_system_solve_as_alone():
 
 def test_h_equation_averaged_solves_never_build_the_kernel():
     # from LOWRANK_MIN_N on, NGABK and MRNABK read the residual and the block
-    # product alone, both through the factor (1 MB here), so the N x N
-    # kernel (32 MB here) is built only when a row is read
+    # product alone, both through the factor (1 MB here), and no evaluation
+    # builds the N x N kernel: a row read and short NRK and RD-CNK solves at
+    # N = 5000, where K would take 200 MB, compute the rows they read alone
     N = 2000
     assert LOWRANK_MIN_N <= N
     tracemalloc.start()
@@ -532,16 +536,24 @@ def test_h_equation_averaged_solves_never_build_the_kernel():
         for method in (Method.NGABK, Method.MRNABK):
             assert run(sys, np.zeros(N), SolverConfig(method)).status is Status.CONVERGED
         assert tracemalloc.get_traced_memory()[1] - base < 2 * 2**20
-        sys.row_gradient(0, np.zeros(N))
-        assert tracemalloc.get_traced_memory()[0] - base >= N * N * 8
+        N = 5000
+        sys = make_h_equation(N)
+        reads = [lambda: sys.row_gradient(N - 1, np.zeros(N))]
+        reads += [lambda method=method: run(sys, np.zeros(N), SolverConfig(method, max_iters=3))
+                  for method in (Method.NRK, Method.RDCNK)]
+        for read in reads:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            read()
+            assert tracemalloc.get_traced_memory()[1] - base < 4 * 2**20
     finally:
         tracemalloc.stop()
 
 
 @pytest.mark.parametrize("N", [LOWRANK_MIN_N, 500])
 def test_h_equation_kernel_is_the_same_whichever_read_builds_it(N, rng):
-    # one system builds K for its row norms, the other for its gradient
-    # rows; both read the bits of the explicit kernel
+    # one system reads its row norms first, the other its gradient rows;
+    # both read the bits of the explicit kernel
     K, coef = _h_kernel(N)
     x = rng.uniform(0.0, 1.0, size=N)
     rows = np.arange(N)
@@ -554,10 +566,12 @@ def test_h_equation_kernel_is_the_same_whichever_read_builds_it(N, rng):
     ref = -((1.0 - coef * (K[rows] @ x)) ** -2)[:, None] * coef * K[rows]
     ref[rows, rows] += 1.0
     assert G.tobytes() == ref.tobytes()
-    # the closed-form norms from the explicit kernel's row norms and diagonal
+    # the closed-form norms from the kernel's row norms, which
+    # test_h_equation_kernel_row_norms_are_within_their_rounding_bound
+    # checks, and the explicit kernel's diagonal
     a = -((1.0 - coef * _cached_product(by_norms)(x)) ** -2) * coef
-    assert w.tobytes() == (a * a * np.einsum("ij,ij->i", K, K) + 2.0 * a * K.diagonal()
-                           + 1.0).tobytes()
+    K_norms_sq = _closed_over(by_norms._row_norms_sq, "K_norms_sq")
+    assert w.tobytes() == (a * a * K_norms_sq + 2.0 * a * K.diagonal() + 1.0).tobytes()
     for i in (0, 1, N // 2, N - 1):
         g = -((1.0 - coef * (K[i] @ x)) ** -2) * coef * K[i]
         g[i] += 1.0
@@ -565,25 +579,46 @@ def test_h_equation_kernel_is_the_same_whichever_read_builds_it(N, rng):
             == g.tobytes()
 
 
-def test_h_equation_threads_building_the_kernel_read_the_single_threaded_bits(monkeypatch, rng):
-    # threads start together on a system that has not built K yet, half
-    # reading the row norms first and half the Jacobian, in more threads than
-    # cores and with the interpreter switching threads often: K is built
-    # once, and each thread reads the bits of a system used alone
+@pytest.mark.parametrize("N", [LOWRANK_MIN_N, 2000])
+def test_h_equation_kernel_row_norms_are_within_their_rounding_bound(N):
+    # ||K_i||^2 = (i + 1/2)^2 (T_i - T_{i+N}), with T_k = sum_{j >= k} h_j^2
+    # over j < 2N - 1 and h_j = 1/(j + 1).  Each h_j^2 = 1/(j + 1)^2 rounds
+    # once, and T_k is a running sum from the smallest term, each of whose
+    # partial sums rounds once, so to first order the computed T_k errs by at
+    # most E_k = u (T_k + sum_{l >= k} T_l), u = eps/2.  The difference and
+    # the product with the exact (i + 1/2)^2 round once each, so ||K_i||^2
+    # errs relatively by at most (E_i + E_{i+N}) / (T_i - T_{i+N}) + 2u, and
+    # 1.01 covers the higher orders.  The reference, long-double sums of the
+    # N squares of the explicit rows, each entry rounded three times, adds
+    # (N + 4) u_ld.  The bound is 7u to 10u at the first row and at most
+    # 0.27 N eps over all rows, where the rounding bound of a dense sum over N
+    # squares, as in test_h_equation_row_norms_match_the_dense_default, is
+    # 4 N eps.
+    K_norms_sq = _closed_over(make_h_equation(N)._row_norms_sq, "K_norms_sq")
+    wide = np.longdouble
+    u, u_wide = np.finfo(float).eps / 2, np.finfo(wide).eps / 2
+    T = np.append(np.cumsum(1 / np.arange(2 * N - 1, 0, -1, dtype=wide) ** 2)[::-1], 0)
+    E = u * (T + np.cumsum(T[::-1])[::-1])
+    bound = 1.01 * ((E[:N] + E[N:]) / (T[:N] - T[N:]) + 2 * u) + (N + 4) * u_wide
+    assert bound.max() < N * np.finfo(float).eps / 3
+    mu = (np.arange(1, N + 1, dtype=wide) - wide(0.5)) / N
+    for lo in range(0, N, 250):
+        m = mu[lo:lo + 250, None]
+        K = m / (m + mu)
+        ref = (K * K).sum(axis=1)
+        assert (np.abs(K_norms_sq[lo:lo + 250] - ref) <= bound[lo:lo + 250] * ref).all()
+
+
+def test_h_equation_threads_building_the_kernel_read_the_single_threaded_bits(rng):
+    # threads start together on a fresh system, half reading the row norms
+    # first and half the Jacobian, in more threads than cores and with the
+    # interpreter switching threads often: each thread reads the bits of a
+    # system used alone
     N = 500
     x = rng.uniform(0.0, 1.0, size=N)
     alone = make_h_equation(N)
     expected = {"norms": alone._view().row_norms_sq(x)[0].tobytes(),
                 "jacobian": alone.jacobian(x).tobytes()}
-    builds = []
-    einsum = np.einsum
-
-    def counted(subscripts, *operands, **kwargs):
-        if operands[0].shape == (N, N):  # the kernel's row norms, in its build
-            builds.append(subscripts)
-        return einsum(subscripts, *operands, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counted)
     sys = make_h_equation(N)
     reads = {"norms": lambda x: sys._view().row_norms_sq(x)[0], "jacobian": sys.jacobian}
     threads = 4
@@ -606,7 +641,6 @@ def test_h_equation_threads_building_the_kernel_read_the_single_threaded_bits(mo
             assert not w.is_alive()
     finally:
         setswitchinterval(interval)
-    assert builds == ["ij,ij->i"]
     assert results == [expected] * threads
 
 

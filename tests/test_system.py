@@ -50,6 +50,29 @@ def test_row_gradient_index_out_of_range():
         sys.row_gradient(-1, np.ones(3))
 
 
+@pytest.mark.parametrize("indices,rows", [
+    ([0.5, 1.7], None),
+    (np.array([0.0, 2.0]), None),
+    ([True, False, True, False, False], None),
+    (np.array([[0, 1], [2, 3]]), None),
+    ([4, 0, 2], [4, 0, 2]),
+    (np.array([3, 1], dtype=np.intp), [3, 1]),
+    ([], []),
+], ids=["float-list", "float-array", "bool-mask", "2d", "int-list", "intp", "empty"])
+def test_gradient_rows_reads_integer_rows_alone(indices, rows):
+    # a cast to np.intp would read rows 0 and 1 for [0.5, 1.7], and rows
+    # 1, 0, 1, 0, 0 for the mask
+    sys = make_singular_broyden(5)
+    x = np.linspace(-1.0, 0.0, 5)
+    if rows is None:
+        with pytest.raises(IndexError, match="1-D integer array"):
+            sys.gradient_rows(indices, x)
+    else:
+        G = sys.gradient_rows(indices, x)
+        expected = np.array([sys.row_gradient(i, x) for i in rows]).reshape(len(rows), 5)
+        assert G.shape == expected.shape and G.tobytes() == expected.tobytes()
+
+
 def test_h_equation_domain_error_carries_index():
     # N=1: s = 0.225 x, denominator 1 - s hits zero at x = 1/0.225
     sys = make_h_equation(1, c=0.9)
