@@ -22,28 +22,23 @@ RB-CNK block solve rounds differently with more than one.
 """
 from __future__ import annotations
 
-import os
-
-# one BLAS thread, pinned before anything imports NumPy
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import struct  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import argparse
+import hashlib
+import json
+import struct
+import sys
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+# perfbench's run pins one BLAS thread when it is imported, so it comes
+# before anything that loads NumPy
+from run import environment  # noqa: E402
 from cells import WORKLOADS  # noqa: E402
 from nlkaczmarz import SolverConfig, get_problem, run  # noqa: E402
 from nlkaczmarz.cli import _initial_point  # noqa: E402
 from nlkaczmarz.solvers import RANDOM_ROW, Method  # noqa: E402
-from run import environment  # noqa: E402
 
 MANIFEST = ROOT / "benchmarks" / "histories.json"
 ENVIRONMENT = ("numpy", "blas", "blas_version", "blas_threads")

@@ -29,8 +29,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7
 BENCH = ["bench", "--suite", "all", "--repeats", "1"]
-THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-           "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def summarize(label: str, workloads: dict, rows: list, bench_s: float, env: dict,
@@ -92,13 +90,13 @@ def main(argv=None) -> int:
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error("the label may hold only letters, digits, '.', '_' and '-'")
 
-    # one BLAS thread for every run, pinned before environment() loads NumPy
-    os.environ.update({var: "1" for var in THREADS})
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
+    # importing perfbench's run pins one BLAS thread in os.environ, for every
+    # run below and before environment() loads NumPy
+    from run import environment
+    from ab import run_once
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
-    from ab import run_once
-    from run import environment
 
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {}

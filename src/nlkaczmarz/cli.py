@@ -170,6 +170,23 @@ def _timed_run(system, x0, cfg):
     return report, (time.perf_counter() - t0) * 1e3
 
 
+def _cell(problem, method: Method, rho: float) -> Dict:
+    """The keys that open a ``solve`` payload and a bench row: ``rho`` is
+    set for MRNABK alone, and None for every other method."""
+    return {"method": method.value, "problem": problem.name, "n": problem.system.n,
+            "m": problem.system.m, "rho": rho if method is Method.MRNABK else None}
+
+
+def _emit(payload: Dict, out: Optional[Path], report) -> int:
+    """Write ``payload``'s JSON to ``out``, when given, and to stdout; the
+    exit code is 3 when the run broke down."""
+    text = _json(payload)
+    if out:
+        _write(out, text + "\n")
+    print(text)
+    return EXIT_BREAKDOWN if report.status is Status.BREAKDOWN else EXIT_OK
+
+
 # -- solve ---------------------------------------------------------------
 
 
@@ -182,13 +199,10 @@ def cmd_solve(args) -> int:
     if cfg.method in RANDOM_ROW:
         _load_random()
     report, wall_ms = _timed_run(problem.system, x0, cfg)
-
-    payload = {
-        "method": cfg.method.value,
-        "problem": problem.name,
-        "n": problem.system.n,
-        "m": problem.system.m,
-        "rho": cfg.rho if cfg.method is Method.MRNABK else None,
+    if history:
+        _write(history, _csv(["k", "residual_sq", "block_size", "step_norm"], report.history))
+    return _emit({
+        **_cell(problem, cfg.method, cfg.rho),
         "params": problem.params,
         "iters": report.iters,
         "final_residual_sq": report.final_residual_sq,
@@ -197,14 +211,7 @@ def cmd_solve(args) -> int:
         "status": report.status.value,
         "message": report.message,
         "counters": vars(report.counters),
-    }
-    text = _json(payload)
-    if out:
-        _write(out, text + "\n")
-    if history:
-        _write(history, _csv(["k", "residual_sq", "block_size", "step_norm"], report.history))
-    print(text)
-    return EXIT_BREAKDOWN if report.status is Status.BREAKDOWN else EXIT_OK
+    }, out, report)
 
 
 # -- bench ---------------------------------------------------------------
@@ -227,11 +234,7 @@ def _bench_cell(problem, method: Method, rho: float, repeats: int,
     status = next((s for s in statuses if s != Status.CONVERGED.value),
                   Status.CONVERGED.value)
     return {
-        "method": method.value,
-        "problem": problem.name,
-        "n": problem.system.n,
-        "m": problem.system.m,
-        "rho": rho if method is Method.MRNABK else None,
+        **_cell(problem, method, rho),
         "iters": int(statistics.median_low(iters)),
         "iters_mean": statistics.fmean(iters),
         "iters_min": min(iters),
@@ -357,7 +360,7 @@ def cmd_diagnose(args) -> int:
             "ordering_strict": ordering.strict,
         })
 
-    payload = {
+    return _emit({
         "problem": problem.name,
         "n": system.n,
         "m": system.m,
@@ -369,12 +372,7 @@ def cmd_diagnose(args) -> int:
         "cone": {"xi": cone.xi, "pairs_used": cone.pairs_used,
                  "condition_holds": cone.condition_holds},
         "steps": steps,
-    }
-    text = _json(payload)
-    if out:
-        _write(out, text + "\n")
-    print(text)
-    return EXIT_BREAKDOWN if report.status is Status.BREAKDOWN else EXIT_OK
+    }, out, report)
 
 
 # -- parser --------------------------------------------------------------

@@ -51,7 +51,6 @@ class StepBound:
     sigma_min_full: float
     sigma_max_block: float
     block_size: int
-    delta_or_rho: float
     applicable: bool  # False when the full Jacobian is rank-deficient
     jacobian_fro_sq: float  # ||J||_F^2 of the full Jacobian
 
@@ -160,10 +159,8 @@ def _bound(spectra: tuple, sel: BlockSelection, xi: float, method: Method, rho: 
     applicable = sigma_min > DEGENERATE_SV_RTOL * float(sv[0]) and xi < 0.5
     size = len(sel.indices)
     if method is Method.NGABK:
-        delta_or_rho = sel.threshold
-        factor = delta_or_rho * size * sigma_min**2 / sigma_max_block**2
+        factor = sel.threshold * size * sigma_min**2 / sigma_max_block**2
     else:
-        delta_or_rho = rho
         factor = rho * size * sigma_min**2 / (m * sigma_max_block**2)
     if applicable:
         rho_bound = 1.0 - (1.0 - 2.0 * xi) / (1.0 + xi * xi) * factor
@@ -171,8 +168,7 @@ def _bound(spectra: tuple, sel: BlockSelection, xi: float, method: Method, rho: 
         rho_bound = 1.0
     return StepBound(rho_bound=rho_bound, sigma_min_full=sigma_min,
                      sigma_max_block=sigma_max_block, block_size=size,
-                     delta_or_rho=delta_or_rho, applicable=applicable,
-                     jacobian_fro_sq=fro_sq)
+                     applicable=applicable, jacobian_fro_sq=fro_sq)
 
 
 def _select(fx: np.ndarray, method: Method, rho: float) -> BlockSelection:
@@ -251,8 +247,6 @@ def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
     skipped.
     """
     method = Method(method)
-    if report.iterates is None:
-        raise ValueError("run was made without store_iterates=True")
     x_star = np.asarray(x_star, dtype=float)
     ratios = per_step_contraction(report, x_star)
     f_star = sys.residual(x_star)

@@ -1,5 +1,7 @@
 """The greedy block selections' O(m) NumPy passes, behind the public
-``select_ngabk``/``select_mrnabk`` in :mod:`nlkaczmarz.solvers`."""
+``select_ngabk``/``select_mrnabk`` in :mod:`nlkaczmarz.solvers`.  No
+direction is computed here: the averaged step takes its direction from the
+``block_vjp`` of the solve's view of the system."""
 import math
 
 import numpy as np
@@ -47,14 +49,6 @@ def mrnabk_select(fx, rho):
     return indices, float(rho * (scale * scale))
 
 
-# No solver calls block_direction: the averaged step takes its direction from
-# the block_vjp of the solve's view.  It stays only because perfbench/spans.py
-# wraps it by name.
-def block_direction(f_tau, g_tau):
-    """Averaged block direction d = sum_i (-f_i) grad f_i over the block.
-
-    Returns (d, s2) where s2 = sum_i f_i^2 (the eta^T(-f) weight of the
-    step scale); the update is x - (-s2 / ||d||^2) * d.
-    """
-    d = -(f_tau @ g_tau)
-    return d, float(f_tau @ f_tau)
+# no function: read only by perfbench/spans.py, which names it among the
+# traced layers, as it does NonlinearSystem._jacobian
+block_direction = None

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import EvalCounters, NonlinearSystem
+from .system import EvalCounters, NonlinearSystem, _is_int
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -92,11 +92,6 @@ class SolverConfig:
         # the seeds NumPy's generators take, checked for every method alike
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer 0 or more, got {self.seed!r}")
-
-
-def _is_int(value) -> bool:
-    """Whether value is a Python or NumPy integer other than a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass

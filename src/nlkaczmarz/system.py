@@ -51,6 +51,11 @@ def _finite_residual(fx: np.ndarray) -> tuple:
     return fx, r2
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python or NumPy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _shaped(what: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a float array, which must have ``shape``."""
     value = np.asarray(value, dtype=float)
@@ -133,8 +138,8 @@ class NonlinearSystem:
         refresh_after_row: Optional[Callable[..., tuple]] = None,
         known_solution: Optional[np.ndarray] = None,
     ):
-        if m < 1 or n < 1:
-            raise ValueError(f"m and n must be positive, got m={m}, n={n}")
+        if not (_is_int(m) and _is_int(n) and m >= 1 and n >= 1):
+            raise ValueError(f"m and n must be positive integers, got m={m!r}, n={n!r}")
         self.m = int(m)
         self.n = int(n)
         self._residual = residual
@@ -157,8 +162,8 @@ class NonlinearSystem:
     def row_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Evaluate the i-th Jacobian row at x. Raises DomainError on
         non-finite output."""
-        if not 0 <= i < self.m:
-            raise IndexError(f"row index {i} out of range [0, {self.m})")
+        if not (_is_int(i) and 0 <= i < self.m):
+            raise IndexError(f"row index must be an integer in [0, {self.m}), got {i!r}")
         x = self._point(x)
         with np.errstate(all="ignore"):
             return self._eval_row_gradient(i, x)[0]

@@ -31,6 +31,32 @@ def test_solve_json_payload(tmp_path, capsys):
     assert payload["counters"]["row_gradient_evals"] > 0
 
 
+def test_json_keys_keep_their_order(tmp_path, capsys):
+    # the keys, in order, are part of the output contract; rho is MRNABK's alone
+    opening = ["method", "problem", "n", "m", "rho"]
+    assert run_cli("solve", "--problem", "h-equation", "--n", "20", "--method", "nrk") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == opening + ["params", "iters", "final_residual_sq", "wall_ms",
+                                       "seed", "status", "message", "counters"]
+    assert payload["rho"] is None
+
+    rows_json = tmp_path / "rows.json"
+    assert run_cli("bench", "--suite", "h-equation", "--sizes", "20", "--repeats", "1",
+                   "--json", str(rows_json), "--out", str(tmp_path / "rows.csv")) == 0
+    rows = json.loads(rows_json.read_text())
+    for row in rows:
+        assert list(row) == opening + ["iters", "iters_mean", "iters_min", "iters_max",
+                                       "final_residual_sq", "wall_ms", "wall_ms_median",
+                                       "wall_ms_min", "seed", "repeats", "status", "runs"]
+    assert {row["method"]: row["rho"] for row in rows} == {
+        "mrnabk": 0.1, "ngabk": None, "nrk": None, "rbcnk": None, "rdcnk": None}
+
+    assert run_cli("diagnose", "--problem", "h-equation", "--n", "10", "--pairs", "2") == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "problem", "n", "m", "method", "rho", "status", "iters", "final_residual_sq",
+        "cone", "steps"]
+
+
 def test_solve_history_csv(tmp_path, capsys):
     hist = tmp_path / "hist.csv"
     code = run_cli("solve", "--problem", "broyden", "--n", "30",

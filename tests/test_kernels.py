@@ -50,10 +50,3 @@ def test_mrnabk_formula(rng):
             assert idx.dtype == np.intp
             assert np.array_equal(idx, np.flatnonzero(fx**2 >= thr))
 
-
-def test_block_direction_formula(rng):
-    f_tau = rng.normal(size=7)
-    g_tau = rng.normal(size=(7, 4))
-    d, s2 = kernels.block_direction(f_tau, g_tau)
-    assert np.allclose(d, -f_tau @ g_tau, rtol=1e-14)
-    assert s2 == pytest.approx(float(f_tau @ f_tau), rel=1e-14)

@@ -50,6 +50,37 @@ def test_row_gradient_index_out_of_range():
         sys.row_gradient(-1, np.ones(3))
 
 
+@pytest.mark.parametrize("problem", [make_brown, make_singular_broyden, make_h_equation,
+                                     make_overdetermined_rational])
+@pytest.mark.parametrize("i", [True, np.True_, 2.0, np.float64(2.0), -1, "m"],
+                         ids=["True", "np.True_", "2.0", "np.float64", "-1", "m"])
+def test_row_gradient_refuses_an_index_that_is_not_a_row(problem, i):
+    # a bool read row 1 of some problems and failed inside the hook of others
+    sys = problem(5)
+    with pytest.raises(IndexError, match="row index must be an integer"):
+        sys.row_gradient(sys.m if isinstance(i, str) else i, np.full(5, 0.5))
+
+
+def test_row_gradient_reads_a_numpy_integer_as_its_row():
+    sys = make_h_equation(5)
+    x = np.full(5, 0.5)
+    assert np.array_equal(sys.row_gradient(np.int64(2), x), sys.row_gradient(2, x))
+
+
+@pytest.mark.parametrize("size", [2.7, True, 0], ids=["2.7", "True", "0"])
+def test_system_refuses_a_size_that_is_not_a_positive_integer(size):
+    for m, n in ((size, 2), (2, size)):
+        with pytest.raises(ValueError, match=r"m and n must be positive integers, got m=.*, n="):
+            NonlinearSystem(m, n, lambda x: x, lambda i, x: np.eye(2)[i])
+
+
+def test_system_takes_a_numpy_integer_size():
+    sys = NonlinearSystem(np.int64(3), np.int64(3), lambda x: x, lambda i, x: np.eye(3)[i])
+    assert (sys.m, sys.n) == (3, 3)
+    assert type(sys.m) is int and type(sys.n) is int
+    assert np.array_equal(sys.row_gradient(1, np.zeros(3)), [0.0, 1.0, 0.0])
+
+
 @pytest.mark.parametrize("indices,rows", [
     ([0.5, 1.7], None),
     (np.array([0.0, 2.0]), None),
