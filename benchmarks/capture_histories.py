@@ -35,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 # perfbench's run pins one BLAS thread when it is imported, so it comes
 # before anything that loads NumPy
 from run import environment  # noqa: E402
-from cells import WORKLOADS  # noqa: E402
+from cells import WORKLOADS, cells as workload_cells  # noqa: E402
 from nlkaczmarz import SolverConfig, get_problem, run  # noqa: E402
 from nlkaczmarz.cli import _initial_point  # noqa: E402
 from nlkaczmarz.solvers import RANDOM_ROW, Method  # noqa: E402
@@ -87,13 +87,9 @@ MAX_ITERS = 50_000
 
 
 def benchmark_cells():
-    """Every cell of every workload in ``perfbench/cells.py``."""
-    cells = []
-    for workload in WORKLOADS.values():
-        for problem, n, method, pinned, *count in workload:
-            seeds = range(count[0]) if pinned is None else (0,)
-            cells += [(problem, n, method, s, "default") for s in seeds]
-    return cells
+    """Every cell of every workload in ``perfbench/cells.py``, seeds from 0."""
+    return [(c.problem, c.n, c.method, c.seed, "default")
+            for workload in WORKLOADS for c in workload_cells(workload, 0)]
 
 
 def default_cells():

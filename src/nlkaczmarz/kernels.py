@@ -1,7 +1,7 @@
 """The greedy block selections' O(m) NumPy passes, behind the public
 ``select_ngabk``/``select_mrnabk`` in :mod:`nlkaczmarz.solvers`.  No
 direction is computed here: the averaged step takes its direction from the
-``block_vjp`` of the solve's view of the system."""
+system's ``_eval_block_vjp``."""
 import math
 
 import numpy as np

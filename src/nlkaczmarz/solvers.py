@@ -18,12 +18,12 @@ and RD-CNK draw random numbers, so only their solves build a generator
 ``numpy.random``.  ``SolverConfig`` checks the seed for every method.
 
 Stopping rule for all methods: ||f(x_k)||^2 < tol_sq, checked before each
-step, or the iteration cap.  ``run()`` evaluates the system through a view
-built once per solve (``NonlinearSystem._view``), whose evaluations check
-themselves and hand each value over with its sum (||f||^2 with f, and so
-on), which the steps and the stopping rule use; this module makes no check
-of its own for non-finite values.  ``run()`` ignores NumPy's floating-point
-warnings for the whole solve; the public selections ignore them per call.
+step, or the iteration cap.  The steps evaluate the system through its
+``_eval_*`` methods, which check themselves and hand each value over with
+its sum (||f||^2 with f, and so on), which the steps and the stopping rule
+use; this module makes no check of its own for non-finite values.
+``run()`` ignores NumPy's floating-point warnings for the whole solve; the
+public selections ignore them per call.
 """
 from __future__ import annotations
 
@@ -186,18 +186,18 @@ def _capped(fx, w, w_sum):
 # -- single steps: one per method, called by run()'s step closures -----
 
 
-def _averaged(sys, x, fx, idx):
+def _averaged(sys: NonlinearSystem, x, fx, idx):
     """(x + (||f_tau||^2 / ||d||^2) d with d = -J_tau^T f_tau, its residual
     and ||f||^2, |tau|)."""
     f_tau = fx[idx]
-    v, nd2 = sys.block_vjp(idx, f_tau, x)  # v = -d
+    v, nd2 = sys._eval_block_vjp(idx, f_tau, x)  # v = -d
     s2 = float(f_tau.dot(f_tau))
     if not (math.isfinite(s2) and math.isfinite(nd2)):  # finite entries, overflowing squares
         raise BreakdownError(f"||f_tau||^2 = {s2}, ||d||^2 = {nd2}: the step length is undefined")
     if nd2 < BREAKDOWN_EPS:
         raise BreakdownError("block direction annihilated (singular Jacobian rows)")
     x = x - (s2 / nd2) * v
-    return (x, *sys.residual(x), len(idx))
+    return (x, *sys._eval_residual(x), len(idx))
 
 
 def _sample_row(fx, r2, u) -> int:
@@ -223,7 +223,7 @@ def _sample_row(fx, r2, u) -> int:
     return j
 
 
-def _projected(sys, x, fx, i, w=None):
+def _projected(sys: NonlinearSystem, x, fx, i, w=None):
     """(x - c grad f_i with c = f_i / ||grad f_i||^2, its residual and
     ||f||^2, its row norms and their sum or None), refreshed on the rows
     that read row i's columns from fx and, when given, the row norms w at
@@ -232,25 +232,25 @@ def _projected(sys, x, fx, i, w=None):
     ||grad f_i||^2 >= BREAKDOWN_EPS.  (A -0.0 off them
     can still turn into +0.0, which may flip the sign of a zero residual
     component; no step reads one, as a selected row has f_i != 0.)"""
-    g, g2 = sys.row_gradient(i, x)
+    g, g2 = sys._eval_row_gradient(i, x)
     if g2 < BREAKDOWN_EPS:
         raise BreakdownError(f"zero gradient in selected row {i}")
     # Python floats: g2 >= BREAKDOWN_EPS, so the division cannot raise
     x = x - (fx.item(i) / float(g2)) * g
-    (fx, r2), norms = sys.refresh_after_row(i, x, fx, w)
+    (fx, r2), norms = sys._eval_refresh(i, x, fx, w)
     return x, fx, r2, norms
 
 
-def rbcnk_step(sys, x: np.ndarray, fx: np.ndarray,
+def rbcnk_step(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray,
                idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float, int]:
-    """(x + G^+ (-f_tau), its residual and ||f||^2, |tau|), evaluated
-    through a solve's view ``sys``: the minimum-norm least-squares step on
-    the block idx, G its gradient rows (``_min_norm``)."""
+    """(x + G^+ (-f_tau), its residual and ||f||^2, |tau|): the
+    minimum-norm least-squares step on the block idx, G its gradient rows
+    (``_min_norm``), x and idx unchecked, as ``run()`` passes them."""
     G = sys.gradient_rows(idx, x)
     if not G.any():
         raise BreakdownError("selected block has all-zero gradients")
     x = x + _min_norm(G, -fx[idx])
-    return (x, *sys.residual(x), len(idx))
+    return (x, *sys._eval_residual(x), len(idx))
 
 
 def _min_norm(G, b):
@@ -323,12 +323,13 @@ RANDOM_ROW = (Method.NRK, Method.RDCNK)
 _DRAW_BLOCK = 1024  # NRK's uniform draws taken from the stream per call
 
 
-def _step(sys, method, rho, rng):
-    """``run()``'s step for one solve, on its view ``sys``: (x, fx,
-    ||fx||^2) -> (the next x, its residual and ||f||^2, block size),
-    drawing from rng (None for the methods outside ``RANDOM_ROW``), calling
-    the selections and ``rbcnk_step`` by module lookup, so that a wrapper
-    set on the module sees each call.
+def _step(sys: NonlinearSystem, method, rho, rng):
+    """``run()``'s step for one solve of ``sys``: (x, fx, ||fx||^2) ->
+    (the next x, its residual and ||f||^2, block size), drawing from rng
+    (None for the methods outside ``RANDOM_ROW``), calling the selections
+    and ``rbcnk_step`` by module lookup and ``sys``'s evaluations by
+    attribute lookup, so that a wrapper set on the module or the instance
+    sees each call.
     RD-CNK's step keeps its iterate's row norms, which the projection
     refreshes; it computes them all at its first step or without a hook."""
     if method is Method.NGABK:
@@ -350,7 +351,7 @@ def _step(sys, method, rho, rng):
 
         def step(x, fx, r2):
             nonlocal norms
-            w, w_sum = sys.row_norms_sq(x) if norms is None else norms
+            w, w_sum = sys._eval_row_norms(x) if norms is None else norms
             rows = _capped(fx, w, w_sum)[0]
             # the same draw and stream as rng.integers(len(rows)), at half the call cost
             i = int(rows[rng.integers(0, len(rows))])
@@ -362,7 +363,7 @@ def _step(sys, method, rho, rng):
     else:
         def step(x, fx, r2):
             x = x + _lstsq(sys.jacobian(x), -fx)
-            return (x, *sys.residual(x), sys.m)
+            return (x, *sys._eval_residual(x), sys.m)
     return step
 
 
@@ -375,18 +376,16 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     start, a collapsed step, a non-finite evaluation, (NRK, RD-CNK) an
     ||f||^2 that overflows and (the other methods) a step that leaves x
     unchanged all end in ``Status.BREAKDOWN`` with a message.  The steps
-    evaluate ``sys`` through ``sys._view()``, built once here, whose
-    evaluations check themselves and hand over each residual with the
-    ||f||^2 that checked it.  NumPy's floating-point warnings are ignored
-    for the whole solve.  The report's counters are ``sys.counters`` at the
-    end less those at the start."""
+    call ``sys``'s ``_eval_*`` methods, which check what they return and
+    hand over each residual with the ||f||^2 that checked it.  NumPy's
+    floating-point warnings are ignored for the whole solve.  The report's
+    counters are ``sys.counters`` at the end less those at the start."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
     # NumPy loads np.random on first use: only a method that draws rows pays for it
     rng = np.random.default_rng(cfg.seed) if cfg.method in RANDOM_ROW else None
-    view = sys._view()
-    step = _step(view, cfg.method, cfg.rho, rng)
+    step = _step(sys, cfg.method, cfg.rho, rng)
     tol_sq, max_iters = cfg.tol_sq, cfg.max_iters
     stall_ends = cfg.method not in RANDOM_ROW
 
@@ -403,7 +402,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     # no warning for a non-finite intermediate: the report carries the outcome
     with np.errstate(all="ignore"):
         try:
-            fx, r2 = view.residual(x)
+            fx, r2 = sys._eval_residual(x)
         except DomainError as exc:
             return report(Status.BREAKDOWN, 0, float("nan"), f"at the starting point: {exc}")
         k = 0

@@ -8,7 +8,7 @@ genuinely need it, and its use is counted separately so per-iteration cost
 differences stay visible.  Three optional hooks, the block vector-Jacobian
 product, the row norms and the refresh after a single-row step, let a
 problem with sparse rows serve the solvers without forming dense rows; the
-solvers alone read them, through a solve's view.
+solvers alone read them, through the ``_eval_*`` methods.
 
 Every evaluation ignores NumPy's floating-point warnings: a non-finite
 result is reported as a :class:`DomainError` instead.  Each evaluation is
@@ -20,16 +20,16 @@ for the bad entry; a non-finite block product or row norms from a hook are
 replaced by the dense rows', whose DomainError names the row.  The public
 ``residual`` and ``row_gradient`` check their arguments and make one
 ``_eval_*`` call inside their own ``np.errstate``, returning the value
-alone.  ``run()`` evaluates through a view that the system builds once per
-solve (``NonlinearSystem._view``), which hands it the ``_eval_*`` methods
-and their sums, under one ``np.errstate`` for the whole solve; its points
-and rows were checked where they were made and are not checked again.
+alone.  ``run()``'s steps call the ``_eval_*`` methods themselves, under one
+``np.errstate`` for the whole solve, and pass them points and rows that
+``run()`` has already checked.  They call ``gradient_rows`` and
+``jacobian``, the public methods, looked up on each call, so that a wrapper
+set on the instance still sees them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,7 +148,8 @@ class NonlinearSystem:
         self._block_vjp = block_vjp
         self._row_norms_sq = row_norms_sq
         self._refresh_after_row = refresh_after_row
-        self.known_solution = None if known_solution is None else np.asarray(known_solution, dtype=float)
+        self.known_solution = (None if known_solution is None
+                               else _shaped("known_solution", known_solution, (self.n,)))
         self.counters = EvalCounters()
 
     # -- evaluation ------------------------------------------------------
@@ -182,22 +183,6 @@ class NonlinearSystem:
         return self._full_jacobian(x)
 
     # -- the checked evaluations -------------------------------------------
-
-    def _view(self) -> SimpleNamespace:
-        """The evaluations that ``run()`` makes in one solve, inside its own
-        ``np.errstate``: ``m`` and each evaluation method under its name.
-        Five are the ``_eval_*`` methods, which return each value with the
-        sum that checked it; ``run()`` passes them the points and rows it
-        made and checked.  ``residual`` and ``row_gradient`` are also
-        public methods, which check their arguments first; ``block_vjp``,
-        ``row_norms_sq`` and ``refresh_after_row`` are reached here alone.
-        ``gradient_rows`` and ``jacobian`` are the system's own, looked up
-        now, so that a wrapper set on the instance is the one called."""
-        return SimpleNamespace(
-            m=self.m, residual=self._eval_residual,
-            refresh_after_row=self._eval_refresh, row_gradient=self._eval_row_gradient,
-            gradient_rows=self.gradient_rows, jacobian=self.jacobian,
-            block_vjp=self._eval_block_vjp, row_norms_sq=self._eval_row_norms)
 
     def _eval_residual(self, x):
         """(f(x), ||f(x)||^2), counted."""

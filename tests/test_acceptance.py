@@ -160,14 +160,13 @@ def test_criterion_8_property_suite():
 
     # singleton-block step coincides with the single-row projection
     sys5 = make_brown(5)
-    view5 = sys5._view()  # the steps evaluate through a solve's view
     for _ in range(20):
         x = rng.uniform(0.3, 1.4, size=5)
         fx = sys5.residual(x)
         i = int(rng.integers(5))
         with np.errstate(all="ignore"):
-            blk = _averaged(view5, x, fx, np.array([i], dtype=np.intp))[0]
-            single = _projected(view5, x, fx, i)[0]
+            blk = _averaged(sys5, x, fx, np.array([i], dtype=np.intp))[0]
+            single = _projected(sys5, x, fx, i)[0]
         assert np.allclose(blk, single, rtol=1e-12)
 
     # greedy threshold never below the uniform share 1/m

@@ -3,6 +3,7 @@ import json
 import os
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -245,7 +246,7 @@ def test_diagnose_evaluates_each_point_once(method, monkeypatch, capsys):
     # evaluated once for the cone beside the solve's own evaluation of it
     jacobians, residuals = [], []
     system = nlkaczmarz.system.NonlinearSystem
-    # every residual, the solve's through its view and the public ones, is
+    # every residual, the solve's and the public ones, is
     # an _eval_residual call
     jacobian, residual = system.jacobian, system._eval_residual
     monkeypatch.setattr(system, "jacobian",
@@ -507,6 +508,21 @@ def test_unwritable_output_is_usage_error(argv, target, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert f"cannot write {path}" in captured.err and captured.out == ""
+
+
+def test_a_write_that_fails_after_the_output_check_is_usage_error(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the output passes _output's check, then the disk fills while the report is written
+    def full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    path = tmp_path / "run.json"
+    code = run_cli("solve", *H_EQUATION_20, "--out", str(path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"cannot write {path}" in captured.err and captured.out == ""
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [

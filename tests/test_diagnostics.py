@@ -210,6 +210,31 @@ def test_per_step_contraction_empty_at_solution():
     assert len(ratios) == 0
 
 
+def test_per_step_contraction_stops_at_an_iterate_equal_to_x_star():
+    # x* = x_1: the ratio from x_0 is 0, and none is taken from x_1 on
+    prob = get_problem("h-equation", 20)
+    report = run(prob.system, prob.x0, SolverConfig(method=Method.MRNABK, store_iterates=True))
+    assert len(report.iterates) == 20
+    ratios = per_step_contraction(report, report.iterates[1])
+    assert ratios.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("A,verified", [
+    ([[1.0, 1.0], [2.0, 2.0]], 0),
+    ([[1.0, 1.0], [2.0, -1.0]], 1),
+], ids=["rank-deficient", "full-rank"])
+def test_verified_contraction_steps_skip_a_rank_deficient_jacobian(A, verified):
+    # f(x) = A x - b is affine, so xi = 0 and the lemma holds for every pair:
+    # the rank of A alone decides whether the one NGABK step's bound applies
+    A, x_star = np.array(A), np.ones(2)
+    sys = make_affine(A, A @ x_star)
+    report = run(sys, np.zeros(2), SolverConfig(method=Method.NGABK, store_iterates=True))
+    assert report.iters == 1
+    steps = verified_contraction_steps(sys, report, x_star)
+    assert len(steps) == verified
+    assert all(s.xi == 0.0 and s.measured_ratio <= s.rho_bound < 1.0 for s in steps)
+
+
 def test_per_step_contraction_requires_iterates():
     prob = get_problem("brown", 6)
     report = run(prob.system, prob.x0, SolverConfig(method=Method.NGABK))

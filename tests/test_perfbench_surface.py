@@ -42,7 +42,7 @@ def test_the_tracer_enters_and_leaves_every_problems_system(spans):
         for p in problems:
             for method in Method:
                 run(p.system, p.x0, SolverConfig(method=method, max_iters=3))
-    # run() evaluates residuals and single rows through its view, which
+    # run() evaluates residuals and single rows through the _eval_* methods, which
     # calls the raw callables that the tracer wraps in place
     assert {"problems.residual", "problems.row_gradient", "system.gradient_rows",
             "system.jacobian"} <= set(tracer.names)

@@ -167,7 +167,7 @@ def test_block_vjp_matches_dense_rows(name, params, n, rng):
             G = sys.gradient_rows(idx, x)
             # rounding bound of a sum over at most m terms, per column
             bound = 2 * sys.m * eps * (np.abs(w) @ np.abs(G))
-            assert (np.abs(sys._view().block_vjp(idx, w, x)[0] - w @ G) <= bound).all()
+            assert (np.abs(sys._eval_block_vjp(idx, w, x)[0] - w @ G) <= bound).all()
 
 
 @pytest.mark.parametrize("n", [9, 40])
@@ -177,7 +177,7 @@ def test_row_norms_sq_match_jacobian(name, params, n, rng):
     sys = problem.system
     for x in _sparse_row_points(problem, rng):
         J = sys.jacobian(x)
-        assert np.allclose(sys._view().row_norms_sq(x)[0], (J * J).sum(axis=1),
+        assert np.allclose(sys._eval_row_norms(x)[0], (J * J).sum(axis=1),
                            rtol=4 * n * np.finfo(float).eps, atol=0.0)
 
 
@@ -186,12 +186,11 @@ def test_structured_access_counters(name, params, rng):
     problem = get_problem(name, 12, dict(params))
     sys = problem.system
     idx = np.array([0, 3, sys.m - 1])
-    view = sys._view()
     sys.counters.reset()
-    view.block_vjp(idx, rng.normal(size=3), problem.x0)
+    sys._eval_block_vjp(idx, rng.normal(size=3), problem.x0)
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 3, 0)
-    view.row_norms_sq(problem.x0)
+    sys._eval_row_norms(problem.x0)
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 3, 1)
 
 
@@ -202,7 +201,7 @@ def test_brown_overflowing_product_row_names_the_row():
     with pytest.raises(DomainError) as dense:
         sys.gradient_rows(idx, x)
     with np.errstate(all="ignore"), pytest.raises(DomainError) as structured:
-        sys._view().block_vjp(idx, np.ones(2), x)
+        sys._eval_block_vjp(idx, np.ones(2), x)
     assert dense.value.index == structured.value.index == 5
 
 
@@ -223,7 +222,7 @@ def test_h_equation_singular_row_names_the_row():
     with pytest.raises(DomainError) as dense:
         sys.gradient_rows(idx, x)
     with np.errstate(all="ignore"), pytest.raises(DomainError) as structured:
-        sys._view().block_vjp(idx, np.ones(2), x)
+        sys._eval_block_vjp(idx, np.ones(2), x)
     assert dense.value.index == structured.value.index == 5
 
 
@@ -293,7 +292,7 @@ def test_h_equation_row_norms_match_the_dense_default(n, c, rng):
     eps = np.finfo(float).eps
     for scale in (1.0, 1.0, 3.0, -5.0):
         x = scale * rng.uniform(0.0, 1.0, size=n)
-        w, ref = sys._view().row_norms_sq(x)[0], dense._view().row_norms_sq(x)[0]
+        w, ref = sys._eval_row_norms(x)[0], dense._eval_row_norms(x)[0]
         # the rounding bound of the dense sum over n squares
         assert (np.abs(w - ref) <= 4 * n * eps * ref).all()
 
@@ -366,7 +365,7 @@ def test_h_equation_row_norms_at_a_singular_point_raise_the_jacobian_error():
     with pytest.raises(DomainError) as dense:
         sys.jacobian(x)
     with np.errstate(all="ignore"), pytest.raises(DomainError) as structured:
-        sys._view().row_norms_sq(x)
+        sys._eval_row_norms(x)
     assert str(structured.value) == str(dense.value)
     assert structured.value.index == dense.value.index
 
@@ -376,7 +375,7 @@ def test_h_equation_row_norms_charge_one_jacobian_without_forming_it(monkeypatch
     monkeypatch.setattr(sys, "_full_jacobian", lambda x: pytest.fail("dense Jacobian formed"))
     sys.counters.reset()
     for _ in range(3):
-        sys._view().row_norms_sq(rng.uniform(0.0, 1.0, size=40))
+        sys._eval_row_norms(rng.uniform(0.0, 1.0, size=40))
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (0, 0, 3)
 
@@ -384,9 +383,8 @@ def test_h_equation_row_norms_charge_one_jacobian_without_forming_it(monkeypatch
 def _h_evaluations(sys, x):
     """The bytes of the three H-equation evaluations that read K x."""
     idx = np.array([0, 7, 8, 100, sys.m - 1])
-    view = sys._view()
-    return (sys.residual(x).tobytes(), view.row_norms_sq(x)[0].tobytes(),
-            view.block_vjp(idx, np.linspace(-1.0, 2.0, len(idx)), x)[0].tobytes())
+    return (sys.residual(x).tobytes(), sys._eval_row_norms(x)[0].tobytes(),
+            sys._eval_block_vjp(idx, np.linspace(-1.0, 2.0, len(idx)), x)[0].tobytes())
 
 
 def _counting_factor(monkeypatch):
@@ -468,7 +466,7 @@ def test_h_equation_kernel_product_cache_is_bitwise_a_fresh_system(N, monkeypatc
         kx[0] = 1.0
     before = _h_evaluations(sys, x)
     sys.residual(x)[:] = 0.0
-    sys._view().row_norms_sq(x)[0][:] = 0.0
+    sys._eval_row_norms(x)[0][:] = 0.0
     assert _h_evaluations(sys, x) == before
 
 
@@ -558,9 +556,9 @@ def test_h_equation_kernel_is_the_same_whichever_read_builds_it(N, rng):
     x = rng.uniform(0.0, 1.0, size=N)
     rows = np.arange(N)
     by_norms, by_rows = make_h_equation(N), make_h_equation(N)
-    w = by_norms._view().row_norms_sq(x)[0]
+    w = by_norms._eval_row_norms(x)[0]
     G = by_rows.gradient_rows(rows, x)
-    assert w.tobytes() == by_rows._view().row_norms_sq(x)[0].tobytes()
+    assert w.tobytes() == by_rows._eval_row_norms(x)[0].tobytes()
     assert G.tobytes() == by_norms.gradient_rows(rows, x).tobytes()
     assert G.tobytes() == by_norms.jacobian(x).tobytes() == by_rows.jacobian(x).tobytes()
     ref = -((1.0 - coef * (K[rows] @ x)) ** -2)[:, None] * coef * K[rows]
@@ -617,10 +615,10 @@ def test_h_equation_threads_building_the_kernel_read_the_single_threaded_bits(rn
     N = 500
     x = rng.uniform(0.0, 1.0, size=N)
     alone = make_h_equation(N)
-    expected = {"norms": alone._view().row_norms_sq(x)[0].tobytes(),
+    expected = {"norms": alone._eval_row_norms(x)[0].tobytes(),
                 "jacobian": alone.jacobian(x).tobytes()}
     sys = make_h_equation(N)
-    reads = {"norms": lambda x: sys._view().row_norms_sq(x)[0], "jacobian": sys.jacobian}
+    reads = {"norms": lambda x: sys._eval_row_norms(x)[0], "jacobian": sys.jacobian}
     threads = 4
     results = [None] * threads
     barrier = threading.Barrier(threads, timeout=60)
@@ -701,9 +699,9 @@ def test_residual_after_row_is_bitwise_the_residual(name, data):
         want = sys._residual(x_new).tobytes(), None
         assert _outcome(lambda: sys._refresh_after_row(i, x_new, fx, None)) == want
     assert fx.tobytes() == before
-    # a solve's view: the public residual's value, or its DomainError
+    # the refresh a solve calls: the public residual's value, or its DomainError
     with np.errstate(all="ignore"):
-        refreshed = _outcome(lambda: (sys._view().refresh_after_row(i, x_new, fx)[0][0], None))
+        refreshed = _outcome(lambda: (sys._eval_refresh(i, x_new, fx)[0][0], None))
     assert refreshed == _outcome(lambda: (sys.residual(x_new), None))
     assert fx.tobytes() == before
 
@@ -713,18 +711,17 @@ def test_residual_after_row_is_bitwise_the_residual(name, data):
 @given(data=st.data())
 def test_row_norms_after_row_is_bitwise_the_row_norms(name, data):
     sys, i, x_old, x_new = _after_row_case(name, data)
-    # the hook itself, as the view's dense fallback hides a non-finite row
+    # the hook itself, as _eval_refresh's dense fallback hides a non-finite row
     with np.errstate(all="ignore"):
         fx, w = sys._residual(x_old), sys._row_norms_sq(x_old)
         before = fx.tobytes(), w.tobytes()
         want = sys._residual(x_new).tobytes(), sys._row_norms_sq(x_new).tobytes()
         assert _outcome(lambda: sys._refresh_after_row(i, x_new, fx, w)) == want
     assert (fx.tobytes(), w.tobytes()) == before
-    # and a solve's view: the same values, or the same DomainError, as the
+    # and the refresh a solve calls: the same values, or the same DomainError, as the
     # full residual and then the full row norms
-    view = sys._view()
     with np.errstate(all="ignore"):
-        refreshed = _outcome(lambda: tuple(v for v, _ in view.refresh_after_row(i, x_new, fx, w)))
-        full = _outcome(lambda: (sys.residual(x_new), view.row_norms_sq(x_new)[0]))
+        refreshed = _outcome(lambda: tuple(v for v, _ in sys._eval_refresh(i, x_new, fx, w)))
+        full = _outcome(lambda: (sys.residual(x_new), sys._eval_row_norms(x_new)[0]))
     assert refreshed == full
     assert (fx.tobytes(), w.tobytes()) == before

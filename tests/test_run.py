@@ -287,7 +287,7 @@ def test_evaluations_inside_a_solve_use_its_scope():
 
 
 def test_another_system_keeps_its_checks_inside_a_solve():
-    # run() evaluates the solved system through its view; a public call made
+    # run() evaluates the solved system through its _eval_* methods; a public call made
     # during the solve, on another system or on the solved one itself, still
     # raises its own DomainError
     other = make_h_equation(1, c=0.9)
@@ -574,7 +574,7 @@ def test_a_misshapen_hook_result_inside_run_raises_as_a_direct_call(method, name
     fx, w = _A @ x - _B, np.einsum("ij,ij->i", _A, _A)
     direct = {"residual": lambda s: s.residual(x),
               "row_gradient": lambda s: s.row_gradient(0, x),
-              "refresh_after_row": lambda s: s._view().refresh_after_row(
+              "refresh_after_row": lambda s: s._eval_refresh(
                   0, x, fx, w if with_norms else None)}[name]
     sys = _short_at_third_call(name)
     direct(sys)

@@ -87,7 +87,7 @@ def test_nrk_solve_is_a_loop_of_one_choice_per_step():
     # one rng.choice per step and records the same history, bit for bit
     prob = get_problem("broyden", 50)
     sys, rows = prob.system, []
-    # the solve evaluates rows through its view, which calls the raw callable
+    # the solve evaluates rows through _eval_row_gradient, which calls the raw callable
     row_gradient = sys._row_gradient
     sys._row_gradient = lambda i, x: rows.append(i) or row_gradient(i, x)
     report = run(sys, prob.x0, SolverConfig(method=Method.NRK))

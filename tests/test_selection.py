@@ -149,7 +149,7 @@ def _select_rdcnk_reference(sys, x, fx):
     if not fx.any():
         raise ValueError("selection from a zero residual: solver should have terminated")
     with np.errstate(all="ignore"):
-        w = sys._view().row_norms_sq(x)[0]
+        w = sys._eval_row_norms(x)[0]
         a2 = fx * fx
         r2 = a2.sum()
         if not math.isfinite(r2):

@@ -38,7 +38,7 @@ def _block_step(A, b):
     x = np.zeros(A.shape[1])
     # a Gram that overflows or underflows warns outside run()'s floating-point scope
     with np.errstate(all="ignore"):
-        return rbcnk_step(sys._view(), x, sys.residual(x), np.arange(len(A)))[0]
+        return rbcnk_step(sys, x, sys.residual(x), np.arange(len(A)))[0]
 
 
 def test_single_affine_equation_one_projection():
@@ -63,11 +63,10 @@ def test_singleton_block_reduces_to_nrk(index, rng):
     sys = make_brown(5)
     x = rng.uniform(0.3, 1.4, size=5)
     fx = sys.residual(x)
-    # the steps evaluate through a solve's view, inside run()'s floating-point scope
-    view = sys._view()
+    # the steps evaluate inside run()'s floating-point scope
     with np.errstate(all="ignore"):
-        blocked = _averaged(view, x, fx, _rows(index))[0]
-        single = _projected(view, x, fx, index)[0]
+        blocked = _averaged(sys, x, fx, _rows(index))[0]
+        single = _projected(sys, x, fx, index)[0]
     assert np.allclose(blocked, single, rtol=1e-14, atol=0.0)
 
 
@@ -87,7 +86,7 @@ def test_breakdown_on_annihilated_direction():
     # f(x) = x^2 - 1 has zero gradient at x = 0 with residual -1
     sys = NonlinearSystem(1, 1, lambda x: x * x - 1.0, lambda i, x: 2.0 * x)
     with pytest.raises(BreakdownError), np.errstate(all="ignore"):
-        _averaged(sys._view(), np.zeros(1), sys.residual(np.zeros(1)), _rows(0))
+        _averaged(sys, np.zeros(1), sys.residual(np.zeros(1)), _rows(0))
     report = run(sys, np.zeros(1), SolverConfig(method=Method.NGABK))
     assert report.status.value == "breakdown"
     assert report.iters == 0
@@ -97,7 +96,7 @@ def test_nrk_affine_row_zeroed_after_step(rng):
     A = rng.normal(size=(4, 3))
     sys = make_affine(A, rng.normal(size=4))
     with np.errstate(all="ignore"):
-        _, fx, _, _ = _projected(sys._view(), np.zeros(3), sys.residual(np.zeros(3)), 2)
+        _, fx, _, _ = _projected(sys, np.zeros(3), sys.residual(np.zeros(3)), 2)
     assert fx[2] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -115,9 +114,8 @@ def test_rbcnk_singleton_reduces_to_nrk(rng):
     sys = make_brown(5)
     x = rng.uniform(0.3, 1.4, size=5)
     fx = sys.residual(x)
-    view = sys._view()
     with np.errstate(all="ignore"):
-        blocked, single = rbcnk_step(view, x, fx, _rows(3))[0], _projected(view, x, fx, 3)[0]
+        blocked, single = rbcnk_step(sys, x, fx, _rows(3))[0], _projected(sys, x, fx, 3)[0]
     assert np.allclose(blocked, single, rtol=1e-12)
 
 
@@ -303,11 +301,22 @@ def test_newton_affine_one_step(rng):
 def test_newton_step_is_zero_at_root():
     # run() stops before a step at a root, so the step is called directly
     sys = make_brown(4)
-    step = _step(sys._view(), Method.NEWTON, 0.1, None)
+    step = _step(sys, Method.NEWTON, 0.1, None)
     with np.errstate(all="ignore"):
         x, _, _, size = step(np.ones(4), sys.residual(np.ones(4)), 0.0)
     assert np.allclose(x, np.ones(4), atol=1e-12)
     assert size == 4
+
+
+def test_a_failed_least_squares_factorization_is_a_breakdown(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    prob = get_problem("h-equation", 20)
+    report = run(prob.system, prob.x0, SolverConfig(Method.NEWTON))
+    assert (report.status, report.iters) == (Status.BREAKDOWN, 0)
+    assert report.message == "least-squares factorization failed: SVD did not converge"
 
 
 def test_newton_quadratic_residual_decrease():

@@ -9,6 +9,7 @@ from nlkaczmarz import (
     Method,
     NonlinearSystem,
     SolverConfig,
+    check_lemma1,
     fd_check,
     make_brown,
     make_h_equation,
@@ -74,6 +75,15 @@ def test_system_refuses_a_size_that_is_not_a_positive_integer(size):
             NonlinearSystem(m, n, lambda x: x, lambda i, x: np.eye(2)[i])
 
 
+def test_system_refuses_a_known_solution_of_another_shape():
+    # checked where it is given, not where x* is first read
+    with pytest.raises(ValueError, match=r"^known_solution has shape \(3,\), expected \(2,\)$"):
+        NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
+                        known_solution=[1.0, 1.0, 1.0])
+    sys = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i], known_solution=[1, 2])
+    assert sys.known_solution.dtype == float and sys.known_solution.tolist() == [1.0, 2.0]
+
+
 def test_system_takes_a_numpy_integer_size():
     sys = NonlinearSystem(np.int64(3), np.int64(3), lambda x: x, lambda i, x: np.eye(3)[i])
     assert (sys.m, sys.n) == (3, 3)
@@ -104,6 +114,16 @@ def test_gradient_rows_reads_integer_rows_alone(indices, rows):
         assert G.shape == expected.shape and G.tobytes() == expected.tobytes()
 
 
+def test_rows_out_of_range_are_refused():
+    sys = make_brown(3)
+    x = np.ones(3)
+    for rows in ([3], [-1], [0, 3]):
+        with pytest.raises(IndexError, match="^row index out of range$"):
+            sys.gradient_rows(np.array(rows), x)
+    with pytest.raises(IndexError, match="^row index out of range$"):
+        check_lemma1(sys, np.array([3]), x, np.zeros(3), 0.1)
+
+
 def test_h_equation_domain_error_carries_index():
     # N=1: s = 0.225 x, denominator 1 - s hits zero at x = 1/0.225
     sys = make_h_equation(1, c=0.9)
@@ -121,13 +141,13 @@ def _solving(evaluate, *args):
 @pytest.mark.parametrize("evaluate,index", [
     (lambda sys, x: sys.row_gradient(0, x), 0),
     (lambda sys, x: sys.gradient_rows(np.array([0]), x), 0),
-    (lambda sys, x: _solving(sys._view().block_vjp, np.array([0]), np.ones(1), x), 0),
-    (lambda sys, x: _solving(sys._view().row_norms_sq, x), 0),
+    (lambda sys, x: _solving(sys._eval_block_vjp, np.array([0]), np.ones(1), x), 0),
+    (lambda sys, x: _solving(sys._eval_row_norms, x), 0),
     (lambda sys, x: sys.jacobian(x), 0),
 ], ids=["row_gradient", "gradient_rows", "block_vjp", "row_norms_sq", "jacobian"])
 def test_direct_evaluation_at_a_singular_point_raises_without_warnings(evaluate, index):
     # N = 1: the denominator 1 - (c/4) x of every gradient entry vanishes at x = 4 / c;
-    # the block product and the row norms are read through a solve's view
+    # the block product and the row norms are read through their _eval_* methods
     sys = make_h_equation(1, c=0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -201,10 +221,9 @@ def test_residual_after_row_is_counted_and_checked_as_the_residual():
     fx = sys.residual(x)
     y = x.copy()
     y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
-    view = sys._view()
     sys.counters.reset()
     # without norms to refresh, it is one residual evaluation and no norms
-    (f_new, r2), w_new = view.refresh_after_row(3, y, fx)
+    (f_new, r2), w_new = sys._eval_refresh(3, y, fx)
     assert np.array_equal(f_new, sys.residual(y)) and w_new is None
     assert r2 == f_new.dot(f_new)
     c = sys.counters
@@ -216,12 +235,12 @@ def test_residual_after_row_is_counted_and_checked_as_the_residual():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as refreshed:
-            _solving(view.refresh_after_row, 3, y, fx)
+            _solving(sys._eval_refresh, 3, y, fx)
     assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
     wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
                            refresh_after_row=lambda i, x, fx, w: (np.zeros(3), w))
     with pytest.raises(ValueError):
-        wide._view().refresh_after_row(0, np.zeros(2), np.zeros(2))
+        wide._eval_refresh(0, np.zeros(2), np.zeros(2))
 
 
 def test_residual_after_row_without_a_hook_is_the_residual():
@@ -229,7 +248,7 @@ def test_residual_after_row_without_a_hook_is_the_residual():
     x = np.array([0.5, 1.0, 2.0, -1.0])
     fx = sys.residual(np.ones(4))
     sys.counters.reset()
-    (f_new, _), w_new = sys._view().refresh_after_row(1, x, fx)
+    (f_new, _), w_new = sys._eval_refresh(1, x, fx)
     assert np.array_equal(f_new, sys.residual(x)) and w_new is None
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
@@ -238,14 +257,13 @@ def test_residual_after_row_without_a_hook_is_the_residual():
 def test_row_norms_after_row_is_counted_and_checked_as_the_row_norms():
     sys = make_singular_broyden(8)
     x = np.full(8, -0.5)
-    view = sys._view()
-    fx, w = sys.residual(x), view.row_norms_sq(x)[0]
+    fx, w = sys.residual(x), sys._eval_row_norms(x)[0]
     y = x.copy()
     y[2:5] = (0.25, -3.0, 7.0)  # row 3's columns
     sys.counters.reset()
-    (f_new, _), (w_new, w_sum) = view.refresh_after_row(3, y, fx, w)
+    (f_new, _), (w_new, w_sum) = sys._eval_refresh(3, y, fx, w)
     assert np.array_equal(f_new, sys.residual(y))
-    assert np.array_equal(w_new, view.row_norms_sq(y)[0])
+    assert np.array_equal(w_new, sys._eval_row_norms(y)[0])
     assert w_sum == np.add.reduce(w_new)
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 2)
@@ -253,7 +271,7 @@ def test_row_norms_after_row_is_counted_and_checked_as_the_row_norms():
         wide = NonlinearSystem(2, 2, lambda x: x, lambda i, x: np.eye(2)[i],
                                refresh_after_row=bad)
         with pytest.raises(ValueError):
-            wide._view().refresh_after_row(0, np.zeros(2), np.zeros(2), np.ones(2))
+            wide._eval_refresh(0, np.zeros(2), np.zeros(2), np.ones(2))
 
 
 def test_row_norms_after_row_without_a_hook_is_the_row_norms():
@@ -261,10 +279,9 @@ def test_row_norms_after_row_without_a_hook_is_the_row_norms():
     # RD-CNK then evaluates the row norms itself, once at every iterate it steps from
     sys = make_brown(4)
     x = np.array([0.5, 1.0, 2.0, -1.0])
-    view = sys._view()
-    fx, w = sys.residual(np.ones(4)), view.row_norms_sq(np.ones(4))[0]
+    fx, w = sys.residual(np.ones(4)), sys._eval_row_norms(np.ones(4))[0]
     sys.counters.reset()
-    (f_new, _), w_new = view.refresh_after_row(1, x, fx, w)
+    (f_new, _), w_new = sys._eval_refresh(1, x, fx, w)
     assert np.array_equal(f_new, sys.residual(x)) and w_new is None
     c = sys.counters
     assert (c.residual_evals, c.row_gradient_evals, c.jacobian_evals) == (2, 0, 0)
@@ -279,17 +296,16 @@ def test_non_finite_refreshed_row_norms_raise_the_dense_domain_error():
     # dense gradient, while every residual stays finite; the refresh falls
     # back to the dense rows, without a warning
     sys = make_overdetermined_rational(6)
-    view = sys._view()
     x = np.full(6, 0.5)
-    fx, w = sys.residual(x), view.row_norms_sq(x)[0]
+    fx, w = sys.residual(x), sys._eval_row_norms(x)[0]
     x[2] = 1e200  # row 4's column p = 2
     with pytest.raises(DomainError) as full:
-        _solving(view.row_norms_sq, x)
+        _solving(sys._eval_row_norms, x)
     sys.counters.reset()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError) as refreshed:
-            _solving(view.refresh_after_row, 4, x, fx, w)
+            _solving(sys._eval_refresh, 4, x, fx, w)
     assert (str(refreshed.value), refreshed.value.index) == (str(full.value), full.value.index)
     assert refreshed.value.index == 4
     c = sys.counters
@@ -318,19 +334,19 @@ def test_non_finite_hooks_raise_the_dense_domain_error():
         sys.gradient_rows(idx, x)
     sys.counters.reset()
     with pytest.raises(DomainError) as structured:
-        _solving(sys._view().block_vjp, idx, np.ones(3), x)
+        _solving(sys._eval_block_vjp, idx, np.ones(3), x)
     assert structured.value.index == dense.value.index == 2
     assert sys.counters.row_gradient_evals == 3
     with pytest.raises(DomainError) as dense:
         sys.jacobian(x)
     sys.counters.reset()
     with pytest.raises(DomainError) as structured:
-        _solving(sys._view().row_norms_sq, x)
+        _solving(sys._eval_row_norms, x)
     assert structured.value.index == dense.value.index
     assert sys.counters.jacobian_evals == 1
 
 
-# -- a solve's view and the public methods: one checked path ---------------
+# -- the _eval_* methods and the public methods: one checked path ----------
 
 _A = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [1.0, 0.0, 4.0], [1.0, 1.0, 1.0]])
 _NORMS = np.einsum("ij,ij->i", _A, _A)
@@ -362,13 +378,17 @@ def _spoiled_hooks(kind):
         refresh_after_row=lambda i, x, fx, w: (_A @ x, None if w is None else spoil(_NORMS)))
 
 
-# each evaluation's arguments, and the sum that the view hands over with each value
+# each evaluation's arguments, and the sum that its _eval_* method hands over with each value
 _X = np.ones(3)
 _ARGS = {"residual": (_X,), "row_gradient": (1, _X),
          "block_vjp": (np.array([0, 1, 3]), np.ones(3), _X), "row_norms_sq": (_X,),
          "refresh_after_row": (2, _X, _A @ _X, _NORMS)}
 _SUMS = {"residual": lambda f: float(f.dot(f)), "row_gradient": lambda g: g.dot(g),
          "block_vjp": lambda v: v.dot(v), "row_norms_sq": np.add.reduce}
+# the _eval_* method that a solve calls for each evaluation
+_EVAL = {"residual": "_eval_residual", "row_gradient": "_eval_row_gradient",
+         "block_vjp": "_eval_block_vjp", "row_norms_sq": "_eval_row_norms",
+         "refresh_after_row": "_eval_refresh"}
 
 
 def _outcome(evaluate):
@@ -381,7 +401,7 @@ def _outcome(evaluate):
 
 
 def _values(name, out):
-    """The values of a view member's result ``out``, each sum checked against them."""
+    """The values of an ``_eval_*`` method's result ``out``, each sum checked against them."""
     if name == "refresh_after_row":
         (fx, r2), (w, w_sum) = out
         assert (r2, w_sum) == (_SUMS["residual"](fx), _SUMS["row_norms_sq"](w))
@@ -392,12 +412,13 @@ def _values(name, out):
 
 
 def _public_outcome(name, kind):
-    """The outcome and counters that the view's ``name`` must give on
+    """The outcome and counters that ``_EVAL[name]`` must give on
     ``_spoiled_hooks(kind)``, from the public evaluations of an identical
     system.  ``residual`` and ``row_gradient`` are public methods.  The
-    other three are reached through the view alone: their hook's result is
-    kept where it is finite ("huge" returns 1e200 everywhere), and where it
-    is not it is replaced by the dense rows' product or norms, from
+    other three are reached through their ``_eval_*`` method alone: their
+    hook's result is kept where it is finite ("huge" returns 1e200
+    everywhere), and where it is not it is replaced by the dense rows'
+    product or norms, from
     ``gradient_rows`` or ``jacobian``, which raise the DomainError that
     names the row and charge the same counters.  The refresh hook's
     residual is its own finite A x, charged as one residual evaluation."""
@@ -426,12 +447,15 @@ def _public_outcome(name, kind):
 @pytest.mark.parametrize("kind", ["nan", "row", "huge"])
 @pytest.mark.parametrize("name", list(_ARGS))
 def test_the_view_gives_the_public_methods_outcome(name, kind):
-    # the same value or the same DomainError, and the same counters, with
-    # the dense rows' fallback where a hook's product or norms are not finite
+    # each _eval_* method that a solve calls gives the same value or the
+    # same DomainError, and the same counters, as the public methods, with
+    # the dense rows' fallback where a hook's product or norms are not
+    # finite; the name, from when a solve read these methods through a view
+    # of the system, is kept so that the test ids stay
     want, counters = _public_outcome(name, kind)
     solving = _spoiled_hooks(kind)
     with np.errstate(all="ignore"):
-        got = _outcome(lambda: _values(name, getattr(solving._view(), name)(*_ARGS[name])))
+        got = _outcome(lambda: _values(name, getattr(solving, _EVAL[name])(*_ARGS[name])))
     assert got == want
     assert vars(solving.counters) == counters
     if kind == "row" and name in ("block_vjp", "row_norms_sq", "refresh_after_row"):
@@ -440,11 +464,11 @@ def test_the_view_gives_the_public_methods_outcome(name, kind):
 
 def test_hooks_are_checked():
     sys = _system_with_bad_row(-1, lambda idx, w, x: np.zeros(2), lambda x: np.zeros(3))
-    view, x = sys._view(), np.ones(3)
+    x = np.ones(3)
     with pytest.raises(ValueError, match=r"^block_vjp has shape \(2,\)"):
-        view.block_vjp(np.array([0, 1]), np.ones(2), x)
+        sys._eval_block_vjp(np.array([0, 1]), np.ones(2), x)
     with pytest.raises(ValueError, match=r"^row_norms_sq has shape \(3,\)"):
-        view.row_norms_sq(x)
+        sys._eval_row_norms(x)
     wide = NonlinearSystem(4, 3, lambda x: np.zeros(4), lambda i, x: np.zeros(3),
                            gradient_rows=lambda idx, x: np.zeros((len(idx), 4)))
     with pytest.raises(ValueError):
@@ -457,6 +481,5 @@ def test_dense_defaults_match_rows_and_jacobian(rng):
     idx = np.array([4, 1, 1])
     w = rng.normal(size=3)
     x = rng.normal(size=4)
-    view = sys._view()
-    assert np.array_equal(view.block_vjp(idx, w, x)[0], w @ A[idx])
-    assert np.array_equal(view.row_norms_sq(x)[0], np.einsum("ij,ij->i", A, A))
+    assert np.array_equal(sys._eval_block_vjp(idx, w, x)[0], w @ A[idx])
+    assert np.array_equal(sys._eval_row_norms(x)[0], np.einsum("ij,ij->i", A, A))

@@ -157,10 +157,9 @@ def test_step_breakdowns_carry_the_iteration():
     x = np.zeros(1)
     fx = sys.residual(x)
     block = select_ngabk(fx).indices
-    view = sys._view()  # the steps evaluate through a solve's view
-    steps = [(lambda: _projected(view, x, fx, 0), "zero gradient in selected row 0"),
-             (lambda: rbcnk_step(view, x, fx, block), "selected block has all-zero gradients"),
-             (lambda: _averaged(view, x, fx, block),
+    steps = [(lambda: _projected(sys, x, fx, 0), "zero gradient in selected row 0"),
+             (lambda: rbcnk_step(sys, x, fx, block), "selected block has all-zero gradients"),
+             (lambda: _averaged(sys, x, fx, block),
               "block direction annihilated (singular Jacobian rows)")]
     for step, message in steps:
         with pytest.raises(BreakdownError) as exc, np.errstate(all="ignore"):
