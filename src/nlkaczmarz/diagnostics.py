@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .solvers import BlockSelection, Method, SolverReport, select_mrnabk, select_ngabk
-from .system import NonlinearSystem
+from .system import NonlinearSystem, _shaped
 
 DEGENERATE_SV_RTOL = 1e-12  # sigma_min below this times sigma_max counts as rank-deficient
 SKIP_BELOW = 1e-14  # a residual difference below this carries no cone information
@@ -275,12 +275,13 @@ def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
 def per_step_contraction(report: SolverReport, x_star: np.ndarray) -> np.ndarray:
     """Measured ratios ||x_{k+1} - x*||^2 / ||x_k - x*||^2 along a run.
 
-    Requires the run to have stored iterate snapshots.  The sequence is
-    truncated at the first iterate coinciding with x* (zero denominator).
+    Requires the run to have stored iterate snapshots, and x* of their
+    shape.  The sequence is truncated at the first iterate coinciding with
+    x* (zero denominator).
     """
     if report.iterates is None:
         raise ValueError("run was made without store_iterates=True")
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = _shaped("x_star", x_star, report.iterates[0].shape)
     err2 = np.array([float(np.sum((x - x_star) ** 2)) for x in report.iterates])
     ratios = []
     for k in range(len(err2) - 1):

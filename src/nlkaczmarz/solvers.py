@@ -22,8 +22,11 @@ step, or the iteration cap.  The steps evaluate the system through its
 ``_eval_*`` methods, which check themselves and hand each value over with
 its sum (||f||^2 with f, and so on), which the steps and the stopping rule
 use; this module makes no check of its own for non-finite values.
-``run()`` ignores NumPy's floating-point warnings for the whole solve; the
-public selections ignore them per call.
+``run()`` ignores NumPy's floating-point warnings for the whole solve, and
+``select_rdcnk`` per call.  The greedy selections' kernels write none, so
+``select_ngabk`` and ``select_mrnabk`` enter no error state of their own;
+RB-CNK reads its block's rows through the system's ``_eval_rows``, which
+checks neither the point nor the rows again.
 """
 from __future__ import annotations
 
@@ -110,6 +113,14 @@ class SolverReport:
 # -- block selection ---------------------------------------------------
 
 
+def _residual_vector(fx) -> np.ndarray:
+    """fx as a float array, which a greedy selection needs 1-D."""
+    fx = np.asarray(fx, dtype=float)
+    if fx.ndim != 1:
+        raise ValueError(f"residual has shape {fx.shape}, expected a 1-D array")
+    return fx
+
+
 def select_ngabk(fx: np.ndarray) -> BlockSelection:
     """Greedy block: tau = { i : f_i^2 >= delta ||f||^2 },
     delta = (max_i f_i^2 / ||f||^2 + 1/m) / 2.
@@ -117,15 +128,13 @@ def select_ngabk(fx: np.ndarray) -> BlockSelection:
     The argmax-residual index always satisfies the criterion, so tau is
     nonempty for any nonzero residual.
     """
-    fx = np.asarray(fx, dtype=float)
-    with np.errstate(all="ignore"):  # the kernel raises the zero-residual ValueError
-        idx, delta = kernels.ngabk_select(fx)
-    return BlockSelection(indices=idx, threshold=float(delta))
+    idx, delta = kernels.ngabk_select(_residual_vector(fx))
+    return BlockSelection(indices=idx, threshold=delta)
 
 
 def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
     """Relaxed max-residual block: tau = { i : f_i^2 >= rho * max_j f_j^2 }."""
-    fx = np.asarray(fx, dtype=float)
+    fx = _residual_vector(fx)
     # the kernel raises the zero-residual ValueError; a zero residual is
     # reported before a bad rho, so only a bad rho scans fx here
     if not (isinstance(rho, float) and 0.0 < rho <= 1.0):
@@ -133,9 +142,8 @@ def select_mrnabk(fx: np.ndarray, rho: float) -> BlockSelection:
             raise ValueError(kernels.ZERO_RESIDUAL)
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    with np.errstate(all="ignore"):  # rho * max f_i^2 may overflow
-        idx, threshold = kernels.mrnabk_select(fx, float(rho))
-    return BlockSelection(indices=idx, threshold=float(threshold))
+    idx, threshold = kernels.mrnabk_select(fx, float(rho))
+    return BlockSelection(indices=idx, threshold=threshold)
 
 
 def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray) -> BlockSelection:
@@ -245,8 +253,9 @@ def rbcnk_step(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray,
                idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float, int]:
     """(x + G^+ (-f_tau), its residual and ||f||^2, |tau|): the
     minimum-norm least-squares step on the block idx, G its gradient rows
-    (``_min_norm``), x and idx unchecked, as ``run()`` passes them."""
-    G = sys.gradient_rows(idx, x)
+    (``_min_norm``) from the system's ``_eval_rows``, x and idx unchecked,
+    as ``run()`` passes them."""
+    G = sys._eval_rows(idx, x)
     if not G.any():
         raise BreakdownError("selected block has all-zero gradients")
     x = x + _min_norm(G, -fx[idx])

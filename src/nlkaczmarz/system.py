@@ -16,15 +16,17 @@ one ``_eval_*`` method, which counts the call, checks the shape of what the
 hook returns and checks that it is finite, by the sum the solver needs
 anyway: (f, ||f||^2), (grad f_i, ||grad f_i||^2), (J_tau^T w, its squared
 norm) and (the row norms, their sum).  Only a sum that is not finite scans
-for the bad entry; a non-finite block product or row norms from a hook are
-replaced by the dense rows', whose DomainError names the row.  The public
-``residual`` and ``row_gradient`` check their arguments and make one
-``_eval_*`` call inside their own ``np.errstate``, returning the value
-alone.  ``run()``'s steps call the ``_eval_*`` methods themselves, under one
+for the bad entry; ``_eval_rows``, whose rows come with no sum, scans them
+all.  A non-finite block product or row norms from a hook are replaced by
+the dense rows', whose DomainError names the row.  No ``_eval_*`` method
+enters an ``np.errstate``.  The public ``residual``, ``row_gradient``,
+``gradient_rows`` and ``jacobian`` check their arguments and make one
+evaluation inside their own ``np.errstate``, returning the value alone.
+``run()``'s steps call the ``_eval_*`` methods themselves, under one
 ``np.errstate`` for the whole solve, and pass them points and rows that
-``run()`` has already checked.  They call ``gradient_rows`` and
-``jacobian``, the public methods, looked up on each call, so that a wrapper
-set on the instance still sees them.
+``run()`` has already checked.  Newton's step alone calls a public method,
+``jacobian``, looked up on each call, so that a wrapper set on the instance
+still sees it.
 """
 from __future__ import annotations
 
@@ -173,14 +175,15 @@ class NonlinearSystem:
         """Stack the Jacobian rows listed in ``indices`` at x."""
         indices = self._check_rows(indices)
         x = self._point(x)
-        self.counters.row_gradient_evals += len(indices)
-        return self._rows(indices, x)
+        with np.errstate(all="ignore"):
+            return self._eval_rows(indices, x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the full Jacobian (counted as one full evaluation)."""
         x = self._point(x)
         self.counters.jacobian_evals += 1
-        return self._full_jacobian(x)
+        with np.errstate(all="ignore"):
+            return self._full_jacobian(x)
 
     # -- the checked evaluations -------------------------------------------
 
@@ -212,6 +215,12 @@ class NonlinearSystem:
         if not math.isfinite(g2) and not np.isfinite(g).all():
             raise DomainError(f"non-finite gradient in row {i}", index=i)
         return g, g2
+
+    def _eval_rows(self, indices, x):
+        """The Jacobian rows ``indices`` at x, counted as ``len(indices)``
+        row gradients and checked as ``_rows`` checks them."""
+        self.counters.row_gradient_evals += len(indices)
+        return self._rows(indices, x)
 
     def _eval_block_vjp(self, indices, w, x):
         """(``w @ gradient_rows(indices, x)``, its squared norm), counted as
@@ -248,12 +257,13 @@ class NonlinearSystem:
         return w, np.add.reduce(w)
 
     def _rows(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            if self._gradient_rows is not None:
-                G = self._gradient_rows(indices, x)
-            else:
-                G = np.stack([self._row_gradient(i, x) for i in indices])
-            G = _shaped("gradient_rows", G, (len(indices), self.n))
+        """The rows ``indices`` at x, uncounted, of the shape (len(indices), n),
+        or the DomainError of the first row that is not finite."""
+        if self._gradient_rows is not None:
+            G = self._gradient_rows(indices, x)
+        else:
+            G = np.stack([self._row_gradient(i, x) for i in indices])
+        G = _shaped("gradient_rows", G, (len(indices), self.n))
         if not np.isfinite(G).all():
             i = int(indices[np.flatnonzero(~np.isfinite(G).all(axis=1))[0]])
             raise DomainError(f"non-finite gradient in row {i}", index=i)

@@ -198,7 +198,7 @@ def test_an_allocation_numpy_refuses_exits_4_in_one_line(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("solve", "--problem", "brown", "--n", "10", "--method", "ngabk"),
-    ("bench", "--suite", "brown", "--sizes", "10", "--repeats", "1"),
+    ("bench", "--suite", "brown", "--sizes", "10", "--repeats", "1", "--max-iters", "1000"),
     ("rho-sweep", "--sizes", "10", "--rhos", "0.5"),
     ("diagnose", "--problem", "brown", "--n", "5", "--pairs", "2"),
     ("--help",),

@@ -219,6 +219,14 @@ def test_per_step_contraction_stops_at_an_iterate_equal_to_x_star():
     assert ratios.tolist() == [0.0]
 
 
+def test_per_step_contraction_refuses_an_x_star_of_another_shape():
+    # one entry would broadcast against every iterate, as if x* were (1, ..., 1)
+    prob = get_problem("h-equation", 20)
+    report = run(prob.system, prob.x0, SolverConfig(method=Method.MRNABK, store_iterates=True))
+    with pytest.raises(ValueError, match=r"^x_star has shape \(1,\), expected \(20,\)$"):
+        per_step_contraction(report, np.ones(1))
+
+
 @pytest.mark.parametrize("A,verified", [
     ([[1.0, 1.0], [2.0, 2.0]], 0),
     ([[1.0, 1.0], [2.0, -1.0]], 1),

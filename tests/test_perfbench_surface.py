@@ -42,9 +42,9 @@ def test_the_tracer_enters_and_leaves_every_problems_system(spans):
         for p in problems:
             for method in Method:
                 run(p.system, p.x0, SolverConfig(method=method, max_iters=3))
-    # run() evaluates residuals and single rows through the _eval_* methods, which
-    # calls the raw callables that the tracer wraps in place
-    assert {"problems.residual", "problems.row_gradient", "system.gradient_rows",
+    # run() evaluates residuals, single rows and RB-CNK's row blocks through the
+    # _eval_* methods, which call the raw callables that the tracer wraps in place
+    assert {"problems.residual", "problems.row_gradient", "problems.gradient_rows",
             "system.jacobian"} <= set(tracer.names)
     assert set(spans.layer_totals(tracer)) == set(tracer.names)
     # and everything is restored on exit

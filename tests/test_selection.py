@@ -72,6 +72,13 @@ def test_mrnabk_rejects_bad_rho():
         select_mrnabk(np.ones(3), rho=1.5)
 
 
+@pytest.mark.parametrize("select", [select_ngabk, lambda fx: select_mrnabk(fx, 0.1)],
+                         ids=["ngabk", "mrnabk"])
+def test_greedy_selections_refuse_a_residual_that_is_not_1d(select):
+    with pytest.raises(ValueError, match=r"^residual has shape \(2, 3\), expected a 1-D array$"):
+        select(np.ones((2, 3)))
+
+
 nonzero_residuals = hnp.arrays(
     np.float64, st.integers(min_value=1, max_value=60),
     elements=st.floats(-1e6, 1e6, allow_nan=False),

@@ -380,14 +380,15 @@ def _spoiled_hooks(kind):
 
 # each evaluation's arguments, and the sum that its _eval_* method hands over with each value
 _X = np.ones(3)
-_ARGS = {"residual": (_X,), "row_gradient": (1, _X),
+_ARGS = {"residual": (_X,), "row_gradient": (1, _X), "gradient_rows": (np.array([0, 1, 3]), _X),
          "block_vjp": (np.array([0, 1, 3]), np.ones(3), _X), "row_norms_sq": (_X,),
          "refresh_after_row": (2, _X, _A @ _X, _NORMS)}
 _SUMS = {"residual": lambda f: float(f.dot(f)), "row_gradient": lambda g: g.dot(g),
          "block_vjp": lambda v: v.dot(v), "row_norms_sq": np.add.reduce}
 # the _eval_* method that a solve calls for each evaluation
 _EVAL = {"residual": "_eval_residual", "row_gradient": "_eval_row_gradient",
-         "block_vjp": "_eval_block_vjp", "row_norms_sq": "_eval_row_norms",
+         "gradient_rows": "_eval_rows", "block_vjp": "_eval_block_vjp",
+         "row_norms_sq": "_eval_row_norms",
          "refresh_after_row": "_eval_refresh"}
 
 
@@ -402,6 +403,8 @@ def _outcome(evaluate):
 
 def _values(name, out):
     """The values of an ``_eval_*`` method's result ``out``, each sum checked against them."""
+    if name == "gradient_rows":  # rows come without a sum
+        return (out,)
     if name == "refresh_after_row":
         (fx, r2), (w, w_sum) = out
         assert (r2, w_sum) == (_SUMS["residual"](fx), _SUMS["row_norms_sq"](w))
@@ -414,8 +417,8 @@ def _values(name, out):
 def _public_outcome(name, kind):
     """The outcome and counters that ``_EVAL[name]`` must give on
     ``_spoiled_hooks(kind)``, from the public evaluations of an identical
-    system.  ``residual`` and ``row_gradient`` are public methods.  The
-    other three are reached through their ``_eval_*`` method alone: their
+    system.  ``residual``, ``row_gradient`` and ``gradient_rows`` are
+    public methods.  The other three are reached through their ``_eval_*`` method alone: their
     hook's result is kept where it is finite ("huge" returns 1e200
     everywhere), and where it is not it is replaced by the dense rows'
     product or norms, from
@@ -431,7 +434,7 @@ def _public_outcome(name, kind):
         J = ref.jacobian(_X)
         return kept(np.einsum("ij,ij->i", J, J))
 
-    if name in ("residual", "row_gradient"):
+    if name in ("residual", "row_gradient", "gradient_rows"):
         evaluate = lambda: (getattr(ref, name)(*_ARGS[name]),)
     elif name == "block_vjp":
         idx, w, x = _ARGS[name]
@@ -460,6 +463,19 @@ def test_the_view_gives_the_public_methods_outcome(name, kind):
     assert vars(solving.counters) == counters
     if kind == "row" and name in ("block_vjp", "row_norms_sq", "refresh_after_row"):
         assert want == ("non-finite gradient in row 1", 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_public_row_access_writes_no_warning_where_a_row_overflows():
+    # the product row's entries, 1e200 ** 9, overflow: the public methods
+    # hold their own error state, as the _eval_* methods do not
+    sys = make_brown(10)
+    x = np.full(10, 1e200)
+    with pytest.raises(DomainError, match=r"^non-finite gradient in row 9$") as rows:
+        sys.gradient_rows([9], x)
+    with pytest.raises(DomainError, match=r"^non-finite gradient in row 9$") as full:
+        sys.jacobian(x)
+    assert rows.value.index == full.value.index == 9
 
 
 def test_hooks_are_checked():
