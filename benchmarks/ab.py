@@ -9,7 +9,11 @@ on the last line it prints; a run that fails, or reports a failed solve, stops
 the comparison.  At the end, for each end-to-end metric of ``BENCHMARK.json``,
 the script prints each side's quartiles and median and the number of pairs in
 which the change was better, by the metric's direction; a tie counts for
-neither side.
+neither side.  Its verdict on the metric is ``gain`` when the change won at
+least nine tenths of the pairs and its median is better than the parent's by
+more than the parent's quartile distance q3 - q1; ``worse`` when its median
+is worse than the parent's by more than the metric's ``bound``, a fraction of
+the parent's median; and ``hold`` otherwise.
 """
 from __future__ import annotations
 
@@ -30,18 +34,34 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+class Row(tuple):
+    """(metric name, parent's quartiles, change's quartiles, pairs the change
+    won), with the change's ``verdict`` on the metric."""
+
+    verdict: str
+
+
 def summary(parent: list, change: list, metrics: list) -> list:
-    """One row per end-to-end metric: (name, parent's quartiles, change's
-    quartiles, pairs the change won).  ``parent`` and ``change`` hold one
+    """One ``Row`` per end-to-end metric.  ``parent`` and ``change`` hold one
     {metric: value} per run, pair i being (parent[i], change[i]); ``metrics``
-    holds the BENCHMARK.json entries, each with its ``name`` and ``better``."""
+    holds the BENCHMARK.json entries, each with its ``name`` and ``better``,
+    and the ``bound`` that a ``worse`` verdict needs."""
     rows = []
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         a = [run[name] for run in parent]
         b = [run[name] for run in change]
         won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-        rows.append((name, quartiles(a), quartiles(b), won))
+        qa, qb = quartiles(a), quartiles(b)
+        gained = sign * (qb[1] - qa[1])  # how much better the change's median is
+        row = Row((name, qa, qb, won))
+        if 10 * won >= 9 * len(a) and gained > qa[2] - qa[0]:
+            row.verdict = "gain"
+        elif "bound" in metric and -gained > metric["bound"] * abs(qa[1]):
+            row.verdict = "worse"
+        else:
+            row.verdict = "hold"
+        rows.append(row)
     return rows
 
 
@@ -84,10 +104,11 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds} s, seed {args.seed}; "
           "quartiles as q1 / median / q3")
-    print(f"{'metric':16s} {'parent':>36s} {'change':>36s}  won")
-    for name, a, b, won in summary(sides["parent"], sides["change"], metrics):
+    print(f"{'metric':16s} {'parent':>36s} {'change':>36s}  won    verdict")
+    for row in summary(sides["parent"], sides["change"], metrics):
+        name, a, b, won = row
         print(f"{name:16s} {' / '.join(f'{v:10.6g}' for v in a)} "
-              f"{' / '.join(f'{v:10.6g}' for v in b)}  {won}/{args.pairs}")
+              f"{' / '.join(f'{v:10.6g}' for v in b)}  {won:2d}/{args.pairs:<2d}  {row.verdict}")
     return 0
 
 

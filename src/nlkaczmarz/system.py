@@ -233,7 +233,7 @@ class NonlinearSystem:
             v2 = v.dot(v)
             if math.isfinite(v2) or np.isfinite(v).all():
                 return v, v2
-        v = w @ self._rows(indices, x)
+        v = w.dot(self._rows(indices, x))
         return v, v.dot(v)
 
     def _eval_row_norms(self, x):

@@ -406,6 +406,9 @@ def _counting_factor(monkeypatch):
         def __matmul__(self, y):
             return self.F @ y
 
+        def dot(self, y):
+            return self.F.dot(y)
+
         def __getitem__(self, key):
             return self.F[key]
 

@@ -133,6 +133,15 @@ def test_config_validation():
             SolverConfig(method=Method.MRNABK, rho=bad)
 
 
+@pytest.mark.parametrize("field", ["rho", "tol_sq"])
+@pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(True), 1j],
+                         ids=["str", "None", "True", "np.True_", "complex"])
+def test_config_refuses_a_rho_or_tol_sq_that_is_not_a_real_number(field, bad):
+    # True would act as 1.0; the others raised TypeError from math.isfinite
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SolverConfig(method=Method.MRNABK, **{field: bad})
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-3), np.float64(2.0), "1"])
 @pytest.mark.parametrize("method", list(Method))
 def test_config_checks_the_seed_for_every_method(method, seed):
@@ -176,6 +185,14 @@ def test_bad_start_is_breakdown(x0):
     assert report.status is Status.BREAKDOWN
     assert report.iters == 0 and report.history == []
     assert report.message
+
+
+def test_a_complex_start_is_refused_before_any_evaluation():
+    # a cast to float solved from the real part and reported convergence
+    prob = get_problem("h-equation", 20)
+    with pytest.raises(ValueError, match=r"^x0 has dtype complex128, expected real numbers$"):
+        run(prob.system, prob.x0 + 1j, SolverConfig(method=Method.NGABK))
+    assert prob.system.counters.residual_evals == 0
 
 
 _UNDEFINED_STEP = "||f_tau||^2 = inf, ||d||^2 = inf: the step length is undefined"

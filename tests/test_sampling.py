@@ -1,6 +1,7 @@
 """NRK's inline row sampler against NumPy's ``Generator.choice``, its reference,
 NRK's blocks of uniform draws against one ``Generator.random()`` per draw,
-and RD-CNK's uniform draw against ``Generator.integers(k)``."""
+and RD-CNK's uniform draw against ``Generator.integers(k)``, which over one
+value draws nothing."""
 import math
 
 import numpy as np
@@ -121,6 +122,16 @@ def test_integers_from_zero_equals_integers_up_to_k():
         for _ in range(3):
             assert ours.integers(0, k) == ref.integers(k)
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 8, 2**70])
+def test_integers_over_one_value_draws_nothing_from_the_stream(seed):
+    # RD-CNK takes a one-row capped set's row without calling the generator
+    rng = np.random.default_rng(seed)
+    rng.random(3)  # a stream already drawn from, as at a later step
+    before = rng.bit_generator.state
+    assert rng.integers(0, 1) == 0
+    assert rng.bit_generator.state == before
 
 
 def _reference_row(fx, r2, u):

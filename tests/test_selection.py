@@ -11,6 +11,7 @@ from nlkaczmarz import (
     BreakdownError,
     DomainError,
     NonlinearSystem,
+    get_problem,
     select_mrnabk,
     select_ngabk,
     select_rdcnk,
@@ -77,6 +78,13 @@ def test_mrnabk_rejects_bad_rho():
 def test_greedy_selections_refuse_a_residual_that_is_not_1d(select):
     with pytest.raises(ValueError, match=r"^residual has shape \(2, 3\), expected a 1-D array$"):
         select(np.ones((2, 3)))
+
+
+def test_rdcnk_refuses_a_residual_that_is_not_1d():
+    sys = get_problem("h-equation", 5).system
+    with pytest.raises(ValueError, match=r"^residual has shape \(2, 5\), expected a 1-D array$"):
+        select_rdcnk(sys, np.zeros(5), np.ones((2, 5)))
+    assert sys.counters.jacobian_evals == 0
 
 
 nonzero_residuals = hnp.arrays(
