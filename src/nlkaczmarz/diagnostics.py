@@ -7,6 +7,7 @@ diagnostic use only), and compares against the single-row bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -65,7 +66,12 @@ class OrderingReport:
 def sample_pairs(box: np.ndarray, count: int, radius: float,
                  rng: np.random.Generator) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Draw point pairs inside the box: x1 uniform, x2 = x1 + perturbation
-    of the given radius, clipped back into the box."""
+    of the given radius, clipped back into the box.  ``count`` must be 0 or
+    more and ``radius`` finite and positive."""
+    if count < 0:
+        raise ValueError(f"pair count must be 0 or more, got {count}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"pair radius must be finite and positive, got {radius}")
     lo, hi = box[:, 0], box[:, 1]
     pairs = []
     for _ in range(count):
@@ -112,11 +118,19 @@ def _cone(m: int, terms: Iterable[Tuple[np.ndarray, np.ndarray]]) -> ConeEstimat
 def check_lemma1(sys: NonlinearSystem, tau: np.ndarray, x1: np.ndarray,
                  x2: np.ndarray, xi: float, rel_slack: float = 1e-10) -> Lemma1Check:
     """Check ||f_tau(x1) - f_tau(x2)||^2 >= ||f'_tau(x1)(x1-x2)||^2 / (1+xi^2)."""
+    _check_xi(xi)
     tau = sys._check_rows(tau)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     df = (sys.residual(x1) - sys.residual(x2))[tau]
     return _lemma1(df, sys.gradient_rows(tau, x1) @ (x1 - x2), xi, rel_slack)
+
+
+def _check_xi(xi: float) -> None:
+    """Refuse a negative cone constant xi.  nan passes: it is
+    ``estimate_cone``'s xi when no pair is usable, and makes no bound apply."""
+    if xi < 0.0:
+        raise ValueError(f"xi must be 0 or more, got {xi}")
 
 
 def _lemma1(df: np.ndarray, lin: np.ndarray, xi: float, rel_slack: float) -> Lemma1Check:
@@ -134,11 +148,15 @@ def theorem_bound(sys: NonlinearSystem, x: np.ndarray, sel: BlockSelection,
     MRNABK: 1 - (1-2xi)/(1+xi^2) * rho |tau| sigma_min^2(J) / (m sigma_max^2(J_tau))
 
     A rank-deficient full Jacobian degenerates the bound to 1 (reported,
-    not an error).
+    not an error).  The selection's rows must be rows of the system, at
+    least one.
     """
     method = Method(method)
     if method not in (Method.NGABK, Method.MRNABK):
         raise ValueError("bounds exist for the averaged block methods only")
+    _check_xi(xi)
+    if not sys._check_rows(sel.indices).size:
+        raise ValueError("the selection has no rows")
     return _bound(_spectra(sys.jacobian(x), sel), sel, xi, method, rho, sys.m)
 
 
@@ -204,6 +222,7 @@ def _nrk_rate(sigma_min: float, fro2: float, m: int, xi: float) -> float:
 def nrk_bound(sys: NonlinearSystem, x: np.ndarray, xi: float) -> float:
     """Single-row contraction bound at the iterate x,
     1 - (1-2xi)/(1+xi)^2 * sigma_min^2(J) / (m ||J||_F^2)."""
+    _check_xi(xi)
     J = sys.jacobian(x)
     sv = np.linalg.svd(J, compute_uv=False)
     return _nrk_rate(float(sv[min(sys.m, sys.n) - 1]), float((J * J).sum()), sys.m, xi)
@@ -217,6 +236,7 @@ def remark2_compare(bound_block: StepBound, sys: NonlinearSystem,
     is strict only where the block bound applies (xi < 1/2 and a Jacobian
     that is not rank-deficient); elsewhere both bounds are vacuous, and for
     xi > 1/2 the single-row rate exceeds 1."""
+    _check_xi(xi)
     rho_nrk = _nrk_rate(bound_block.sigma_min_full, bound_block.jacobian_fro_sq, sys.m, xi)
     return OrderingReport(rho_block=bound_block.rho_bound, rho_nrk=rho_nrk,
                           strict=bound_block.applicable and bound_block.rho_bound < rho_nrk)

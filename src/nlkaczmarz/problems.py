@@ -17,7 +17,12 @@ gradient row is computed when it is read, so a method takes O(N r) memory
 besides the rows it reads.  Broyden and the overdetermined system, whose
 rows read at most three neighbouring columns, also refresh the residual and
 the row norms after a single-row step in one pass over the rows that read
-that row's columns.
+that row's columns, and state each row's formula once, so that a row has the
+same bits whichever method reads it: Broyden's block rows are its single-row
+formula per row, and the overdetermined system's r'(x_i) is one function,
+which squares by products on arrays and Python floats alike.  Brown's rows
+agree bitwise too; the H-equation's single row (a dot product) and block rows
+(a matrix-vector product) agree only to rounding.
 ``get_problem`` adds the conventional initial point and a per-coordinate
 sampling box used for finite-difference validation and cone-constant
 estimation.  Products on a solve's path call ``ndarray.dot``, not ``@``,
@@ -280,37 +285,34 @@ def make_singular_broyden(n: int) -> NonlinearSystem:
     def residual(x):
         return _g(x) ** 2
 
-    def row_gradient(i, x):
-        # _g's operations in its order, on Python floats
-        xi = float(x[i])
+    def _write_row(i, x, out):
+        # row i is s (-1, 3 - 4 x_i, -2) in columns i-1, i, i+1, s = 2 g_i,
+        # with g_i from _g's operations in its order, on Python floats; off
+        # the band s * 0.0, a zero of s's sign or nan, as s times a zero-padded
+        # row gives
+        xi = x.item(i)
         gi = (3.0 - 2.0 * xi) * xi + 1.0
         if i > 0:
-            gi -= float(x[i - 1])
+            gi -= x.item(i - 1)
         if i < n - 1:
-            gi -= 2.0 * float(x[i + 1])
-        grad = np.zeros(n)
-        grad[i] = 3.0 - 4.0 * xi
+            gi -= 2.0 * x.item(i + 1)
+        s = 2.0 * gi
+        out.fill(s * 0.0)
+        out[i] = s * (3.0 - 4.0 * xi)
         if i > 0:
-            grad[i - 1] = -1.0
+            out[i - 1] = s * -1.0
         if i < n - 1:
-            grad[i + 1] = -2.0
-        return 2.0 * gi * grad
+            out[i + 1] = s * -2.0
+        return out
+
+    def row_gradient(i, x):
+        return _write_row(i, x, np.empty(n))
 
     def gradient_rows(idx, x):
-        # row k is 2 g_k (-1, 3 - 4 x_k, -2) in columns k-1, k, k+1, with g
-        # taken at the rows idx alone.  In a zero-padded copy of x a boundary
-        # term subtracts 0.0, which leaves _g's value bitwise; in G a clipped
-        # boundary column is the diagonal, which is written last.
-        xp = np.zeros(n + 2)
-        xp[1:-1] = x
-        xi = xp[idx + 1]
-        g = (3.0 - 2.0 * xi) * xi + 1.0 - xp[idx] - 2.0 * xp[idx + 2]
-        G = np.zeros((len(idx), n))
-        r = np.arange(len(idx))
-        G[r, np.maximum(idx - 1, 0)] = -1.0
-        G[r, np.minimum(idx + 1, n - 1)] = -2.0
-        G[r, idx] = 3.0 - 4.0 * xi
-        return 2.0 * g[:, None] * G
+        G = np.empty((len(idx), n))
+        for r, i in enumerate(idx.tolist()):
+            _write_row(i, x, G[r])
+        return G
 
     def block_vjp(idx, w, x):
         # row k holds s_k * (-1, 3 - 4 x_k, -2) in columns k-1, k, k+1, with
@@ -387,13 +389,18 @@ def make_overdetermined_rational(n: int) -> NonlinearSystem:
         return out
 
     def _rational_deriv(xi):
-        return (2.0 - 2.0 * xi**2) / (1.0 + xi**2) ** 2
+        # r'(x) of r(x) = 2x / (1 + x^2), squared by products, which are
+        # NumPy's ** 2 on arrays.  On a scalar, ** raises OverflowError (a
+        # Python float) or goes through pow and rounds otherwise (NumPy's)
+        x2 = xi * xi
+        d = 1.0 + x2
+        return (2.0 - 2.0 * x2) / (d * d)
 
     def row_gradient(k, x):
         i = k // 2
         g = np.zeros(n)
         if k % 2 == 0:
-            g[i] = 10.0 * _rational_deriv(x[i])
+            g[i] = 10.0 * _rational_deriv(x.item(i))
             g[i + 1] = -10.0
         else:
             g[i] = 1.0
@@ -430,8 +437,8 @@ def make_overdetermined_rational(n: int) -> NonlinearSystem:
         # read; an odd row's norm is the constant 1 and row 2q's reads x_q
         # alone, so rows 2p and 2p+2 are the norms to recompute.  Each uses
         # residual's or row_norms_sq's operations in its order, on Python
-        # floats, squared by a product because ** raises OverflowError on
-        # them; 1 + x^2 is never 0
+        # floats, squared by a product as _rational_deriv squares; 1 + x^2 is
+        # never 0
         p = k // 2
         lo, hi = max(p - 1, 0), min(p + 2, n - 1)
         fx = fx.copy()
@@ -444,7 +451,7 @@ def make_overdetermined_rational(n: int) -> NonlinearSystem:
             fx[2 * q] = 10.0 * (2.0 * xq / d - xs[q + 1 - lo])
             fx[2 * q + 1] = xq - 1.0
             if w is not None and q >= p:
-                a = 10.0 * ((2.0 - 2.0 * xq2) / (d * d))
+                a = 10.0 * _rational_deriv(xq)
                 w[2 * q] = a * a + 100.0
         return fx, w
 

@@ -117,6 +117,61 @@ def test_theorem_bound_rejects_single_row_methods():
         theorem_bound(sys, x, select_ngabk(sys.residual(x)), xi=0.0, method=Method.NRK)
 
 
+@pytest.mark.parametrize("rows,error,match", [
+    ([-1], IndexError, "out of range"),
+    ([99], IndexError, "out of range"),
+    ([0.5], IndexError, "1-D integer array"),
+    ([[0, 1]], IndexError, "1-D integer array"),
+    ([], ValueError, "no rows"),
+], ids=["negative", "past-the-end", "float", "2-d", "empty"])
+def test_theorem_bound_refuses_a_selection_that_is_not_rows_of_the_system(rows, error, match):
+    sys = get_problem("h-equation", 5).system
+    x = np.full(5, 0.5)
+    with pytest.raises(error, match=match):
+        theorem_bound(sys, x, BlockSelection(indices=rows, threshold=0.5), xi=0.0)
+    assert sys.counters.jacobian_evals == 0
+
+
+@pytest.mark.parametrize("xi", [-1.0, -0.5, -1e-300])
+def test_the_bounds_refuse_a_negative_xi(xi):
+    sys = get_problem("h-equation", 5).system
+    x = np.full(5, 0.5)
+    sel = select_ngabk(sys.residual(x))
+    bound = theorem_bound(sys, x, sel, xi=0.0)
+    calls = [lambda: check_lemma1(sys, np.arange(5), x, 0.9 * x, xi),
+             lambda: theorem_bound(sys, x, sel, xi),
+             lambda: nrk_bound(sys, x, xi),
+             lambda: remark2_compare(bound, sys, xi)]
+    for call in calls:
+        with pytest.raises(ValueError, match="xi must be 0 or more"):
+            call()
+
+
+def test_the_bounds_accept_a_nan_xi():
+    # estimate_cone's xi when no pair is usable: no bound applies
+    sys = get_problem("h-equation", 5).system
+    x = np.full(5, 0.5)
+    bound = theorem_bound(sys, x, select_ngabk(sys.residual(x)), xi=np.nan)
+    assert not bound.applicable and bound.rho_bound == 1.0
+    assert np.isnan(nrk_bound(sys, x, np.nan))
+    assert not remark2_compare(bound, sys, np.nan).strict
+    assert not check_lemma1(sys, np.arange(5), x, 0.9 * x, np.nan).holds
+
+
+@pytest.mark.parametrize("count,radius,match", [
+    (-1, 0.05, "pair count must be 0 or more"),
+    (3, -1.0, "pair radius must be finite and positive"),
+    (3, 0.0, "pair radius must be finite and positive"),
+    (3, np.inf, "pair radius must be finite and positive"),
+    (3, np.nan, "pair radius must be finite and positive"),
+])
+def test_sample_pairs_refuses_a_negative_count_or_a_bad_radius(count, radius, match, rng):
+    box = get_problem("brown", 4).sample_box
+    with pytest.raises(ValueError, match=match):
+        sample_pairs(box, count, radius, rng)
+    assert sample_pairs(box, 0, 0.05, rng) == []
+
+
 def test_delta_threshold_dominates_uniform(rng):
     # the greedy threshold never drops below 1/m
     for _ in range(1000):

@@ -281,6 +281,30 @@ def test_broyden_gradient_rows_bitwise_equal_to_the_full_g(n, rng):
             assert G.tobytes() == np.stack([sys._row_gradient(int(i), x) for i in idx]).tobytes()
 
 
+# The H-equation is left out: its row_gradient is one dot product per row and
+# its gradient_rows one matrix-vector product for the block, whose sums BLAS
+# may round differently, so the two agree only to rounding.
+@pytest.mark.parametrize("name,n", [("brown", 7), ("broyden", 2), ("broyden", 9),
+                                    ("overdetermined", 2), ("overdetermined", 9)])
+def test_row_gradient_is_bitwise_the_gradient_rows_row(name, n, rng):
+    problem = get_problem(name, n)
+    sys = problem.system
+    lo, hi = problem.sample_box.T
+    points = [rng.uniform(lo, hi) for _ in range(20)] + [np.full(n, -0.0)]
+    for x in points:
+        G = sys.gradient_rows(np.arange(sys.m), x)
+        for i in range(sys.m):
+            assert sys.row_gradient(i, x).tobytes() == G[i].tobytes()
+
+
+def test_overdetermined_row_gradient_squares_as_its_block_rows():
+    # a NumPy scalar's (1 + x^2) ** 2 goes through pow, which rounds this x
+    # otherwise than the product (1 + x^2) (1 + x^2) of NumPy's array ** 2
+    sys = make_overdetermined_rational(2)
+    x = np.array([float.fromhex("0x1.28dc1165b8470p+0"), 1.0])
+    assert sys.row_gradient(0, x).tobytes() == sys.gradient_rows([0], x)[0].tobytes()
+
+
 @pytest.mark.parametrize("n,c", [(9, 0.9), (40, 0.9), (300, 0.9), (500, 0.9), (500, 0.5)],
                          ids=["9", "40", "300", "500", "500-c0.5"])
 def test_h_equation_row_norms_match_the_dense_default(n, c, rng):
