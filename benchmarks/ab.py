@@ -6,10 +6,11 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, with the
 checkout's own benchmark and source, one run after the other: the parent goes
 first in odd pairs and the change in even ones.  Each run's result is the JSON
 on the last line it prints; a run that fails, or reports a failed solve, stops
-the comparison.  At the end, for each end-to-end metric of ``BENCHMARK.json``,
-the script prints each side's quartiles and median and the number of pairs in
-which the change was better, by the metric's direction; a tie counts for
-neither side.  Its verdict on the metric is ``gain`` when the change won at
+the comparison.  At the end the script prints whether the runs compiled the
+package in their set-ups (by ``PYTHONDONTWRITEBYTECODE``, since ``setup_s``
+includes the import), then, for each end-to-end metric of ``BENCHMARK.json``,
+each side's quartiles and median and the number of pairs in which the change
+was better, by the metric's direction; a tie counts for neither side.  Its verdict on the metric is ``gain`` when the change won at
 least nine tenths of the pairs and its median is better than the parent's by
 more than the parent's quartile distance q3 - q1; ``worse`` when its median
 is worse than the parent's by more than the metric's ``bound``, a fraction of
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -65,6 +67,22 @@ def summary(parent: list, change: list, metrics: list) -> list:
     return rows
 
 
+def header(workload: str, pairs: int, seconds: int, seed: int, environ) -> str:
+    """The summary's first lines: the comparison, and whether each run's
+    set-up compiled the package, which ``setup_s`` then includes.  The runs
+    inherit ``environ``; Python writes no bytecode when its
+    PYTHONDONTWRITEBYTECODE is a non-empty string."""
+    value = environ.get("PYTHONDONTWRITEBYTECODE", "")
+    if value:
+        compiled = (f"PYTHONDONTWRITEBYTECODE={value}: no run writes bytecode, so every "
+                    "set-up compiles the package unless the checkout holds it already")
+    else:
+        compiled = ("PYTHONDONTWRITEBYTECODE unset: each checkout's first run writes "
+                    "bytecode, and the later set-ups read it instead of compiling")
+    return (f"{workload}, {pairs} pairs of {seconds} s, seed {seed}; "
+            f"quartiles as q1 / median / q3\n{compiled}; setup_s includes any compile")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """{metric: value} of one untraced benchmark run in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -102,8 +120,7 @@ def main(argv=None) -> int:
               f"{sides['parent'][-1][first]:.6g} -> {sides['change'][-1][first]:.6g}",
               flush=True)
 
-    print(f"{args.workload}, {args.pairs} pairs of {args.seconds} s, seed {args.seed}; "
-          "quartiles as q1 / median / q3")
+    print(header(args.workload, args.pairs, args.seconds, args.seed, os.environ))
     print(f"{'metric':16s} {'parent':>36s} {'change':>36s}  won    verdict")
     for row in summary(sides["parent"], sides["change"], metrics):
         name, a, b, won = row

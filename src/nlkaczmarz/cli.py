@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import diagnostics
 from .problems import PROBLEM_NAMES, get_problem
 from .solvers import RANDOM_ROW, Method, SolverConfig, Status, run
 
@@ -314,6 +313,8 @@ def cmd_rho_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from . import diagnostics  # here alone: solve, bench and rho-sweep never load it
+
     if args.n > DIAG_SIZE_GUARD:
         print(f"diagnose: n={args.n} exceeds the dense-SVD size guard "
               f"({DIAG_SIZE_GUARD})", file=_sys.stderr)

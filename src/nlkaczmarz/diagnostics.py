@@ -4,6 +4,12 @@ Estimates the tangential-cone constant xi from sampled point pairs, checks
 the block lower-bound inequality, evaluates the per-step contraction-factor
 bounds for both averaged block methods (via dense singular values, so
 diagnostic use only), and compares against the single-row bound.
+``fd_check`` compares the analytic Jacobian with central differences.
+
+No solve uses this module: ``nlkaczmarz`` imports it on the first read of
+one of its names, and the CLI in ``diagnose`` alone.  Every point is read
+through the system's ``_point``, which refuses a complex dtype, where a
+cast to float would evaluate at the real part.
 """
 from __future__ import annotations
 
@@ -14,10 +20,11 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .solvers import BlockSelection, Method, SolverReport, select_mrnabk, select_ngabk
-from .system import NonlinearSystem, _shaped
+from .system import NonlinearSystem, _real, _shaped
 
 DEGENERATE_SV_RTOL = 1e-12  # sigma_min below this times sigma_max counts as rank-deficient
 SKIP_BELOW = 1e-14  # a residual difference below this carries no cone information
+FD_H_SCALE = float(np.sqrt(np.finfo(float).eps))  # fd_check's relative step
 
 
 @dataclass
@@ -93,8 +100,8 @@ def estimate_cone(sys: NonlinearSystem,
 
 def _pair_terms(sys: NonlinearSystem, x1, x2) -> Tuple[np.ndarray, np.ndarray]:
     """(f(x1) - f(x2), f'(x1)(x1 - x2)) for the pair (x1, x2)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1 = sys._point(x1)
+    x2 = sys._point(x2)
     return sys.residual(x1) - sys.residual(x2), sys.jacobian(x1) @ (x1 - x2)
 
 
@@ -120,8 +127,8 @@ def check_lemma1(sys: NonlinearSystem, tau: np.ndarray, x1: np.ndarray,
     """Check ||f_tau(x1) - f_tau(x2)||^2 >= ||f'_tau(x1)(x1-x2)||^2 / (1+xi^2)."""
     _check_xi(xi)
     tau = sys._check_rows(tau)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1 = sys._point(x1)
+    x2 = sys._point(x2)
     df = (sys.residual(x1) - sys.residual(x2))[tau]
     return _lemma1(df, sys.gradient_rows(tau, x1) @ (x1 - x2), xi, rel_slack)
 
@@ -267,7 +274,7 @@ def verified_contraction_steps(sys: NonlinearSystem, report: SolverReport,
     skipped.
     """
     method = Method(method)
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = sys._point(x_star)
     ratios = per_step_contraction(report, x_star)
     f_star = sys.residual(x_star)
     out: List[VerifiedStep] = []
@@ -301,7 +308,7 @@ def per_step_contraction(report: SolverReport, x_star: np.ndarray) -> np.ndarray
     """
     if report.iterates is None:
         raise ValueError("run was made without store_iterates=True")
-    x_star = _shaped("x_star", x_star, report.iterates[0].shape)
+    x_star = _shaped("x_star", _real("x_star", x_star), report.iterates[0].shape)
     err2 = np.array([float(np.sum((x - x_star) ** 2)) for x in report.iterates])
     ratios = []
     for k in range(len(err2) - 1):
@@ -309,3 +316,24 @@ def per_step_contraction(report: SolverReport, x_star: np.ndarray) -> np.ndarray
             break
         ratios.append(err2[k + 1] / err2[k])
     return np.asarray(ratios)
+
+
+def fd_check(sys: NonlinearSystem, x: np.ndarray) -> np.ndarray:
+    """Per-row maximum relative deviation between analytic and central-difference Jacobian.
+
+    Step per coordinate is ``h_j = FD_H_SCALE * max(1, |x_j|)``.  Returns an
+    (m,) array of deviations; callers decide thresholds.
+    """
+    x = sys._point(x)
+    n, m = sys.n, sys.m
+    h = FD_H_SCALE * np.maximum(1.0, np.abs(x))
+    J_num = np.empty((m, n))
+    for j in range(n):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h[j]
+        xm[j] -= h[j]
+        J_num[:, j] = (sys.residual(xp) - sys.residual(xm)) / (2.0 * h[j])
+    J_ana = sys.jacobian(x)
+    scale = np.maximum(1.0, np.abs(J_ana).max(axis=1))
+    return np.abs(J_ana - J_num).max(axis=1) / scale

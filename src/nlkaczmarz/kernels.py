@@ -1,8 +1,9 @@
 """The greedy block selections' O(m) NumPy passes, behind the public
 ``select_ngabk``/``select_mrnabk`` in :mod:`nlkaczmarz.solvers`.  No
 direction is computed here: the averaged step takes its direction from the
-system's ``_eval_block_vjp``.  Under NumPy's default error state neither
-selection writes a floating-point warning on any input, so the public
+system's ``_eval_block_vjp``.  Both selections refuse a residual with an
+entry that is not finite, naming it, and under NumPy's default error state
+neither writes a floating-point warning on any input, so the public
 selections need no ``np.errstate`` of their own."""
 import math
 
@@ -17,20 +18,24 @@ def _scaled_squares(fx):
     Scaling by max|f_i| first keeps the squares from under/overflowing for
     |f_i| beyond ~1e±154, which would empty the selection.  For a finite
     nonzero scale the largest square is exactly 1.0, since x / x = 1 and
-    |f_i| <= scale; only a scale of inf or nan needs the pass.  Raises
-    ValueError for a zero residual (a scale of 0).  Only inf / inf can
-    warn (the squares' underflow is ignored by default), so only that
-    division ignores invalid values."""
+    |f_i| <= scale.  Raises ValueError for a zero residual (a scale of 0),
+    and for a scale of inf or nan, which only an entry that is not finite
+    gives: ``non_finite`` names that entry.  ``run()`` never passes one, so
+    its path is the finite one, which writes no floating-point warning."""
     scale = np.maximum.reduce(np.abs(fx), initial=0.0)
     if scale == 0.0:
         raise ValueError(ZERO_RESIDUAL)
-    if scale < math.inf:
-        w = fx / scale
-        return scale, w * w, 1.0
-    with np.errstate(invalid="ignore"):
-        w = fx / scale
-    a2 = w * w
-    return scale, a2, np.maximum.reduce(a2)
+    if not scale < math.inf:
+        non_finite(fx)
+    w = fx / scale
+    return scale, w * w, 1.0
+
+
+def non_finite(fx):
+    """Raise the ValueError that names the first entry of the residual fx
+    that is not finite."""
+    i = int(np.flatnonzero(~np.isfinite(fx))[0])
+    raise ValueError(f"residual component {i} is {fx[i]}, expected a finite number")
 
 
 def ngabk_select(fx):

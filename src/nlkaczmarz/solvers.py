@@ -45,7 +45,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import BreakdownError, DomainError
-from .system import EvalCounters, NonlinearSystem, _is_int
+from .system import EvalCounters, NonlinearSystem, _is_int, _real
 
 BREAKDOWN_EPS = 1e-30  # ||f'(x)^T eta||^2 below this with nonzero residual
 GRAM_RTOL = 1e-10  # largest max|G d - b| / max|b| a Gram-solved RB-CNK step may leave
@@ -170,11 +170,14 @@ def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray) -> BlockSe
     Zero-gradient rows are looked for only when the largest ratio is not
     finite: a zero row norm always makes it inf, or nan for 0/0.  Inside
     ``run()`` the same selection reads row norms that the solve keeps from
-    one step to the next.
+    one step to the next.  A zero residual, then one with an entry that is
+    not finite, raise ValueError before the row norms are evaluated.
     """
     fx = _residual_vector(fx)
     if not fx.any():  # tiny f_i can square to zero, so ||f||^2 cannot tell
         raise ValueError(kernels.ZERO_RESIDUAL)
+    if not np.isfinite(fx).all():
+        kernels.non_finite(fx)
     x = sys._point(x)
     with np.errstate(all="ignore"):
         idx, delta = _capped(fx, *sys._eval_row_norms(x))
@@ -182,8 +185,8 @@ def select_rdcnk(sys: NonlinearSystem, x: np.ndarray, fx: np.ndarray) -> BlockSe
 
 
 def _capped(fx, w, w_sum):
-    """``select_rdcnk``'s (set, threshold) from the residual fx != 0, the
-    squared row norms w and their sum."""
+    """``select_rdcnk``'s (set, threshold) from the finite residual fx != 0,
+    the squared row norms w and their sum."""
     a2 = fx * fx
     r2 = np.add.reduce(a2)
     if not math.isfinite(r2):  # every f_i is finite: the sum of squares overflowed
@@ -408,11 +411,7 @@ def run(sys: NonlinearSystem, x0: np.ndarray, cfg: SolverConfig) -> SolverReport
     hand over each residual with the ||f||^2 that checked it.  NumPy's
     floating-point warnings are ignored for the whole solve.  The report's
     counters are ``sys.counters`` at the end less those at the start."""
-    x = np.asarray(x0)
-    # a cast to float would drop the imaginary part, with a ComplexWarning
-    if x.dtype.kind == "c":
-        raise ValueError(f"x0 has dtype {x.dtype}, expected real numbers")
-    x = x.astype(float)
+    x = _real("x0", x0).astype(float)
     if x.shape != (sys.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
     # NumPy loads np.random on first use: only a method that draws rows pays for it

@@ -27,6 +27,12 @@ evaluation inside their own ``np.errstate``, returning the value alone.
 ``run()`` has already checked.  Newton's step alone calls a public method,
 ``jacobian``, looked up on each call, so that a wrapper set on the instance
 still sees it.
+
+Every public method reads its point through ``_point``, which refuses a
+complex dtype with ``run()``'s wording, where a cast to float would drop the
+imaginary part.  ``_shaped``, which the ``_eval_*`` methods call on every
+step, makes no such check.  The finite-difference check of the Jacobian,
+``fd_check``, is in :mod:`nlkaczmarz.diagnostics`, which no solve loads.
 """
 from __future__ import annotations
 
@@ -37,9 +43,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import DomainError
-
-FD_H_SCALE = float(np.sqrt(np.finfo(float).eps))
-
 
 def _finite_residual(fx: np.ndarray) -> tuple:
     """(fx, ||fx||^2), or the DomainError of fx's first non-finite component."""
@@ -56,6 +59,15 @@ def _finite_residual(fx: np.ndarray) -> tuple:
 def _is_int(value) -> bool:
     """Whether value is a Python or NumPy integer other than a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(what: str, value) -> np.ndarray:
+    """``value`` as an array, refused when complex: a cast to float would
+    drop the imaginary part, with a ComplexWarning."""
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
+        raise ValueError(f"{what} has dtype {value.dtype}, expected real numbers")
+    return value
 
 
 def _shaped(what: str, value, shape: tuple) -> np.ndarray:
@@ -287,26 +299,7 @@ class NonlinearSystem:
         return indices
 
     def _point(self, x) -> np.ndarray:
-        """x as a float array of shape (n,), the point every public method checks."""
-        return _shaped("point", x, (self.n,))
+        """x as a float array of shape (n,), the point every public method
+        checks; a complex x is refused."""
+        return _shaped("point", _real("point", x), (self.n,))
 
-
-def fd_check(sys: NonlinearSystem, x: np.ndarray) -> np.ndarray:
-    """Per-row maximum relative deviation between analytic and central-difference Jacobian.
-
-    Step per coordinate is ``h_j = FD_H_SCALE * max(1, |x_j|)``.  Returns an
-    (m,) array of deviations; callers decide thresholds.
-    """
-    x = np.asarray(x, dtype=float)
-    n, m = sys.n, sys.m
-    h = FD_H_SCALE * np.maximum(1.0, np.abs(x))
-    J_num = np.empty((m, n))
-    for j in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        J_num[:, j] = (sys.residual(xp) - sys.residual(xm)) / (2.0 * h[j])
-    J_ana = sys.jacobian(x)
-    scale = np.maximum(1.0, np.abs(J_ana).max(axis=1))
-    return np.abs(J_ana - J_num).max(axis=1) / scale

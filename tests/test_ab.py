@@ -88,3 +88,22 @@ def test_a_metric_without_a_bound_is_never_worse():
     parent = _runs([240.0] * 3, [70.0] * 3, [100] * 3)
     change = _runs([480.0] * 3, [7.0] * 3, [200] * 3)
     assert [row.verdict for row in ab.summary(parent, change, METRICS)] == ["hold"] * 3
+
+
+@pytest.mark.parametrize("environ,compiled", [
+    ({"PYTHONDONTWRITEBYTECODE": "1"},
+     "PYTHONDONTWRITEBYTECODE=1: no run writes bytecode, so every set-up compiles the "
+     "package unless the checkout holds it already"),
+    ({}, "PYTHONDONTWRITEBYTECODE unset: each checkout's first run writes bytecode, and "
+         "the later set-ups read it instead of compiling"),
+    ({"PYTHONDONTWRITEBYTECODE": ""}, "PYTHONDONTWRITEBYTECODE unset: each checkout's first "
+                                      "run writes bytecode, and the later set-ups read it "
+                                      "instead of compiling"),
+], ids=["set", "unset", "empty"])
+def test_the_header_says_whether_the_set_ups_compiled_the_package(environ, compiled):
+    # setup_s includes the import, so the same trees read differently with
+    # and without cached bytecode
+    assert ab.header("dense-block", 10, 30, 7, environ).splitlines() == [
+        "dense-block, 10 pairs of 30 s, seed 7; quartiles as q1 / median / q3",
+        f"{compiled}; setup_s includes any compile",
+    ]

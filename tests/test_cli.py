@@ -327,6 +327,24 @@ def test_solve_loads_numpy_random_before_its_timer_only_for_a_method_that_draws(
     assert done.stdout.splitlines()[-1:] == [str([loaded])], done.stderr
 
 
+_DIAGNOSTICS_LOADED = ("import sys\nfrom nlkaczmarz import cli\n"
+                       "code = cli.main(sys.argv[1:])\n"
+                       "print(code, 'nlkaczmarz.diagnostics' in sys.modules)")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["solve", "--problem", "h-equation", "--n", "10", "--method", "ngabk"], False),
+    (["bench", "--suite", "h-equation", "--sizes", "10", "--repeats", "1",
+      "--max-iters", "1000"], False),
+    (["rho-sweep", "--sizes", "10", "--rhos", "0.5"], False),
+    (["diagnose", "--problem", "h-equation", "--n", "10", "--pairs", "2"], True),
+], ids=["solve", "bench", "rho-sweep", "diagnose"])
+def test_only_diagnose_loads_the_diagnostics(argv, loaded, tmp_path):
+    done = fresh_interpreter("-c", _DIAGNOSTICS_LOADED, *argv, "--out", str(tmp_path / "out"))
+    # the last line is the marker, after whatever the command prints
+    assert done.stdout.splitlines()[-1].split() == ["0", str(loaded)], done.stderr
+
+
 def test_bench_csv_stable_modulo_timing(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):

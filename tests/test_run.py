@@ -6,6 +6,7 @@ from sys import float_info
 import numpy as np
 import pytest
 
+import nlkaczmarz
 from nlkaczmarz import (
     DomainError,
     Method,
@@ -174,6 +175,47 @@ def test_only_the_methods_that_draw_rows_load_numpy_random():
     # solve draws nothing, so it builds no generator
     done = fresh_interpreter("-c", _RANDOM_LOADED_AFTER)
     assert done.stdout.split() == ["False", "True"], done.stderr
+
+
+_DIAGNOSTICS_LOADED_AFTER = """
+import sys
+import nlkaczmarz
+from nlkaczmarz import Method, SolverConfig, get_problem, run
+
+prob = get_problem("h-equation", 10)
+for method in Method:
+    run(prob.system, prob.x0, SolverConfig(method))
+print("nlkaczmarz.diagnostics" in sys.modules)
+bound = nlkaczmarz.theorem_bound
+print("nlkaczmarz.diagnostics" in sys.modules)
+print(bound is sys.modules["nlkaczmarz.diagnostics"].theorem_bound)
+"""
+
+
+def test_a_solve_of_every_method_leaves_the_diagnostics_unloaded():
+    # the diagnostics are imported on the first read of one of their names
+    done = fresh_interpreter("-c", _DIAGNOSTICS_LOADED_AFTER)
+    assert done.stdout.split() == ["False", "True", "True"], done.stderr
+
+
+_STAR_IMPORT = """
+import nlkaczmarz
+names = {}
+exec("from nlkaczmarz import *", names)
+print(sorted(set(nlkaczmarz.__all__) - set(names)), len(nlkaczmarz.__all__))
+print(names["fd_check"] is nlkaczmarz.diagnostics.fd_check)
+"""
+
+
+def test_a_star_import_binds_every_public_name():
+    done = fresh_interpreter("-c", _STAR_IMPORT)
+    assert done.stdout.split() == ["[]", "32", "True"], done.stderr
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'nlkaczmarz' has no attribute "
+                                             r"'no_such_name'$"):
+        nlkaczmarz.no_such_name
 
 
 @pytest.mark.parametrize("x0", [np.nan, np.inf, 1.0 / 0.225])

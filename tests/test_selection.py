@@ -269,12 +269,24 @@ def _scaled_reference(fx):
         return scale, w * w
 
 
+def _refuse_non_finite(fx):
+    """The refusal of a residual with an entry that is not finite, which
+    the selections make after the zero-residual and rho checks."""
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        i = int(bad.nonzero()[0][0])
+        raise ValueError(f"residual component {i} is {fx[i]}, expected a finite number")
+
+
 def _select_ngabk_reference(fx):
     """NGABK's selection as written before it used that the largest scaled
-    square is 1.0: a full ``fx.any()`` and ``a2.max()`` on every call."""
+    square is 1.0: a full ``fx.any()`` and ``a2.max()`` on every call, and
+    the refusal of a non-finite entry, where it used to select an empty
+    block with threshold nan."""
     fx = np.asarray(fx, dtype=float)
     if not fx.any():
         raise ValueError(_ZERO)
+    _refuse_non_finite(fx)
     _, a2 = _scaled_reference(fx)
     with np.errstate(all="ignore"):
         r2 = a2.sum()
@@ -289,6 +301,7 @@ def _select_mrnabk_reference(fx, rho):
         raise ValueError(_ZERO)
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    _refuse_non_finite(fx)
     scale, a2 = _scaled_reference(fx)
     with np.errstate(all="ignore"):
         indices = np.flatnonzero(a2 >= rho * a2.max())

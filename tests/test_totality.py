@@ -15,12 +15,17 @@ from nlkaczmarz import (
     SolverConfig,
     SolverReport,
     Status,
+    check_lemma1,
+    estimate_cone,
+    fd_check,
     get_problem,
     make_h_equation,
+    per_step_contraction,
     run,
     select_mrnabk,
     select_ngabk,
     select_rdcnk,
+    verified_contraction_steps,
 )
 from nlkaczmarz.solvers import _averaged, _projected, rbcnk_step
 
@@ -279,3 +284,62 @@ def test_finite_gradient_whose_square_overflows_is_not_a_domain_error():
     report = run(sys, np.array([2.0]), SolverConfig(method=Method.NRK, max_iters=3))
     assert report.status is Status.MAX_ITERS
     assert [h[3] for h in report.history] == [0.0] * 3
+
+
+# each public entry point that takes a point, given Brown n = 5's system, a
+# real point x, a complex point z and a run with its iterates
+_COMPLEX_POINT_CALLS = {
+    "residual": lambda sys, x, z, report: sys.residual(z),
+    "row_gradient": lambda sys, x, z, report: sys.row_gradient(0, z),
+    "gradient_rows": lambda sys, x, z, report: sys.gradient_rows([0, 1], z),
+    "jacobian": lambda sys, x, z, report: sys.jacobian(z),
+    "select_rdcnk": lambda sys, x, z, report: select_rdcnk(sys, z, np.ones(5)),
+    "check_lemma1-x1": lambda sys, x, z, report: check_lemma1(sys, [0], z, x, 0.1),
+    "check_lemma1-x2": lambda sys, x, z, report: check_lemma1(sys, [0], x, z, 0.1),
+    "estimate_cone": lambda sys, x, z, report: estimate_cone(sys, [(z, x)]),
+    "fd_check": lambda sys, x, z, report: fd_check(sys, z),
+    "verified_contraction_steps":
+        lambda sys, x, z, report: verified_contraction_steps(sys, report, z),
+    "per_step_contraction": lambda sys, x, z, report: per_step_contraction(report, z),
+}
+
+
+@pytest.mark.parametrize("call", list(_COMPLEX_POINT_CALLS.values()),
+                         ids=list(_COMPLEX_POINT_CALLS))
+def test_a_complex_point_is_refused_not_cast_to_its_real_part(call):
+    # a cast to float wrote a ComplexWarning and evaluated at the real part:
+    # Brown's residual at 1 + 1j read zeros
+    prob = get_problem("brown", 5)
+    sys = prob.system
+    report = run(sys, prob.x0, SolverConfig(method=Method.NGABK, store_iterates=True))
+    x = np.full(5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^(point|x_star) has dtype complex128, "
+                                             r"expected real numbers$"):
+            call(sys, x, np.ones(5) + 1j, report)
+
+
+_SELECTIONS = {
+    "select_ngabk": lambda sys, fx: select_ngabk(fx),
+    "select_mrnabk": lambda sys, fx: select_mrnabk(fx, 0.5),
+    "select_rdcnk": lambda sys, fx: select_rdcnk(sys, np.ones(2), fx),
+}
+
+
+@pytest.mark.parametrize("fx,named", [
+    ([math.nan, 1.0], "0 is nan"), ([math.inf, 1.0], "0 is inf"),
+    ([1.0, -math.inf], "1 is -inf"), ([0.0, math.nan], "1 is nan"),
+], ids=["nan", "inf", "-inf", "zero-then-nan"])
+@pytest.mark.parametrize("select", list(_SELECTIONS.values()), ids=list(_SELECTIONS))
+def test_the_selections_refuse_a_residual_that_is_not_finite(select, fx, named):
+    # the greedy selections used to return an empty block with threshold nan
+    # or inf, and RD-CNK's a BreakdownError on ||f||^2 = nan; the refusal
+    # comes before RD-CNK evaluates its row norms
+    sys = get_problem("brown", 2).system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^residual component {named}, "
+                                             r"expected a finite number$"):
+            select(sys, np.array(fx))
+    assert sys.counters.jacobian_evals == 0
